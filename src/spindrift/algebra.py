@@ -49,13 +49,19 @@ _BETA_ALPHA = np.stack([BETA @ a for a in ALPHA])
 _BETA_SIGMA = np.stack([BETA @ s for s in SIGMA])
 _I_BETA_ALPHA = 1j * _BETA_ALPHA
 
+# Hermitian basis of the 4x4 matrices, tr(C_A C_B) = 4 delta_AB: 1, beta,
+# gamma5, i beta gamma5, alpha_i, Sigma_i, i beta alpha_i, beta Sigma_i.
+CLIFFORD = np.concatenate([
+    np.stack([IDENTITY, BETA, GAMMA5, 1j * BETA @ GAMMA5]), ALPHA, SIGMA,
+    _I_BETA_ALPHA, _BETA_SIGMA])
+
 _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS[_i, _j, _k] = 1.0
     _EPS[_i, _k, _j] = -1.0
 
 for _m in (PAULI, BETA, ALPHA, SIGMA, GAMMA5, GAMMA, _BETA_ALPHA, _BETA_SIGMA,
-           _I_BETA_ALPHA, _EPS, IDENTITY):
+           _I_BETA_ALPHA, CLIFFORD, _EPS, IDENTITY):
     _m.flags.writeable = False
 
 
@@ -166,6 +172,13 @@ def pryce_factors(kind, gamma_bar):
     return f1, f2, f3, f1 - f2
 
 
+def _cross_and_odd(p):
+    """The kernels (p x Sigma)_i and i beta (alpha.p) p_i, (..., 3, 4, 4)."""
+    cross = np.einsum("ijk,...j,kab->...iab", _EPS, p, SIGMA)
+    ba = np.einsum("...j,jab->...ab", p, _BETA_ALPHA)
+    return cross, 1j * np.einsum("...ab,...i->...iab", ba, p)
+
+
 def pryce_kernel(kind, p, m: float):
     """Matrix part of the mass-center operator (its offset from the position).
 
@@ -182,9 +195,7 @@ def pryce_kernel(kind, p, m: float):
         raise ValueError("mass must be positive")
     p = np.asarray(p, dtype=float)
     e = energy(p, m)[..., None, None, None]
-    cross = np.einsum("ijk,...j,kab->...iab", _EPS, p, SIGMA)
-    ba = np.einsum("...j,jab->...ab", p, _BETA_ALPHA)
-    odd = 1j * np.einsum("...ab,...i->...iab", ba, p)
+    cross, odd = _cross_and_odd(p)
     if kind is PryceKind.D:
         return _I_BETA_ALPHA / (2.0 * m) - odd / (2.0 * m * e**2)
     if kind is PryceKind.E:
@@ -202,9 +213,7 @@ def pryce_kernel_general_form(kind, p, m: float):
     f1 = np.asarray(f1)[..., None, None, None]
     f2 = np.asarray(f2)[..., None, None, None]
     f3 = np.asarray(f3)[..., None, None, None]
-    cross = np.einsum("ijk,...j,kab->...iab", _EPS, p, SIGMA)
-    ba = np.einsum("...j,jab->...ab", p, _BETA_ALPHA)
-    odd = 1j * np.einsum("...ab,...i->...iab", ba, p)
+    cross, odd = _cross_and_odd(p)
     return (f1 * _I_BETA_ALPHA / (2.0 * m)
             + f2 * cross / (2.0 * m**2)
             + f3 * odd / (2.0 * m**3))

@@ -205,6 +205,17 @@ def parse_config(text: str) -> ScenarioConfig:
 def _validate(cfg: ScenarioConfig):
     if not cfg.name:
         raise ConfigError("scenario.name: must not be empty")
+    pk = cfg.packet
+    for name, value in (
+            ("constants.mass", cfg.mass), ("constants.charge", cfg.charge),
+            ("fields.E", cfg.E), ("fields.B", cfg.B), ("initial.x", cfg.x0),
+            ("initial.v", cfg.v0), ("initial.s", cfg.s0),
+            ("integration.dt", cfg.dt), ("packet.p0", pk.p0),
+            ("packet.widths", pk.widths), ("packet.spin", pk.spin),
+            ("packet.grid_radius", pk.grid_radius),
+            ("algebra.pmax", cfg.algebra_pmax)):
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name}: must be finite")
     if cfg.mass <= 0:
         raise ConfigError("constants.mass: must be positive")
     if cfg.dt <= 0:

@@ -11,10 +11,13 @@ is the same at every point.  The envelope is a product Gaussian
 standard deviation w_i / sqrt(2)).  Expectation values are plain grid sums
 weighted by the cell volume; with the default 5-width truncation both the
 quadrature and truncation errors sit far below the physical packet-spread
-effects, which scale as (w/m)^2.
+effects, which scale as (w/m)^2.  Packet-path operators are Clifford
+matrices times functions of p, summed against the packet's bilinear table;
+`expectation`, on dense (..., 4, 4) kernels, is the oracle for that route.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +52,12 @@ SHARP_WIDTH_FRACTION = 0.05
 # Fraction of the continuum Gaussian mass a grid may cut off.
 MAX_TRUNCATED_MASS = 1e-6
 
+# sum_ab conj(a_a) a_b C_A[a, b] on (re, im)-interleaved outer products
+_CLIFFORD_COLUMNS = np.stack([algebra.CLIFFORD.real, -algebra.CLIFFORD.imag],
+                             axis=-1).reshape(16, 32).T
+_ONE, _GAMMA5 = 0, 2
+_SIGMA, _IBETA_ALPHA, _BETA_SIGMA = slice(7, 10), slice(10, 13), slice(13, 16)
+
 
 @dataclass
 class MomentumWavePacket:
@@ -67,17 +76,24 @@ class MomentumWavePacket:
                     self.widths, self.spacings):
             arr.flags.writeable = False
 
+    @functools.cached_property
+    def bilinears(self) -> np.ndarray:
+        """(n1, n2, n3, 16) real table a^dagger C_A a, C = algebra.CLIFFORD."""
+        a = self.amplitudes
+        outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
+        table = (outer.view(float) @ _CLIFFORD_COLUMNS).reshape(
+            a.shape[:3] + (16,))
+        table.flags.writeable = False
+        return table
+
     @property
     def norm_squared(self) -> float:
-        dens = np.einsum("pqra,pqra->pqr", self.amplitudes.conj(),
-                         self.amplitudes).real
-        return float(dens.sum() * self.cell_volume)
+        return float(self.bilinears[..., _ONE].sum() * self.cell_volume)
 
     @property
     def mean_momentum(self) -> np.ndarray:
-        dens = np.einsum("pqra,pqra->pqr", self.amplitudes.conj(),
-                         self.amplitudes).real
-        return np.einsum("pqr,pqri->i", dens, self.momenta) * self.cell_volume
+        return np.einsum("pqr,pqri->i", self.bilinears[..., _ONE],
+                         self.momenta) * self.cell_volume
 
     @property
     def gamma_bar(self) -> float:
@@ -189,25 +205,30 @@ def expectation(packet: MomentumWavePacket, kernel, hermitian: bool = True,
     k = kernel(packet.momenta) if callable(kernel) else np.asarray(kernel)
     a = packet.amplitudes
     if k.ndim == a.ndim + 1:
-        val = np.einsum("pqra,pqrab,pqrb->", a.conj(), k, a) * packet.cell_volume
-        val = complex(val)
-        if not hermitian:
-            return val
-        if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
-            raise ValueError(
-                f"kernel declared Hermitian but expectation has imaginary "
-                f"part {val.imag:.3e}")
-        return val.real
-    if k.ndim == a.ndim + 2:
-        val = np.einsum("pqra,pqriab,pqrb->i", a.conj(), k, a) * packet.cell_volume
-        if not hermitian:
-            return val
-        if np.max(np.abs(val.imag)) > imag_tol * max(1.0, float(np.max(np.abs(val.real)))):
-            raise ValueError(
-                f"kernel declared Hermitian but expectation has imaginary "
-                f"part {np.max(np.abs(val.imag)):.3e}")
-        return val.real
-    raise ValueError(f"kernel shape {k.shape} does not match packet grid")
+        density = np.einsum("pqra,pqrab,pqrb->pqr", a.conj(), k, a)
+    elif k.ndim == a.ndim + 2:
+        density = np.einsum("pqra,pqriab,pqrb->pqri", a.conj(), k, a)
+    else:
+        raise ValueError(f"kernel shape {k.shape} does not match packet grid")
+    return grid_expectation(packet, density, hermitian, imag_tol)
+
+
+def grid_expectation(packet: MomentumWavePacket, density,
+                     hermitian: bool = True, imag_tol: float = 1e-12):
+    """Grid sum of a per-point expectation density (grid or grid + (3,)).
+
+    A declared-Hermitian result must have an imaginary part below `imag_tol`
+    (relative to its magnitude); its real part is returned.
+    """
+    val = np.sum(density, axis=(0, 1, 2)) * packet.cell_volume
+    val = complex(val) if np.ndim(val) == 0 else val
+    if not hermitian:
+        return val
+    imag = float(np.max(np.abs(np.imag(val))))
+    if imag > imag_tol * max(1.0, float(np.max(np.abs(np.real(val))))):
+        raise ValueError(f"kernel declared Hermitian but expectation has "
+                         f"imaginary part {imag:.3e}")
+    return val.real
 
 
 def expectation_position(packet: MomentumWavePacket,
@@ -243,31 +264,38 @@ def expectation_position(packet: MomentumWavePacket,
     return out
 
 
-def _cross_sigma_kernel(p):
-    """(p x sigma)_i as a momentum-dependent matrix kernel."""
-    return np.einsum("ijk,...j,kab->...iab", algebra._EPS, p, algebra.SIGMA)
-
-
-def _odd_kernel(p):
-    """i beta (alpha.p) p_i."""
-    ba = np.einsum("...j,jab->...ab", p, algebra._BETA_ALPHA)
-    return 1j * np.einsum("...ab,...i->...iab", ba, p)
+def _cross_and_odd_density(packet: MomentumWavePacket):
+    """Per-point <(p x Sigma)_i> and <i beta (alpha.p) p_i>."""
+    p, b = packet.momenta, packet.bilinears
+    odd = p * np.einsum("...j,...j->...", p, b[..., _IBETA_ALPHA])[..., None]
+    return np.cross(p, b[..., _SIGMA]), odd
 
 
 def fg_expectations(packet: MomentumWavePacket) -> dict:
-    """All expectation values entering the little-group/mean-spin relations."""
-    m = packet.mass
-    t_kernel, t4_kernel = algebra.little_group_generators(packet.momenta, m)
+    """All expectation values entering the little-group/mean-spin relations.
+
+    Grid sums over the bilinears b[X] = a^dagger X a: T = b[beta Sigma] -
+    p b[gamma5] / m, T4 = i p.b[Sigma] / m, and O = fw(-1) beta Sigma fw(+1)
+    expanded with A = beta alpha.p, A^2 = -p^2, [beta Sigma_i, A] =
+    -2 p_i gamma5, A beta Sigma_i A = 2 p_i p.beta Sigma - p^2 beta Sigma_i:
+    O_i = beta Sigma_i - p_i gamma5 / E - p_i p.beta Sigma / (E (E + m)).
+    """
+    m, p, b = packet.mass, packet.momenta, packet.bilinears
+    e = algebra.energy(p, m)[..., None]
+    sigma, beta_sigma = b[..., _SIGMA], b[..., _BETA_SIGMA]
+    cross, odd = _cross_and_odd_density(packet)
+    g5 = p * b[..., _GAMMA5, None]
+    p_beta_sigma = np.einsum("...j,...j->...", p, beta_sigma)[..., None]
     vals = {
-        "T": expectation(packet, t_kernel),
-        "T4": expectation(packet, t4_kernel, hermitian=False),
-        "O": expectation(packet, algebra.o_operator(packet.momenta, m)),
-        "sigma": expectation(packet, np.broadcast_to(
-            algebra.SIGMA, packet.momenta.shape[:3] + (3, 4, 4))),
-        "ibeta_alpha": expectation(packet, np.broadcast_to(
-            algebra._I_BETA_ALPHA, packet.momenta.shape[:3] + (3, 4, 4))),
-        "p_cross_sigma": expectation(packet, _cross_sigma_kernel),
-        "odd": expectation(packet, _odd_kernel),
+        "T": grid_expectation(packet, beta_sigma - g5 / m),
+        "T4": grid_expectation(packet, 1j * np.sum(p * sigma, axis=-1) / m,
+                               hermitian=False),
+        "O": grid_expectation(packet, beta_sigma - g5 / e
+                              - p * p_beta_sigma / (e * (e + m))),
+        "sigma": grid_expectation(packet, sigma),
+        "ibeta_alpha": grid_expectation(packet, b[..., _IBETA_ALPHA]),
+        "p_cross_sigma": grid_expectation(packet, cross),
+        "odd": grid_expectation(packet, odd),
         "p": packet.mean_momentum,
     }
     vals["gamma_bar"] = packet.gamma_bar
@@ -275,7 +303,8 @@ def fg_expectations(packet: MomentumWavePacket) -> dict:
     return vals
 
 
-def verify_fg_relations(packet: MomentumWavePacket) -> ExpectationReport:
+def verify_fg_relations(packet: MomentumWavePacket,
+                        vals: dict | None = None) -> ExpectationReport:
     """Residuals of the expectation-value relations tying T, T4, O, sigma.
 
     Relations checked (g = dilation factor, v = packet velocity):
@@ -286,10 +315,11 @@ def verify_fg_relations(packet: MomentumWavePacket) -> ExpectationReport:
       ibeta_alpha_from_T:   <i beta alpha> = <T> x <p> / (g m)
       momentum_cross_sigma: <p x sigma> = <p> x <T> / g
       odd_term_null:        <i beta (alpha.p) p> = 0
-    All residuals scale as (width/m)^2 for sharp packets.
+    All residuals scale as (width/m)^2 for sharp packets.  `vals` may pass
+    in the result of `fg_expectations`.
     """
     m = packet.mass
-    vals = fg_expectations(packet)
+    vals = fg_expectations(packet) if vals is None else vals
     g, v = vals["gamma_bar"], vals["v"]
     tbar, obar = vals["T"], vals["O"]
 
@@ -307,20 +337,24 @@ def verify_fg_relations(packet: MomentumWavePacket) -> ExpectationReport:
 
 
 def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
-    """<X_P> - <x>: expectation of the mass-center kernel for one type."""
-    kind = PryceKind.coerce(kind)
-    return expectation(
-        packet, algebra.pryce_kernel(kind, packet.momenta, packet.mass))
+    """<X_P> - <x> for one type, from the kernel's factor-table form."""
+    m = packet.mass
+    f1, f2, f3 = (np.asarray(f)[..., None] for f in algebra.pryce_factors(
+        kind, algebra.energy(packet.momenta, m) / m)[:3])
+    cross, odd = _cross_and_odd_density(packet)
+    return grid_expectation(
+        packet, f1 * packet.bilinears[..., _IBETA_ALPHA] / (2.0 * m)
+        + f2 * cross / (2.0 * m**2) + f3 * odd / (2.0 * m**3))
 
 
-def verify_main_result(packet: MomentumWavePacket,
-                       kind) -> ExpectationReport:
-    """Check <X_P> - <x> = fP(g) <T> x <p> / (2 m^2 g) for one type."""
+def verify_main_result(packet: MomentumWavePacket, kind,
+                       tbar=None) -> ExpectationReport:
+    """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type."""
     kind = PryceKind.coerce(kind)
     m = packet.mass
     g = packet.gamma_bar
-    tbar = expectation(packet,
-                       algebra.little_group_generators(packet.momenta, m)[0])
+    if tbar is None:
+        tbar = fg_expectations(packet)["T"]
     fp = algebra.pryce_factors(kind, g)[3]
     predicted = fp * np.cross(tbar, packet.mean_momentum) / (2.0 * m * m * g)
     report = ExpectationReport()

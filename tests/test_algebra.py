@@ -245,3 +245,11 @@ def test_identity_report_clean():
     report = algebra.identity_report(seed=42)
     assert report.all_pass()
     assert len(report) == len({r.name for r in report})
+
+
+def test_clifford_basis_hermitian_orthogonal():
+    basis = algebra.CLIFFORD
+    assert basis.shape == (16, 4, 4)
+    assert np.array_equal(basis, np.conj(np.swapaxes(basis, -1, -2)))
+    gram = np.einsum("Aab,Bba->AB", basis, basis)
+    assert np.allclose(gram, 4.0 * np.eye(16), atol=0)

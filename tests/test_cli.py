@@ -102,6 +102,16 @@ def test_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_non_finite_field_exit_code(tiny_config, tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(tiny_config.read_text(encoding="utf-8").replace(
+        "B = 0 0 0.02", "B = nan 0 0.02"), encoding="utf-8")
+    rc = cli.main(["simulate", "--config", str(bad), "--out",
+                   str(tmp_path / "o")])
+    assert rc == 2
+    assert "fields.B" in capsys.readouterr().err
+
+
 def test_mode_mismatch_exit_code(tiny_config, tmp_path):
     assert cli.main(["converge", "--config", str(tiny_config),
                      "--out", str(tmp_path)]) == 2

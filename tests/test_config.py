@@ -86,6 +86,17 @@ def test_bad_vector_rejected():
                      "[fields]\nB = 1 2\n")
 
 
+def test_non_finite_vector_rejected():
+    with pytest.raises(ConfigError, match="fields.B"):
+        parse_config("[scenario]\nname = x\nmode = simulate\n\n"
+                     "[fields]\nB = nan 0 0.02\n")
+
+
+def test_non_finite_scalar_rejected():
+    with pytest.raises(ConfigError, match="constants.charge"):
+        parse_config(MINIMAL_SIMULATE + "\n[constants]\ncharge = -inf\n")
+
+
 def test_duplicate_kinds_rejected():
     with pytest.raises(ConfigError, match="pryce_kinds"):
         parse_config(MINIMAL_SIMULATE + "\n[output]\npryce_kinds = c c\n")

@@ -99,7 +99,7 @@ class TestExpectation:
         assert abs(h_mean - pkt.gamma_bar * pkt.mass) < 2.0 * 0.01**2
 
     def test_odd_kernel_null(self, fast_packet):
-        val = expectation(fast_packet, packets._odd_kernel)
+        val = packets.fg_expectations(fast_packet)["odd"]
         assert np.max(np.abs(val)) < 1e-14
 
     def test_anti_hermitian_kernel_flagged(self):
@@ -260,3 +260,89 @@ class TestCovariance:
             off_b = mass_center_offset(base, kind)
             off_t = mass_center_offset(turned, kind)
             assert np.max(np.abs(rot @ off_b - off_t)) < 1e-12
+
+
+def _dense_expectations(pkt):
+    """Every packet-path value through `expectation` on dense kernels."""
+    m, p = pkt.mass, pkt.momenta
+    grid = p.shape[:3]
+    t, t4 = algebra.little_group_generators(p, m)
+    cross, odd = algebra._cross_and_odd(p)
+    vals = {
+        "T": expectation(pkt, t),
+        "T4": expectation(pkt, t4, hermitian=False),
+        "O": expectation(pkt, algebra.o_operator(p, m)),
+        "sigma": expectation(pkt, np.broadcast_to(algebra.SIGMA,
+                                                  grid + (3, 4, 4))),
+        "ibeta_alpha": expectation(pkt, np.broadcast_to(
+            algebra._I_BETA_ALPHA, grid + (3, 4, 4))),
+        "p_cross_sigma": expectation(pkt, cross),
+        "odd": expectation(pkt, odd),
+        "p": expectation(pkt, p[..., None, None] * algebra.IDENTITY),
+        "norm": expectation(pkt, np.broadcast_to(algebra.IDENTITY,
+                                                 grid + (4, 4))),
+    }
+    for kind in ("c", "d", "e"):
+        vals[kind] = expectation(pkt, algebra.pryce_kernel(kind, p, m))
+    return vals
+
+
+class TestBilinearTable:
+    """The table route against the dense-kernel oracle."""
+
+    @pytest.mark.parametrize("p0, spin, n", [
+        ((0.0, 0.0, 0.6), (1.0, 0.0, 0.0), 16),       # moving, transverse
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 16),       # rest
+        ((0.9, -1.7, 0.4), (0.3, 0.8, -0.5), 24),     # moving, rotated spin
+    ])
+    def test_matches_dense_kernels(self, p0, spin, n):
+        pkt = make_gaussian_packet(p0, (0.02, 0.03, 0.025), spin,
+                                   m=1.3, grid_points=n)
+        dense = _dense_expectations(pkt)
+        table = packets.fg_expectations(pkt)
+        table["norm"] = pkt.norm_squared
+        for kind in ("c", "d", "e"):
+            table[kind] = mass_center_offset(pkt, kind)
+        assert isinstance(table["T4"], complex)
+        for key, want in dense.items():
+            assert np.max(np.abs(table[key] - want)) <= 1e-12, key
+
+    def test_matches_dense_kernels_off_shell(self):
+        # random spinors, not positive-energy: the null terms (odd, type c)
+        # are no longer null, so every coefficient function is exercised
+        pkt = make_gaussian_packet((0.2, 0.5, -0.4), 0.03, (0, 0, 1),
+                                   grid_points=16)
+        rng = np.random.default_rng(5)
+        amps = (rng.normal(size=pkt.amplitudes.shape)
+                + 1j * rng.normal(size=pkt.amplitudes.shape))
+        amps /= np.sqrt(np.sum(np.abs(amps)**2) * pkt.cell_volume)
+        pkt = packets.MomentumWavePacket(
+            pkt.momenta, amps, pkt.cell_volume, pkt.center.copy(),
+            pkt.widths.copy(), pkt.spacings.copy(), pkt.mass)
+        dense = _dense_expectations(pkt)
+        table = packets.fg_expectations(pkt)
+        for kind in ("c", "d", "e"):
+            table[kind] = mass_center_offset(pkt, kind)
+        assert np.max(np.abs(dense["odd"])) > 1e-4
+        assert np.max(np.abs(dense["c"])) > 1e-3
+        for key in table.keys() & dense.keys():
+            assert np.max(np.abs(table[key] - dense[key])) <= 1e-12, key
+
+    def test_table_is_real_and_cached(self, fast_packet):
+        table = fast_packet.bilinears
+        assert table.shape == fast_packet.momenta.shape[:3] + (16,)
+        assert table.dtype == float
+        assert fast_packet.bilinears is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1.0
+
+    def test_hermitian_rule_on_table_route(self, fast_packet):
+        density = 1j * fast_packet.bilinears[..., 0]   # <i> = i
+        with pytest.raises(ValueError, match="Hermitian"):
+            packets.grid_expectation(fast_packet, density)
+        val = packets.grid_expectation(fast_packet, density,
+                                        hermitian=False)
+        assert abs(val - 1j) < 1e-12
+        vector = np.stack([density] * 3, axis=-1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            packets.grid_expectation(fast_packet, vector)

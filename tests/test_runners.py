@@ -1,0 +1,94 @@
+import pathlib
+
+import numpy as np
+import pytest
+
+from spindrift import dynamics, gallery, runners
+from spindrift.config import ScenarioConfig, load_config
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# fd_mass_center_* tolerances of the gallery scenarios before the roundoff
+# term joined _fd_tolerance; that term must not bind on any of them
+GALLERY_FD_TOLERANCES = {
+    "e_only_low_velocity": (4.507311815852019e-12, 4.507311815852019e-12,
+                            4.507311815852019e-12),
+    "cyclotron": (7.895605603018395e-06, 7.936662765384293e-06,
+                  7.913853228726147e-06),
+    "crossed_drift": (1e-12, 1.0867702930599198e-07,
+                      5.3057576445296604e-08),
+    "fprime_zero": (1.0124922769494805e-05, 1.0177533408961136e-05,
+                    1.0149339449530661e-05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_FD_TOLERANCES))
+def test_gallery_fd_tolerances_unchanged(name, tmp_path):
+    report, _ = runners.run_simulate(gallery.gallery_configs()[name],
+                                     tmp_path)
+    got = tuple(report[f"fd_mass_center_{k}"].tolerance for k in "cde")
+    assert got == pytest.approx(GALLERY_FD_TOLERANCES[name], rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def long_drift():
+    """The 100 000-step crossed drift orbit and its trajectory."""
+    cfg = load_config(DATA / "orbit_crossed_seed0.cfg")
+    traj = dynamics.integrate(runners._state_from(cfg),
+                              runners._fields_from(cfg), cfg.dt, cfg.steps,
+                              sample_every=cfg.sample_every,
+                              kinds=cfg.pryce_kinds)
+    return cfg, traj
+
+
+def _simulate(cfg, traj, outdir, monkeypatch):
+    monkeypatch.setattr(dynamics, "integrate", lambda *a, **k: traj)
+    report, _ = runners.run_simulate(cfg, outdir)
+    return {r.name: r for r in report if r.name.startswith("fd_")}
+
+
+def test_long_drift_passes_at_roundoff(long_drift, tmp_path, monkeypatch):
+    cfg, traj = long_drift
+    assert np.max(np.abs(traj.x)) > 8192.0  # ulp(X) is 1.8e-12
+    rows = _simulate(cfg, traj, tmp_path, monkeypatch)
+    assert rows["fd_mass_center_c"].residual > 1e-12
+    for row in rows.values():
+        assert row.status == "pass", (row.name, row.residual, row.tolerance)
+
+
+def test_long_drift_still_sees_anomalous_velocity(long_drift, tmp_path,
+                                                  monkeypatch):
+    # predicting the center velocities by v alone must fail wherever fP != 0
+    cfg, traj = long_drift
+    monkeypatch.setattr(dynamics.Trajectory, "pryce_fp",
+                        lambda self, kind: np.zeros_like(self.gamma))
+    rows = _simulate(cfg, traj, tmp_path, monkeypatch)
+    assert rows["fd_mass_center_c"].status == "pass"  # fP = 0 for type c
+    for kind in "de":
+        assert rows[f"fd_mass_center_{kind}"].status == "fail", kind
+
+
+def test_fd_roundoff_term():
+    h, substeps = 0.5, 9
+    series = np.outer(np.linspace(0.0, 1e4, 50), [1.0, -1.0, 0.5])
+    expected = np.sqrt(3.0) * 10 * np.spacing(1e4) / (2.0 * h)
+    assert runners._fd_tolerance(series, h, substeps=substeps) == \
+        pytest.approx(expected, rel=1e-12)
+    # short series and small positions keep the absolute floor
+    assert runners._fd_tolerance(series[:3] * 1e-6, h) == 1e-12
+
+
+def test_verify_fg_row_times(tmp_path):
+    cfg = ScenarioConfig(name="t", mode="verify-fg")
+    cfg.packet.grid_points = 16
+    cfg.packet.widths = (0.02, 0.02, 0.02)
+    report, _ = runners.run_verify(cfg, tmp_path)
+    fg = [r for r in report if not r.name.startswith(("mass_center",
+                                                      "offset_ratio"))]
+    centers = [r for r in report if r.name.startswith("mass_center")]
+    assert len(fg) == 7 and len(centers) == 3
+    # the FG rows share one phase; each mass-center row reports its own
+    assert len({r.wall_time for r in fg}) == 1 and fg[0].wall_time > 0.0
+    for row in centers:
+        assert row.wall_time > 0.0, row.name
+    assert report["offset_ratio_d_e"].wall_time > 0.0
