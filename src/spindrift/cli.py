@@ -17,7 +17,8 @@ import argparse
 import sys
 
 from . import gallery, runners
-from .config import ConfigError, PacketSpec, ScenarioConfig, load_config
+from .config import (ConfigError, PacketSpec, ScenarioConfig, _validate,
+                     load_config)
 from .dynamics import IntegrationError
 
 
@@ -75,17 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fg_config_from_flags(args) -> ScenarioConfig:
-    try:
-        kinds = tuple(args.kinds.replace(",", " ").split())
-        return ScenarioConfig(
-            name="verify_fg", mode="verify-fg", mass=args.mass,
-            pryce_kinds=kinds if kinds else ("c", "d", "e"),
-            packet=PacketSpec(p0=tuple(args.p0), widths=tuple(args.widths),
-                              spin=tuple(args.spin),
-                              grid_points=args.grid_points,
-                              grid_radius=args.grid_radius))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    kinds = tuple(args.kinds.replace(",", " ").split())
+    cfg = ScenarioConfig(
+        name="verify_fg", mode="verify-fg", mass=args.mass,
+        pryce_kinds=kinds if kinds else ("c", "d", "e"),
+        packet=PacketSpec(p0=tuple(args.p0), widths=tuple(args.widths),
+                          spin=tuple(args.spin), grid_points=args.grid_points,
+                          grid_radius=args.grid_radius))
+    _validate(cfg)
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -125,6 +124,7 @@ def main(argv=None) -> int:
                                      mode="verify-algebra", mass=args.mass,
                                      algebra_momenta=args.momenta,
                                      algebra_pmax=args.pmax, seed=args.seed)
+                _validate(cfg)
             report, artifacts = runners.run_verify(cfg, args.out)
         elif args.command == "converge":
             cfg = load_config(args.config)

@@ -205,6 +205,7 @@ def parse_config(text: str) -> ScenarioConfig:
 def _validate(cfg: ScenarioConfig):
     if not cfg.name:
         raise ConfigError("scenario.name: must not be empty")
+    _parse_kinds("output", "pryce_kinds", " ".join(cfg.pryce_kinds))
     pk = cfg.packet
     for name, value in (
             ("constants.mass", cfg.mass), ("constants.charge", cfg.charge),

@@ -302,33 +302,21 @@ class Trajectory:
         return pryce_factors(kind, self.gamma)[3]
 
 
-def _rhs(y: np.ndarray, fields: FieldConfig) -> np.ndarray:
-    """Reference right-hand side on the packed (x, p, s) state vector."""
-    p = y[3:6]
-    s = y[6:9]
-    m = fields.mass
-    e_on_shell = np.sqrt(m * m + p @ p)
-    v = p / e_on_shell
-    g = e_on_shell / m
-    dx = v
-    dp = fields.charge * (fields.E + np.cross(v, fields.B))
-    w = (fields.charge / (m * g)) * (
-        fields.B + g / (1.0 + g) * np.cross(fields.E, v))
-    ds = np.cross(s, w)
-    return np.concatenate((dx, dp, ds))
+def max_rotation_rate(fields: FieldConfig) -> float:
+    """(|e|/m)(|B| + |E|), a bound on every rotation rate of the motion."""
+    return (abs(fields.charge) / fields.mass) * (np.linalg.norm(fields.B)
+                                                 + np.linalg.norm(fields.E))
 
 
-def _make_scalar_rhs(fields: FieldConfig):
-    """Scalarized copy of _rhs for the hot loop (~30x faster per step)."""
+def _make_deriv(fields: FieldConfig):
+    """d(x, p, s)/dt from (p, s); only + - * / **, so (n,) columns work too."""
     ex, ey, ez = (float(c) for c in fields.E)
     bx, by, bz = (float(c) for c in fields.B)
     q = float(fields.charge)
     m = float(fields.mass)
     m2 = m * m
 
-    def rhs(y):
-        px, py, pz = y[3], y[4], y[5]
-        sx, sy, sz = y[6], y[7], y[8]
+    def deriv(px, py, pz, sx, sy, sz):
         e_sh = (m2 + px * px + py * py + pz * pz) ** 0.5
         vx, vy, vz = px / e_sh, py / e_sh, pz / e_sh
         g = e_sh / m
@@ -343,7 +331,7 @@ def _make_scalar_rhs(fields: FieldConfig):
         return (vx, vy, vz, dpx, dpy, dpz,
                 sy * wz - sz * wy, sz * wx - sx * wz, sx * wy - sy * wx)
 
-    return rhs
+    return deriv
 
 
 def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
@@ -359,32 +347,48 @@ def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
     if dt <= 0 or steps < 1 or sample_every < 1:
         raise ValueError("dt, steps and sample_every must be positive")
     m = fields.mass
-    rate = (abs(fields.charge) / m) * (np.linalg.norm(fields.B)
-                                       + np.linalg.norm(fields.E))
+    rate = max_rotation_rate(fields)
     if dt * rate >= 0.1:
         raise IntegrationError(
             f"dt * max rotation rate = {dt * rate:.3g} >= 0.1; reduce the "
             f"step or the fields")
 
     kinds = [PryceKind.coerce(k) for k in kinds]
-    y = tuple(np.concatenate((state0.x, state0.momentum(m), state0.s)))
+    y = np.concatenate((state0.x, state0.momentum(m), state0.s))
     n_samples = steps // sample_every + 1
     ys = np.empty((n_samples, 9))
     ts = np.empty(n_samples)
     ys[0], ts[0] = y, state0.t
 
-    rhs = _make_scalar_rhs(fields)
+    # plain Python floats: numpy scalar arithmetic is ~5x slower per op
+    x0, x1, x2, p0, p1, p2, s0, s1, s2 = y.tolist()
+    dt = float(dt)
+    deriv = _make_deriv(fields)
     half = 0.5 * dt
     sixth = dt / 6.0
     row = 1
     for k in range(1, steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(tuple(a + half * b for a, b in zip(y, k1)))
-        k3 = rhs(tuple(a + half * b for a, b in zip(y, k2)))
-        k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))
-        y = tuple(a + sixth * (b + 2.0 * (c + d) + e)
-                  for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(p0, p1, p2, s0, s1, s2)
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
+            p0 + half * a3, p1 + half * a4, p2 + half * a5,
+            s0 + half * a6, s1 + half * a7, s2 + half * a8)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
+            p0 + half * b3, p1 + half * b4, p2 + half * b5,
+            s0 + half * b6, s1 + half * b7, s2 + half * b8)
+        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
+            p0 + dt * c3, p1 + dt * c4, p2 + dt * c5,
+            s0 + dt * c6, s1 + dt * c7, s2 + dt * c8)
+        x0 = x0 + sixth * (a0 + 2.0 * (b0 + c0) + d0)
+        x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
+        x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
+        p0 = p0 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
+        p1 = p1 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
+        p2 = p2 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
+        s0 = s0 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
+        s1 = s1 + sixth * (a7 + 2.0 * (b7 + c7) + d7)
+        s2 = s2 + sixth * (a8 + 2.0 * (b8 + c8) + d8)
         if k % sample_every == 0:
+            y = (x0, x1, x2, p0, p1, p2, s0, s1, s2)
             if not all(np.isfinite(y)):
                 raise IntegrationError(
                     f"state became non-finite at step {k}", step=k)

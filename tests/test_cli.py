@@ -168,6 +168,18 @@ def test_verify_fg_wide_packet_warns(tmp_path):
     assert "warn" in text
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["verify-fg", "--p0", "nan", "0", "0", "--grid-points", "8"],
+     "packet.p0"),
+    (["verify-fg", "--widths", "0.01", "0.01", "inf"], "packet.widths"),
+    (["verify-fg", "--kinds", "d x"], "output.pryce_kinds"),
+    (["verify-algebra", "--pmax", "nan"], "algebra.pmax"),
+])
+def test_flag_config_is_validated(argv, field, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_verify_fg_truncating_grid_is_config_error(tmp_path):
     rc = cli.main(["verify-fg", "--out", str(tmp_path),
                    "--grid-radius", "3.0"])

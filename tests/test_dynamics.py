@@ -1,10 +1,17 @@
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
 from conftest import rotation_matrix
 from spindrift import dynamics as dyn
+from spindrift import gallery, runners
+from spindrift.config import load_config
 from spindrift.dynamics import (ClassicalState, ConstantGammaWarning,
                                 FieldConfig, IntegrationError)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def pure_b_setup(b0=0.02, v=0.6, s=(0.15, 0.0, 0.65), charge=1.0):
@@ -436,3 +443,54 @@ class TestIntegration:
         assert np.array_equal(thin.x, full.x[::10])
         assert thin.dt == 10.0
         assert np.all(np.diff(thin.t) > 0)
+
+    def test_non_finite_state_aborts_at_first_sample(self):
+        state, fields = pure_b_setup()
+        state.x = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(IntegrationError) as err:
+            dyn.integrate(state, fields, 1.0, 100, sample_every=7)
+        assert err.value.step == 7
+
+
+def _generic_rk4(state0, fields, dt, steps, sample_every):
+    """Classic RK4 over 9-tuples of numpy scalars, stage by stage via zip."""
+    deriv = dyn._make_deriv(fields)
+
+    def rhs(y):
+        return deriv(*y[3:])
+
+    m = fields.mass
+    y = tuple(np.concatenate((state0.x, state0.momentum(m), state0.s)))
+    ys = [y]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for k in range(1, steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(tuple(a + half * b for a, b in zip(y, k1)))
+        k3 = rhs(tuple(a + half * b for a, b in zip(y, k2)))
+        k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))
+        y = tuple(a + sixth * (b + 2.0 * (c + d) + e)
+                  for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+        if k % sample_every == 0:
+            ys.append(y)
+    ys = np.array(ys)
+    p = ys[:, 3:6]
+    v = p / np.sqrt(m * m + np.sum(p * p, axis=1))[:, None]
+    return ys[:, 0:3], v, ys[:, 6:9]
+
+
+ORACLE_SCENARIOS = {**gallery.gallery_configs(),
+                    "orbit_crossed_seed0":
+                        load_config(DATA / "orbit_crossed_seed0.cfg")}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+def test_unrolled_rk4_matches_generic_loop_bitwise(name):
+    cfg = dataclasses.replace(ORACLE_SCENARIOS[name], steps=2000)
+    state, fields = runners._state_from(cfg), runners._fields_from(cfg)
+    traj = dyn.integrate(state, fields, cfg.dt, cfg.steps,
+                         sample_every=cfg.sample_every)
+    x, v, s = _generic_rk4(state, fields, cfg.dt, cfg.steps,
+                           cfg.sample_every)
+    assert np.array_equal(traj.x, x)
+    assert np.array_equal(traj.v, v)
+    assert np.array_equal(traj.s, s)

@@ -1,10 +1,11 @@
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 
 from spindrift import dynamics, gallery, runners
-from spindrift.config import ScenarioConfig, load_config
+from spindrift.config import ConfigError, ScenarioConfig, load_config
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -22,12 +23,58 @@ GALLERY_FD_TOLERANCES = {
 }
 
 
+@pytest.fixture(scope="module")
+def gallery_reports(tmp_path_factory):
+    out = tmp_path_factory.mktemp("gallery")
+    return {name: runners.run_simulate(cfg, out)[0]
+            for name, cfg in gallery.gallery_configs().items()}
+
+
 @pytest.mark.parametrize("name", sorted(GALLERY_FD_TOLERANCES))
-def test_gallery_fd_tolerances_unchanged(name, tmp_path):
-    report, _ = runners.run_simulate(gallery.gallery_configs()[name],
-                                     tmp_path)
+def test_gallery_fd_tolerances_unchanged(name, gallery_reports):
+    report = gallery_reports[name]
     got = tuple(report[f"fd_mass_center_{k}"].tolerance for k in "cde")
     assert got == pytest.approx(GALLERY_FD_TOLERANCES[name], rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_FD_TOLERANCES))
+def test_simulate_row_times(name, gallery_reports):
+    for row in gallery_reports[name]:
+        assert row.wall_time > 0.0, row.name
+
+
+def _slow_cyclotron(angle):
+    """Pure B at gamma ~ 1, where max_rotation_rate is the gyration
+    frequency, sampled `angle` radians apart over 40 samples."""
+    cfg = dataclasses.replace(gallery.gallery_configs()["cyclotron"],
+                              v0=(0.05, 0.0, 0.0), steps=4000,
+                              sample_every=100)
+    rate = dynamics.max_rotation_rate(runners._fields_from(cfg))
+    return dataclasses.replace(cfg, dt=angle / (cfg.sample_every * rate))
+
+
+def test_aliased_sampling_refused(tmp_path):
+    # one sample per gyration: the third differences see no curvature
+    cfg = dataclasses.replace(gallery.gallery_configs()["cyclotron"],
+                              sample_every=1000)
+    with pytest.raises(ConfigError, match="integration.sample_every"):
+        runners.run_simulate(cfg, tmp_path)
+
+
+def test_sampling_at_threshold_grades_pass(tmp_path):
+    cfg = _slow_cyclotron(runners.FD_MAX_SAMPLE_ANGLE)
+    rate = dynamics.max_rotation_rate(runners._fields_from(cfg))
+    assert cfg.dt * cfg.sample_every * rate == runners.FD_MAX_SAMPLE_ANGLE
+    report, _ = runners.run_simulate(cfg, tmp_path)
+    assert [r.name for r in report if r.name.startswith("fd_")]
+    assert report.all_pass(), report.format_table()
+
+
+def test_wider_sampling_would_fail_grading(tmp_path, monkeypatch):
+    # past the threshold the fd rows fail for want of resolution alone
+    monkeypatch.setattr(runners, "FD_MAX_SAMPLE_ANGLE", np.inf)
+    report, _ = runners.run_simulate(_slow_cyclotron(3.0), tmp_path)
+    assert report["fd_mass_center_c"].status == "fail"
 
 
 @pytest.fixture(scope="module")
