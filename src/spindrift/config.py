@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import ClassicalState, FieldConfig
+
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
 
@@ -58,6 +60,15 @@ class ScenarioConfig:
     algebra_momenta: int = 100
     algebra_pmax: float = 10.0
     seed: int = 0
+
+    def field_config(self) -> FieldConfig:
+        """The scenario's fields, charge and mass."""
+        return FieldConfig(E=self.E, B=self.B, charge=self.charge,
+                           mass=self.mass)
+
+    def initial_state(self) -> ClassicalState:
+        """The electron's state at t = 0."""
+        return ClassicalState(t=0.0, x=self.x0, v=self.v0, s=self.s0)
 
 
 def _parse_float(section, key, raw) -> float:

@@ -7,7 +7,6 @@ import numpy as np
 
 from . import dynamics, packets
 from .config import ConfigError, ScenarioConfig
-from .dynamics import ClassicalState, FieldConfig
 from .packets import RESIDUAL_FLOOR
 
 
@@ -40,16 +39,6 @@ ORDER_WINDOW = {
 }
 
 
-def _fields_from(cfg: ScenarioConfig) -> FieldConfig:
-    return FieldConfig(E=np.array(cfg.E), B=np.array(cfg.B),
-                       charge=cfg.charge, mass=cfg.mass)
-
-
-def _state_from(cfg: ScenarioConfig) -> ClassicalState:
-    return ClassicalState(t=0.0, x=np.array(cfg.x0), v=np.array(cfg.v0),
-                          s=np.array(cfg.s0))
-
-
 def integrator_ladder(cfg: ScenarioConfig) -> Ladder:
     """Endpoint position error against the pure-B closed form, halving dt."""
     if any(cfg.E):
@@ -58,8 +47,8 @@ def integrator_ladder(cfg: ScenarioConfig) -> Ladder:
     if not any(cfg.B):
         raise ConfigError("converge: the integrator target needs a nonzero "
                           "magnetic field")
-    fields = _fields_from(cfg)
-    state0 = _state_from(cfg)
+    fields = cfg.field_config()
+    state0 = cfg.initial_state()
     dts, errs = [], []
     for k in range(cfg.converge.rungs):
         dt = cfg.dt / 2**k
@@ -101,8 +90,8 @@ def anomalous_fd_ladder(cfg: ScenarioConfig) -> Ladder:
     Requires a frozen-energy scenario; the dry-run |e E.v| monitor guards
     that precondition.
     """
-    fields = _fields_from(cfg)
-    state0 = _state_from(cfg)
+    fields = cfg.field_config()
+    state0 = cfg.initial_state()
     dts, errs = [], []
     for k in range(cfg.converge.rungs):
         dt = cfg.dt / 2**k

@@ -20,6 +20,7 @@ cross-form comparisons refuse states far outside that regime.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,12 +55,18 @@ def _vec(x) -> np.ndarray:
     return v
 
 
-def dilation(v) -> float:
-    """gbar = 1/sqrt(1 - v^2); rejects |v| >= 1 - 1e-12."""
+def _dot(a, b) -> np.ndarray:
+    """a.b over the last axis, kept as a trailing axis of length 1."""
+    return np.sum(a * b, axis=-1, keepdims=True)
+
+
+def dilation(v) -> np.ndarray:
+    """gbar = 1/sqrt(1 - v^2) over (..., 3); rejects |v| >= 1 - 1e-12."""
     v = np.asarray(v, dtype=float)
-    v2 = float(np.sum(v * v, axis=-1))
-    if v2 >= (1.0 - 1e-12) ** 2:
-        raise ValueError(f"superluminal velocity |v| = {np.sqrt(v2):.6g}")
+    v2 = np.sum(v * v, axis=-1)
+    if np.any(v2 >= (1.0 - 1e-12) ** 2):
+        raise ValueError(
+            f"superluminal velocity |v| = {np.sqrt(np.max(v2)):.6g}")
     return 1.0 / np.sqrt(1.0 - v2)
 
 
@@ -110,91 +117,96 @@ class LabSpin:
     S: np.ndarray
 
 
-def boost_spin(s, v) -> LabSpin:
+# The formulas below read x, v, s and gamma from `state`: a ClassicalState
+# is one state, a Trajectory the (n,) / (n, 3) columns of n states.  gamma
+# always comes from the state, never again from v.
+
+def boost_spin(state) -> LabSpin:
     """Rest-frame polarization -> lab 4-vector spin (S0, S)."""
-    s, v = _vec(s), _vec(v)
-    g = dilation(v)
-    sv = float(s @ v)
-    return LabSpin(S0=g * sv, S=s + g * g / (g + 1.0) * sv * v)
+    g = state.gamma[..., None]
+    sv = _dot(state.s, state.v)
+    return LabSpin(S0=(g * sv)[..., 0],
+                   S=state.s + g * g / (g + 1.0) * sv * state.v)
 
 
 def unboost_spin(lab: LabSpin, v) -> np.ndarray:
     """Inverse of boost_spin: s = S - g/(g+1) (v.S) v."""
-    v = _vec(v)
-    g = dilation(v)
-    return lab.S - g / (g + 1.0) * float(lab.S @ v) * v
+    v = np.asarray(v, dtype=float)
+    g = dilation(v)[..., None]
+    return lab.S - g / (g + 1.0) * _dot(lab.S, v) * v
 
 
-def lorentz_rhs(state: ClassicalState, fields: FieldConfig) -> np.ndarray:
+def lorentz_rhs(state, fields: FieldConfig) -> np.ndarray:
     """dp/dt = e (E + v x B)."""
     return fields.charge * (fields.E + np.cross(state.v, fields.B))
 
 
-def lorentz_force(state: ClassicalState, fields: FieldConfig) -> np.ndarray:
+def frozen_energy_force(state, fields: FieldConfig) -> np.ndarray:
+    """F = m dv/dt = (dp/dt) / gbar, exact when E.v = 0."""
+    return lorentz_rhs(state, fields) / state.gamma[..., None]
+
+
+def lorentz_force(state, fields: FieldConfig) -> np.ndarray:
     """F = m dv/dt, converted from dp/dt with the full (v.E) term.
 
-    m dv/dt = [dp/dt - (v . dp/dt) v] / gbar; reduces to dp/dt / gbar when
-    E.v = 0 (frozen energy).
+    m dv/dt = [dp/dt - (v . dp/dt) v] / gbar; reduces to the frozen-energy
+    force when E.v = 0.
     """
     dp = lorentz_rhs(state, fields)
-    v = state.v
-    return (dp - float(v @ dp) * v) / state.gamma
+    return (dp - _dot(state.v, dp) * state.v) / state.gamma[..., None]
 
 
-def omega(fields: FieldConfig, v) -> np.ndarray:
+def omega(state, fields: FieldConfig) -> np.ndarray:
     """Rotational velocity of the rest-frame polarization (g = 2)."""
-    v = _vec(v)
-    g = dilation(v)
-    return (fields.charge / (fields.mass * g)) * (
-        fields.B + g / (1.0 + g) * np.cross(fields.E, v))
+    g = state.gamma[..., None]
+    return (fields.charge / fields.mass) / g * (
+        fields.B + g / (1.0 + g) * np.cross(fields.E, state.v))
 
 
-def bmt_rhs(state: ClassicalState, fields: FieldConfig) -> np.ndarray:
+def bmt_rhs(state, fields: FieldConfig) -> np.ndarray:
     """ds/dt = s x omega."""
-    return np.cross(state.s, omega(fields, state.v))
+    return np.cross(state.s, omega(state, fields))
 
 
 def thomas_omega(dv_dt, v) -> np.ndarray:
     """Thomas precession  gbar^2/(gbar+1) (dv/dt x v)."""
-    v = _vec(v)
-    g = dilation(v)
-    return g * g / (g + 1.0) * np.cross(_vec(dv_dt), v)
+    g = dilation(v)[..., None]
+    return g * g / (g + 1.0) * np.cross(dv_dt, v)
 
 
 def position_shift(S, v, m: float) -> np.ndarray:
     """deltaX = S x v / 2m, the offset of a mass center from the position."""
-    return np.cross(_vec(S), _vec(v)) / (2.0 * m)
+    return np.cross(S, v) / (2.0 * m)
 
 
-def mass_center(state: ClassicalState, kind, m: float = 1.0) -> np.ndarray:
+def mass_center(state, kind, m: float = 1.0) -> np.ndarray:
     """X = x + fP(kind, gbar) * deltaX."""
-    kind = PryceKind.coerce(kind)
-    lab = boost_spin(state.s, state.v)
     fp = pryce_factors(kind, state.gamma)[3]
-    return state.x + fp * position_shift(lab.S, state.v, m)
+    shift = position_shift(boost_spin(state).S, state.v, m)
+    return state.x + np.asarray(fp)[..., None] * shift
 
 
-def fprime(state: ClassicalState, fields: FieldConfig) -> np.ndarray:
+def fprime(state, fields: FieldConfig) -> np.ndarray:
     """F' = (gbar g e / 2m) s x [B - gbar/(1+gbar)(v.B)v - v x E], g = 2.
 
     Together with the Thomas term this reproduces the precession equation:
     ds/dt = F'/gbar + omega_T x s.
     """
-    g = state.gamma
-    v, s = state.v, state.s
-    bracket = (fields.B - g / (1.0 + g) * float(v @ fields.B) * v
+    g = state.gamma[..., None]
+    v = state.v
+    bracket = (fields.B - g / (1.0 + g) * _dot(v, fields.B) * v
                - np.cross(v, fields.E))
     coeff = g * G_FACTOR * fields.charge / (2.0 * fields.mass)
-    return coeff * np.cross(s, bracket)
+    return coeff * np.cross(state.s, bracket)
 
 
-def _constant_gamma_violation(state: ClassicalState,
-                              fields: FieldConfig) -> float:
-    return abs(fields.charge * float(fields.E @ state.v))
+def _constant_gamma_violation(state, fields: FieldConfig) -> np.ndarray:
+    """|e E.v|, the rate of change of the energy."""
+    return np.abs(fields.charge * (state.v @ fields.E))
 
 
 def _warn_if_not_constant_gamma(state, fields):
-    viol = _constant_gamma_violation(state, fields)
+    viol = float(np.max(_constant_gamma_violation(state, fields)))
     if viol > CONSTANT_GAMMA_WARN * fields.mass**2:
         warnings.warn(
             f"|e E.v| = {viol:.3e} breaks the frozen-energy assumption; "
@@ -202,62 +214,63 @@ def _warn_if_not_constant_gamma(state, fields):
             ConstantGammaWarning, stacklevel=3)
 
 
-def anomalous_velocity_compact(state: ClassicalState,
-                               fields: FieldConfig) -> np.ndarray:
-    """V = (1/2m) [(s.v) omega - (omega.v) s + s x F/m].
+def anomalous_velocity(state, fields: FieldConfig) -> np.ndarray:
+    """V = (1/2m) [(s.v) omega - (omega.v) s + s x F/m], F at frozen energy.
 
-    The time derivative of the position shift, written with the precession
-    vector and the Lorentz force F = m dv/dt evaluated at frozen energy.
+    The time derivative of the position shift.  The bare formula, with no
+    zero-spin shortcut and no frozen-energy check; `integrate` uses it.
     """
-    if not np.any(state.s):
-        return np.zeros(3)
-    _warn_if_not_constant_gamma(state, fields)
     m = fields.mass
-    w = omega(fields, state.v)
-    f = lorentz_rhs(state, fields) / state.gamma  # frozen-energy m dv/dt
-    sv = float(state.s @ state.v)
-    wv = float(w @ state.v)
-    return (sv * w - wv * state.s + np.cross(state.s, f) / m) / (2.0 * m)
+    s, v = state.s, state.v
+    w = omega(state, fields)
+    return (_dot(s, v) * w - _dot(w, v) * s
+            + np.cross(s, frozen_energy_force(state, fields)) / m) / (2.0 * m)
 
 
-def anomalous_velocity_decomposed(state: ClassicalState,
-                                  fields: FieldConfig):
+def anomalous_velocity_compact(state, fields: FieldConfig) -> np.ndarray:
+    """The compact form of V; zero spin gives 0, E.v != 0 warns."""
+    if not np.any(state.s):
+        return np.zeros_like(state.s)
+    _warn_if_not_constant_gamma(state, fields)
+    return anomalous_velocity(state, fields)
+
+
+def anomalous_velocity_decomposed(state, fields: FieldConfig):
     """Split of the anomalous velocity into electric and magnetic parts.
 
         V(E) = (e/2m^2 gbar) [s - gbar/(1+gbar)(s.v)v] x E
         V(B) = (e/2m^2 gbar) [(s.B)v - (v.B)s]
     """
     if not np.any(state.s):
-        return np.zeros(3), np.zeros(3)
+        return np.zeros_like(state.s), np.zeros_like(state.s)
     _warn_if_not_constant_gamma(state, fields)
-    g = state.gamma
+    g = state.gamma[..., None]
     m = fields.mass
     coeff = fields.charge / (2.0 * m * m * g)
     s, v = state.s, state.v
-    ve = coeff * np.cross(s - g / (1.0 + g) * float(s @ v) * v, fields.E)
-    vb = coeff * (float(s @ fields.B) * v - float(v @ fields.B) * s)
+    ve = coeff * np.cross(s - g / (1.0 + g) * _dot(s, v) * v, fields.E)
+    vb = coeff * (_dot(s, fields.B) * v - _dot(v, fields.B) * s)
     return ve, vb
 
 
-def anomalous_velocity_thomas_form(state: ClassicalState,
-                                   fields: FieldConfig) -> np.ndarray:
+def anomalous_velocity_thomas_form(state, fields: FieldConfig) -> np.ndarray:
     """V = (1/2m) [-(s.v) omega_T + s x F/m]; valid only where F' = 0."""
     if not np.any(state.s):
-        return np.zeros(3)
-    fp = fprime(state, fields)
-    scale = max(fields.mass**2,
-                abs(fields.charge) * state.gamma / fields.mass
-                * float(np.linalg.norm(state.s))
-                * float(np.linalg.norm(fields.B) + np.linalg.norm(fields.E)))
-    if float(np.linalg.norm(fp)) > FPRIME_TOLERANCE * scale:
+        return np.zeros_like(state.s)
+    fp = np.linalg.norm(fprime(state, fields), axis=-1)
+    scale = np.maximum(fields.mass**2,
+                       abs(fields.charge) * state.gamma / fields.mass
+                       * np.linalg.norm(state.s, axis=-1)
+                       * (np.linalg.norm(fields.B) + np.linalg.norm(fields.E)))
+    if np.any(fp > FPRIME_TOLERANCE * scale):
         raise ValueError(
-            f"|F'| = {np.linalg.norm(fp):.3e} is not zero; the "
+            f"|F'| = {np.max(fp):.3e} is not zero; the "
             f"Thomas-precession form only holds on F' = 0 states")
     _warn_if_not_constant_gamma(state, fields)
     m = fields.mass
-    f = lorentz_rhs(state, fields) / state.gamma
+    f = frozen_energy_force(state, fields)
     wt = thomas_omega(f / m, state.v)
-    return (-float(state.s @ state.v) * wt
+    return (-_dot(state.s, state.v) * wt
             + np.cross(state.s, f) / m) / (2.0 * m)
 
 
@@ -273,14 +286,15 @@ class Trajectory:
     v: np.ndarray             # (n, 3)
     s: np.ndarray             # (n, 3)
     gamma: np.ndarray         # (n,)
-    S0: np.ndarray            # (n,)
-    S: np.ndarray             # (n, 3)
-    delta_x: np.ndarray       # (n, 3)
-    centers: dict             # kind value -> (n, 3)
-    v_anomalous: np.ndarray   # (n, 3) compact analytic form
     fields: FieldConfig
     dt: float                 # spacing between stored samples
-    max_ev: float             # max |e E.v| along the run
+    # derived by `integrate` from the formulas above, with this as the state
+    S0: np.ndarray = field(init=False)           # (n,)
+    S: np.ndarray = field(init=False)            # (n, 3)
+    delta_x: np.ndarray = field(init=False)      # (n, 3)
+    centers: dict = field(init=False)            # kind value -> (n, 3)
+    v_anomalous: np.ndarray = field(init=False)  # (n, 3) compact form
+    max_ev: float = field(init=False)            # max |e E.v| along the run
 
     @property
     def energy(self) -> np.ndarray:
@@ -389,42 +403,25 @@ def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
         s2 = s2 + sixth * (a8 + 2.0 * (b8 + c8) + d8)
         if k % sample_every == 0:
             y = (x0, x1, x2, p0, p1, p2, s0, s1, s2)
-            if not all(np.isfinite(y)):
+            if not all(map(math.isfinite, y)):
                 raise IntegrationError(
                     f"state became non-finite at step {k}", step=k)
             ys[row] = y
             ts[row] = state0.t + k * dt
             row += 1
 
-    x = ys[:, 0:3]
     p = ys[:, 3:6]
-    s = ys[:, 6:9]
     e_on_shell = np.sqrt(m * m + np.sum(p * p, axis=1))
-    v = p / e_on_shell[:, None]
-    g = e_on_shell / m
-
-    sv = np.sum(s * v, axis=1)
-    S = s + (g * g / (g + 1.0) * sv)[:, None] * v
-    S0 = g * sv
-    delta_x = np.cross(S, v) / (2.0 * m)
-
-    centers = {}
-    for kind in kinds:
-        fp = pryce_factors(kind, g)[3]
-        centers[kind.value] = x + np.asarray(fp)[:, None] * delta_x
-
-    w = (fields.charge / m) / g[:, None] * (
-        fields.B + (g / (1.0 + g))[:, None] * np.cross(
-            np.broadcast_to(fields.E, v.shape), v))
-    f = fields.charge * (fields.E + np.cross(v, fields.B)) / g[:, None]
-    wv = np.sum(w * v, axis=1)
-    v_anom = (sv[:, None] * w - wv[:, None] * s
-              + np.cross(s, f) / m) / (2.0 * m)
-
-    max_ev = float(np.max(np.abs(fields.charge * (v @ fields.E))))
-    return Trajectory(t=ts, x=x, v=v, s=s, gamma=g, S0=S0, S=S,
-                      delta_x=delta_x, centers=centers, v_anomalous=v_anom,
-                      fields=fields, dt=dt * sample_every, max_ev=max_ev)
+    traj = Trajectory(t=ts, x=ys[:, 0:3], v=p / e_on_shell[:, None],
+                      s=ys[:, 6:9], gamma=e_on_shell / m, fields=fields,
+                      dt=dt * sample_every)
+    lab = boost_spin(traj)
+    traj.S0, traj.S = lab.S0, lab.S
+    traj.delta_x = position_shift(lab.S, traj.v, m)
+    traj.centers = {kind.value: mass_center(traj, kind, m) for kind in kinds}
+    traj.v_anomalous = anomalous_velocity(traj, fields)
+    traj.max_ev = float(np.max(_constant_gamma_violation(traj, fields)))
+    return traj
 
 
 def helix_reference(state0: ClassicalState, fields: FieldConfig,

@@ -142,8 +142,7 @@ def positive_energy_spinor(p, chi, m: float) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     e = algebra.energy(p, m)
-    sp = np.einsum("...i,iab->...ab", p, algebra.PAULI)
-    lower = np.einsum("...ab,b->...a", sp, chi)
+    lower = p @ (algebra.PAULI @ chi)  # (sigma.p) chi
     upper = np.multiply.outer(e + m, chi)
     u = np.concatenate([upper, lower], axis=-1)
     return u / np.sqrt(2.0 * e * (e + m))[..., None]

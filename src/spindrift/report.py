@@ -153,7 +153,7 @@ class RunReport:
         for r in self.rows:
             lines.append(f"{r.name:<{width}}  {r.status:6}  "
                          f"{r.residual:>13.6g}  {r.tolerance:>13.6g}  "
-                         f"{r.wall_time:>9.3f}")
+                         f"{r.wall_time:>9.3g}")
         return "\n".join(lines)
 
     def to_kv_lines(self, prefix: str = "") -> list[str]:

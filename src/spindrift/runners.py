@@ -17,7 +17,7 @@ import numpy as np
 from . import algebra, convergence, dynamics, packets
 from .config import ConfigError, ScenarioConfig
 from .convergence import ORDER_WINDOW
-from .dynamics import ClassicalState, ConstantGammaWarning, FieldConfig
+from .dynamics import ConstantGammaWarning
 from .report import RunReport
 
 CSV_FMT = "%.17g"
@@ -28,16 +28,6 @@ LOW_VELOCITY_GAMMA_LIMIT = 1e-4
 # at 2.0 and first exceeds 1 near 2.9 (pure B at gamma ~ 1, where the rate
 # is the gyration frequency); aliased samples see no curvature at all.
 FD_MAX_SAMPLE_ANGLE = 2.0
-
-
-def _fields_from(cfg: ScenarioConfig) -> FieldConfig:
-    return FieldConfig(E=np.array(cfg.E), B=np.array(cfg.B),
-                       charge=cfg.charge, mass=cfg.mass)
-
-
-def _state_from(cfg: ScenarioConfig) -> ClassicalState:
-    return ClassicalState(t=0.0, x=np.array(cfg.x0), v=np.array(cfg.v0),
-                          s=np.array(cfg.s0))
 
 
 def _fmt(x: float) -> str:
@@ -128,8 +118,8 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
     """
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fields = _fields_from(cfg)
-    state0 = _state_from(cfg)
+    fields = cfg.field_config()
+    state0 = cfg.initial_state()
     graded = cfg.steps // cfg.sample_every >= 3  # four samples or more
     angle = cfg.dt * cfg.sample_every * dynamics.max_rotation_rate(fields)
     if graded and angle > FD_MAX_SAMPLE_ANGLE:

@@ -10,7 +10,7 @@ import pytest
 
 from spindrift import algebra, dynamics as dyn, gallery, packets, runners
 from spindrift.convergence import anomalous_fd_ladder, integrator_ladder
-from spindrift.dynamics import ClassicalState, FieldConfig
+from spindrift.dynamics import ClassicalState
 from spindrift.packets import RESIDUAL_FLOOR
 
 GALLERY = gallery.gallery_configs()
@@ -18,14 +18,6 @@ GALLERY = gallery.gallery_configs()
 
 def _announce(num, label, detail=""):
     print(f"\nACCEPTANCE {num} ({label}): PASS {detail}")
-
-
-def _fields_state(cfg):
-    fields = FieldConfig(E=np.array(cfg.E), B=np.array(cfg.B),
-                         charge=cfg.charge, mass=cfg.mass)
-    state = ClassicalState(0.0, np.array(cfg.x0), np.array(cfg.v0),
-                           np.array(cfg.s0))
-    return fields, state
 
 
 def test_criterion_1_algebra_suite():
@@ -86,7 +78,7 @@ def test_criterion_3_main_result(reference_packet):
 
 def test_criterion_4_cyclotron_oracle():
     cfg = GALLERY["cyclotron"]
-    fields, state = _fields_state(cfg)
+    fields, state = cfg.field_config(), cfg.initial_state()
     period = dyn.cyclotron_period(state, fields)
     radius = dyn.cyclotron_radius(state, fields)
     dt = period / 1000.0
@@ -121,7 +113,7 @@ def test_criterion_5_anomalous_velocity_triple_agreement():
 
     worst_pair = 0.0
     for name, cfg in GALLERY.items():
-        fields, state = _fields_state(cfg)
+        fields, state = cfg.field_config(), cfg.initial_state()
         traj = dyn.integrate(state, fields, cfg.dt, cfg.steps,
                              kinds=cfg.pryce_kinds)
         admissible = np.abs(fields.charge * (traj.v @ fields.E)) \
@@ -151,7 +143,7 @@ def test_criterion_5_anomalous_velocity_triple_agreement():
 
 def test_criterion_6_finite_difference_oracle():
     cfg = GALLERY["cyclotron"]
-    fields, state = _fields_state(cfg)
+    fields, state = cfg.field_config(), cfg.initial_state()
     period = dyn.cyclotron_period(state, fields)
     ladder_cfg = gallery.converge_configs()["converge_anomalous_fd"]
     assert ladder_cfg.dt == pytest.approx(period / 100.0)
@@ -172,7 +164,7 @@ def test_criterion_7_low_velocity_table(tmp_path):
     assert row_e.tolerance == 1e-3 and row_e.status == "pass"
     assert row_c.residual == 0.0 and row_c.status == "pass"
     # gamma stays inside the stated low-velocity regime
-    fields, state = _fields_state(cfg)
+    fields, state = cfg.field_config(), cfg.initial_state()
     traj = dyn.integrate(state, fields, cfg.dt, cfg.steps)
     assert float(np.max(traj.gamma)) - 1.0 < 1e-4
     _announce(7, "low-velocity d/e/c table",

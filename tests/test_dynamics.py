@@ -1,12 +1,14 @@
 import dataclasses
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import rotation_matrix
 from spindrift import dynamics as dyn
-from spindrift import gallery, runners
+from spindrift import gallery
+from spindrift.algebra import pryce_factors
 from spindrift.config import load_config
 from spindrift.dynamics import (ClassicalState, ConstantGammaWarning,
                                 FieldConfig, IntegrationError)
@@ -66,18 +68,20 @@ class TestLorentz:
 class TestOmega:
     def test_rest_is_cyclotron(self):
         f = FieldConfig(B=(0, 0, 0.4), E=(1, 2, 3), charge=1.0, mass=2.0)
-        assert np.allclose(dyn.omega(f, (0, 0, 0)), [0, 0, 0.2], atol=1e-16)
+        st = ClassicalState(0, (0, 0, 0), (0, 0, 0), (0, 0, 0))
+        assert np.allclose(dyn.omega(st, f), [0, 0, 0.2], atol=1e-16)
 
     def test_pure_b(self):
         f = FieldConfig(B=(0, 0, 0.4), charge=1.0)
         g = dyn.dilation((0.6, 0, 0))
-        assert np.allclose(dyn.omega(f, (0.6, 0, 0)), [0, 0, 0.4 / g],
-                           atol=1e-16)
+        st = ClassicalState(0, (0, 0, 0), (0.6, 0, 0), (0, 0, 0))
+        assert np.allclose(dyn.omega(st, f), [0, 0, 0.4 / g], atol=1e-16)
 
     def test_hand_value_crossed(self):
         e0 = 0.37
         f = FieldConfig(E=(0, e0, 0), B=(0, 0, 0), charge=1.0, mass=1.0)
-        w = dyn.omega(f, (0.6, 0, 0))
+        st = ClassicalState(0, (0, 0, 0), (0.6, 0, 0), (0, 0, 0))
+        w = dyn.omega(st, f)
         assert np.allclose(w, [0, 0, -4.0 * e0 / 15.0], atol=1e-16)
 
 
@@ -90,7 +94,7 @@ class TestBmt:
     def test_perpendicular_magnitude(self):
         st = ClassicalState(0, (0, 0, 0), (0, 0, 0), (0.5, 0, 0))
         f = FieldConfig(B=(0, 0, 2e-2), charge=1.0)
-        w = np.linalg.norm(dyn.omega(f, st.v))
+        w = np.linalg.norm(dyn.omega(st, f))
         assert np.linalg.norm(dyn.bmt_rhs(st, f)) == pytest.approx(0.5 * w)
 
     def test_precession_period_closed_form(self):
@@ -107,16 +111,19 @@ class TestBmt:
 
 class TestSpinBoost:
     def test_rest(self):
-        lab = dyn.boost_spin((0.1, 0.2, 0.3), (0, 0, 0))
+        lab = dyn.boost_spin(ClassicalState(0, (0, 0, 0), (0, 0, 0),
+                                            (0.1, 0.2, 0.3)))
         assert lab.S0 == 0.0
         assert np.array_equal(lab.S, [0.1, 0.2, 0.3])
 
     def test_perpendicular_unchanged(self):
-        lab = dyn.boost_spin((0.5, 0, 0), (0, 0, 0.9))
+        lab = dyn.boost_spin(ClassicalState(0, (0, 0, 0), (0, 0, 0.9),
+                                            (0.5, 0, 0)))
         assert np.allclose(lab.S, [0.5, 0, 0], atol=0)
 
     def test_hand_values(self):
-        lab = dyn.boost_spin((0, 0, 0.5), (0, 0, 0.6))
+        lab = dyn.boost_spin(ClassicalState(0, (0, 0, 0), (0, 0, 0.6),
+                                            (0, 0, 0.5)))
         assert lab.S0 == pytest.approx(0.375, abs=1e-15)
         assert np.allclose(lab.S, [0, 0, 0.625], atol=1e-15)
 
@@ -127,7 +134,7 @@ class TestSpinBoost:
             s = rng.normal(size=3)
             v = rng.normal(size=3)
             v *= rng.uniform(0, 0.95) / np.linalg.norm(v)
-            lab = dyn.boost_spin(s, v)
+            lab = dyn.boost_spin(ClassicalState(0, (0, 0, 0), v, s))
             back = dyn.unboost_spin(lab, v)
             worst = max(worst, np.max(np.abs(back - s)))
             assert lab.S0 == pytest.approx(dyn.dilation(v) * (v @ s),
@@ -172,7 +179,7 @@ class TestPositionShift:
             s = rng.normal(size=3)
             v = rng.normal(size=3)
             v *= rng.uniform(0, 0.9) / np.linalg.norm(v)
-            lab = dyn.boost_spin(s, v)
+            lab = dyn.boost_spin(ClassicalState(0, (0, 0, 0), v, s))
             a = dyn.position_shift(lab.S, v, 1.0)
             b = np.cross(s, v) / 2.0
             assert np.max(np.abs(a - b)) < 1e-15
@@ -370,7 +377,7 @@ class TestIntegration:
         traj = dyn.integrate(state, fields, dt, n)
         norms = np.linalg.norm(traj.s, axis=1)
         drift = np.max(np.abs(norms - norms[0]))
-        theta = np.linalg.norm(dyn.omega(fields, state.v)) * dt
+        theta = np.linalg.norm(dyn.omega(state, fields)) * dt
         assert drift < 5.0 * n * theta**6 / 144.0
         assert drift < 1.0 * dt**4 * n
 
@@ -380,7 +387,7 @@ class TestIntegration:
         state, fields = pure_b_setup()
         n, dt = 500, 2.0
         traj = dyn.integrate(state, fields, dt, n)
-        theta = np.linalg.norm(dyn.omega(fields, state.v)) * dt
+        theta = np.linalg.norm(dyn.omega(state, fields)) * dt
         bound = 5.0 * n * theta**6 / 144.0
         assert np.max(np.abs(traj.gamma - state.gamma)) < bound
         assert traj.max_ev == 0.0
@@ -486,7 +493,7 @@ ORACLE_SCENARIOS = {**gallery.gallery_configs(),
 @pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
 def test_unrolled_rk4_matches_generic_loop_bitwise(name):
     cfg = dataclasses.replace(ORACLE_SCENARIOS[name], steps=2000)
-    state, fields = runners._state_from(cfg), runners._fields_from(cfg)
+    state, fields = cfg.initial_state(), cfg.field_config()
     traj = dyn.integrate(state, fields, cfg.dt, cfg.steps,
                          sample_every=cfg.sample_every)
     x, v, s = _generic_rk4(state, fields, cfg.dt, cfg.steps,
@@ -494,3 +501,65 @@ def test_unrolled_rk4_matches_generic_loop_bitwise(name):
     assert np.array_equal(traj.x, x)
     assert np.array_equal(traj.v, v)
     assert np.array_equal(traj.s, s)
+
+
+def _inline_series(x, v, s, g, fields, kinds):
+    """The derived series written out inline over (n, 3) columns, in the
+    arithmetic order the broadcasting formulas must reproduce bit for bit."""
+    m = fields.mass
+    sv = np.sum(s * v, axis=1)
+    S = s + (g * g / (g + 1.0) * sv)[:, None] * v
+    S0 = g * sv
+    delta_x = np.cross(S, v) / (2.0 * m)
+
+    centers = {}
+    for kind in kinds:
+        fp = pryce_factors(kind, g)[3]
+        centers[kind] = x + np.asarray(fp)[:, None] * delta_x
+
+    w = (fields.charge / m) / g[:, None] * (
+        fields.B + (g / (1.0 + g))[:, None] * np.cross(
+            np.broadcast_to(fields.E, v.shape), v))
+    f = fields.charge * (fields.E + np.cross(v, fields.B)) / g[:, None]
+    wv = np.sum(w * v, axis=1)
+    v_anom = (sv[:, None] * w - wv[:, None] * s
+              + np.cross(s, f) / m) / (2.0 * m)
+
+    max_ev = float(np.max(np.abs(fields.charge * (v @ fields.E))))
+    return dict(S0=S0, S=S, delta_x=delta_x, centers=centers,
+                v_anomalous=v_anom, max_ev=max_ev)
+
+
+def _assert_same_bits(got, want):
+    # stricter than np.array_equal: -0.0 and 0.0 print differently in a CSV
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+DERIVED_SCENARIOS = {
+    **ORACLE_SCENARIOS,
+    "cyclotron_zero_spin": dataclasses.replace(
+        gallery.gallery_configs()["cyclotron"], s0=(0.0, 0.0, 0.0)),
+    # |e| and m away from 1, so that e/m, m gbar and 2m all round
+    "cyclotron_heavy": dataclasses.replace(
+        gallery.gallery_configs()["cyclotron"], mass=1.7, charge=-1.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_SCENARIOS))
+def test_derived_series_match_inline_reference_bitwise(name):
+    cfg = dataclasses.replace(DERIVED_SCENARIOS[name], steps=2000)
+    fields = cfg.field_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # integrate itself never warns
+        traj = dyn.integrate(cfg.initial_state(), fields, cfg.dt, cfg.steps,
+                             sample_every=cfg.sample_every,
+                             kinds=cfg.pryce_kinds)
+    want = _inline_series(traj.x, traj.v, traj.s, traj.gamma, fields,
+                          cfg.pryce_kinds)
+    for key in ("S0", "S", "delta_x", "v_anomalous", "max_ev"):
+        _assert_same_bits(getattr(traj, key), want[key])
+    assert sorted(traj.centers) == sorted(want["centers"])
+    for kind, center in want["centers"].items():
+        _assert_same_bits(traj.centers[kind], center)

@@ -41,6 +41,9 @@ def test_gallery_fd_tolerances_unchanged(name, gallery_reports):
 def test_simulate_row_times(name, gallery_reports):
     for row in gallery_reports[name]:
         assert row.wall_time > 0.0, row.name
+    # header and rule, then one line per row ending in its printed time
+    for line in gallery_reports[name].format_table().splitlines()[2:]:
+        assert float(line.split()[-1]) != 0.0, line
 
 
 def _slow_cyclotron(angle):
@@ -49,7 +52,7 @@ def _slow_cyclotron(angle):
     cfg = dataclasses.replace(gallery.gallery_configs()["cyclotron"],
                               v0=(0.05, 0.0, 0.0), steps=4000,
                               sample_every=100)
-    rate = dynamics.max_rotation_rate(runners._fields_from(cfg))
+    rate = dynamics.max_rotation_rate(cfg.field_config())
     return dataclasses.replace(cfg, dt=angle / (cfg.sample_every * rate))
 
 
@@ -63,7 +66,7 @@ def test_aliased_sampling_refused(tmp_path):
 
 def test_sampling_at_threshold_grades_pass(tmp_path):
     cfg = _slow_cyclotron(runners.FD_MAX_SAMPLE_ANGLE)
-    rate = dynamics.max_rotation_rate(runners._fields_from(cfg))
+    rate = dynamics.max_rotation_rate(cfg.field_config())
     assert cfg.dt * cfg.sample_every * rate == runners.FD_MAX_SAMPLE_ANGLE
     report, _ = runners.run_simulate(cfg, tmp_path)
     assert [r.name for r in report if r.name.startswith("fd_")]
@@ -81,8 +84,8 @@ def test_wider_sampling_would_fail_grading(tmp_path, monkeypatch):
 def long_drift():
     """The 100 000-step crossed drift orbit and its trajectory."""
     cfg = load_config(DATA / "orbit_crossed_seed0.cfg")
-    traj = dynamics.integrate(runners._state_from(cfg),
-                              runners._fields_from(cfg), cfg.dt, cfg.steps,
+    traj = dynamics.integrate(cfg.initial_state(),
+                              cfg.field_config(), cfg.dt, cfg.steps,
                               sample_every=cfg.sample_every,
                               kinds=cfg.pryce_kinds)
     return cfg, traj
