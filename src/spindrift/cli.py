@@ -46,25 +46,26 @@ def _build_parser() -> argparse.ArgumentParser:
     fg.add_argument("--spin", nargs=3, type=float, metavar=("SX", "SY", "SZ"),
                     default=list(PacketSpec.spin),
                     help="rest-frame spin direction")
-    fg.add_argument("--kinds", default="c d e",
+    fg.add_argument("--kinds", default=" ".join(ScenarioConfig.pryce_kinds),
                     help="mass-center kinds, e.g. 'd e'")
     fg.add_argument("--grid-points", type=int,
                     default=PacketSpec.grid_points)
     fg.add_argument("--grid-radius", type=float,
                     default=PacketSpec.grid_radius)
-    fg.add_argument("--mass", type=float, default=1.0)
+    fg.add_argument("--mass", type=float, default=ScenarioConfig.mass)
 
     alg = sub.add_parser("verify-algebra", help="matrix identity suite")
     alg.add_argument("--config",
                      help="scenario config file (verify-algebra mode)")
     alg.add_argument("--out", default="out", help="output directory")
-    alg.add_argument("--seed", type=int, default=0,
+    alg.add_argument("--seed", type=int, default=ScenarioConfig.seed,
                      help="seed for the random momenta")
-    alg.add_argument("--momenta", type=int, default=100,
+    alg.add_argument("--momenta", type=int,
+                     default=ScenarioConfig.algebra_momenta,
                      help="number of random momenta")
-    alg.add_argument("--pmax", type=float, default=10.0,
+    alg.add_argument("--pmax", type=float, default=ScenarioConfig.algebra_pmax,
                      help="momentum ball radius in units of the mass")
-    alg.add_argument("--mass", type=float, default=1.0)
+    alg.add_argument("--mass", type=float, default=ScenarioConfig.mass)
 
     con = sub.add_parser("converge", help="refinement ladder")
     con.add_argument("--config", required=True, help="converge-mode config")
@@ -75,14 +76,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fg_config_from_flags(args) -> ScenarioConfig:
-    kinds = tuple(args.kinds.replace(",", " ").split())
-    cfg = ScenarioConfig(
-        name="verify_fg", mode="verify-fg", mass=args.mass,
-        pryce_kinds=kinds if kinds else ("c", "d", "e"),
-        packet=PacketSpec(p0=tuple(args.p0), widths=tuple(args.widths),
-                          spin=tuple(args.spin), grid_points=args.grid_points,
-                          grid_radius=args.grid_radius))
+def _flag_config(args) -> ScenarioConfig:
+    """The scenario of a verify-fg or verify-algebra call without --config."""
+    if args.command == "verify-fg":
+        kinds = tuple(args.kinds.replace(",", " ").split())
+        cfg = ScenarioConfig(
+            name="verify_fg", mode="verify-fg", mass=args.mass,
+            pryce_kinds=kinds or ScenarioConfig.pryce_kinds,
+            packet=PacketSpec(p0=tuple(args.p0), widths=tuple(args.widths),
+                              spin=tuple(args.spin),
+                              grid_points=args.grid_points,
+                              grid_radius=args.grid_radius))
+    else:
+        cfg = ScenarioConfig(name="verify_algebra", mode="verify-algebra",
+                             mass=args.mass, algebra_momenta=args.momenta,
+                             algebra_pmax=args.pmax, seed=args.seed)
     _validate(cfg)
     return cfg
 
@@ -96,44 +104,21 @@ def main(argv=None) -> int:
                 print(p)
             return 0
 
-        if args.command == "simulate":
+        # subcommands other than gallery are named after the mode they run
+        if args.config:
             cfg = load_config(args.config)
-            if cfg.mode != "simulate":
-                raise ConfigError(
-                    f"scenario.mode: expected 'simulate', got {cfg.mode!r}")
+            if cfg.mode != args.command:
+                raise ConfigError(f"scenario.mode: expected "
+                                  f"{args.command!r}, got {cfg.mode!r}")
+        else:
+            cfg = _flag_config(args)
+        if args.command == "simulate":
             report, artifacts = runners.run_simulate(cfg, args.out,
                                                      plot=args.plot)
-        elif args.command == "verify-fg":
-            if args.config:
-                cfg = load_config(args.config)
-                if cfg.mode != "verify-fg":
-                    raise ConfigError(f"scenario.mode: expected 'verify-fg', "
-                                      f"got {cfg.mode!r}")
-            else:
-                cfg = _fg_config_from_flags(args)
-            report, artifacts = runners.run_verify(cfg, args.out)
-        elif args.command == "verify-algebra":
-            if args.config:
-                cfg = load_config(args.config)
-                if cfg.mode != "verify-algebra":
-                    raise ConfigError(
-                        f"scenario.mode: expected 'verify-algebra', "
-                        f"got {cfg.mode!r}")
-            else:
-                cfg = ScenarioConfig(name="verify_algebra",
-                                     mode="verify-algebra", mass=args.mass,
-                                     algebra_momenta=args.momenta,
-                                     algebra_pmax=args.pmax, seed=args.seed)
-                _validate(cfg)
-            report, artifacts = runners.run_verify(cfg, args.out)
         elif args.command == "converge":
-            cfg = load_config(args.config)
-            if cfg.mode != "converge":
-                raise ConfigError(
-                    f"scenario.mode: expected 'converge', got {cfg.mode!r}")
             report, artifacts = runners.run_converge(cfg, args.out)
-        else:  # pragma: no cover - argparse enforces the choices
-            return 2
+        else:
+            report, artifacts = runners.run_verify(cfg, args.out)
     except (ConfigError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

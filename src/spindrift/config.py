@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import ClassicalState, FieldConfig
+from .packets import MomentumWavePacket, make_gaussian_packet
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
@@ -70,6 +72,22 @@ class ScenarioConfig:
         """The electron's state at t = 0."""
         return ClassicalState(t=0.0, x=self.x0, v=self.v0, s=self.s0)
 
+    def wave_packet(self, widths=None) -> MomentumWavePacket:
+        """The configured packet, at `widths` in place of packet.widths if
+        given; a packet the grid cannot hold is a ConfigError."""
+        spec = self.packet
+        try:
+            return make_gaussian_packet(
+                spec.p0, spec.widths if widths is None else widths, spec.spin,
+                m=self.mass, grid_points=spec.grid_points,
+                grid_radius=spec.grid_radius)
+        except ValueError as exc:
+            raise ConfigError(f"packet: {exc}") from None
+
+
+def _parse_str(section, key, raw) -> str:
+    return raw
+
 
 def _parse_float(section, key, raw) -> float:
     try:
@@ -105,37 +123,61 @@ def _parse_kinds(section, key, raw) -> tuple:
     return kinds
 
 
-# section -> {key: parser}; parsers get (section, key, raw-string)
-_SCHEMA = {
-    "scenario": {"name": None, "mode": None},
-    "constants": {"mass": _parse_float, "charge": _parse_float},
-    "fields": {"E": _parse_vec3, "B": _parse_vec3},
-    "initial": {"x": _parse_vec3, "v": _parse_vec3, "s": _parse_vec3},
-    "integration": {"dt": _parse_float, "steps": _parse_int,
-                    "sample_every": _parse_int},
-    "output": {"pryce_kinds": _parse_kinds},
-    "packet": {"p0": _parse_vec3, "widths": _parse_vec3, "spin": _parse_vec3,
-               "grid_points": _parse_int, "grid_radius": _parse_float},
-    "converge": {"target": None, "rungs": _parse_int},
-    "algebra": {"momenta": _parse_int, "pmax": _parse_float,
-                "seed": _parse_int},
+# (parser, formatter) per value type; parsers get (section, key, raw-string).
+# Every float is written as repr(float(v)), so an int-valued float such as
+# mass = 2 reads back as 2.0 and serializes to the same text again.
+_STR = (_parse_str, str)
+_INT = (_parse_int, str)
+_FLOAT = (_parse_float, lambda v: repr(float(v)))
+_VEC3 = (_parse_vec3, lambda v: " ".join(repr(float(c)) for c in v))
+_KINDS = (_parse_kinds, " ".join)
+
+# (section, key, attribute, parser, formatter) in canonical order; a dotted
+# attribute names a field of the nested PacketSpec or ConvergeSpec
+_FIELDS = (
+    ("scenario", "name", "name", *_STR),
+    ("scenario", "mode", "mode", *_STR),
+    ("constants", "mass", "mass", *_FLOAT),
+    ("constants", "charge", "charge", *_FLOAT),
+    ("fields", "E", "E", *_VEC3),
+    ("fields", "B", "B", *_VEC3),
+    ("initial", "x", "x0", *_VEC3),
+    ("initial", "v", "v0", *_VEC3),
+    ("initial", "s", "s0", *_VEC3),
+    ("integration", "dt", "dt", *_FLOAT),
+    ("integration", "steps", "steps", *_INT),
+    ("integration", "sample_every", "sample_every", *_INT),
+    ("output", "pryce_kinds", "pryce_kinds", *_KINDS),
+    ("packet", "p0", "packet.p0", *_VEC3),
+    ("packet", "widths", "packet.widths", *_VEC3),
+    ("packet", "spin", "packet.spin", *_VEC3),
+    ("packet", "grid_points", "packet.grid_points", *_INT),
+    ("packet", "grid_radius", "packet.grid_radius", *_FLOAT),
+    ("converge", "target", "converge.target", *_STR),
+    ("converge", "rungs", "converge.rungs", *_INT),
+    ("algebra", "momenta", "algebra_momenta", *_INT),
+    ("algebra", "pmax", "algebra_pmax", *_FLOAT),
+    ("algebra", "seed", "seed", *_INT),
+)
+_KEYS = {(section, key) for section, key, *_ in _FIELDS}
+_SECTIONS = {section for section, _ in _KEYS}
+
+# mode -> (sections it requires, further sections it allows)
+_MODE_SECTIONS = {
+    "simulate": ((), ("scenario", "constants", "fields", "initial",
+                      "integration", "output")),
+    "verify-fg": (("packet",), ("scenario", "constants", "output")),
+    "verify-algebra": ((), ("scenario", "constants", "algebra")),
+    "converge": (("converge",), ("scenario", "constants", "fields",
+                                 "initial", "integration", "output",
+                                 "packet")),
 }
 
-_MODE_SECTIONS = {
-    "simulate": ("scenario", "constants", "fields", "initial", "integration",
-                 "output"),
-    "verify-fg": ("scenario", "constants", "packet", "output"),
-    "verify-algebra": ("scenario", "constants", "algebra"),
-    "converge": ("scenario", "constants", "fields", "initial", "integration",
-                 "output", "packet", "converge"),
-}
-# sections whose absence is an error for the mode
-_MODE_REQUIRED = {
-    "simulate": (),
-    "verify-fg": ("packet",),
-    "verify-algebra": (),
-    "converge": ("converge",),
-}
+
+def _owner(cfg: ScenarioConfig, attr: str):
+    """The object that holds a (possibly dotted) attribute, and its name."""
+    head, _, name = attr.rpartition(".")
+    return (getattr(cfg, head) if head else cfg), name
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -157,58 +199,25 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"scenario.mode: unknown mode {mode!r} "
                           f"(expected one of {MODES})")
 
-    allowed = _MODE_SECTIONS[mode]
+    required, optional = _MODE_SECTIONS[mode]
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        if section not in allowed:
+        if section not in required + optional:
             raise ConfigError(f"section [{section}] is not valid in "
                               f"{mode!r} mode")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"{section}.{key}: unknown key")
-    for section in _MODE_REQUIRED[mode]:
+    for section in required:
         if not parser.has_section(section):
             raise ConfigError(f"mode {mode!r} requires a [{section}] section")
 
-    def get(section, key, parse, default):
-        if not parser.has_section(section) or key not in parser[section]:
-            return default
-        raw = parser.get(section, key)
-        return parse(section, key, raw) if parse else raw
-
-    cfg = ScenarioConfig(
-        name=get("scenario", "name", None, "scenario"),
-        mode=mode,
-        mass=get("constants", "mass", _parse_float, 1.0),
-        charge=get("constants", "charge", _parse_float, -1.0),
-        E=get("fields", "E", _parse_vec3, (0.0, 0.0, 0.0)),
-        B=get("fields", "B", _parse_vec3, (0.0, 0.0, 0.0)),
-        x0=get("initial", "x", _parse_vec3, (0.0, 0.0, 0.0)),
-        v0=get("initial", "v", _parse_vec3, (0.0, 0.0, 0.0)),
-        s0=get("initial", "s", _parse_vec3, (0.0, 0.0, 0.0)),
-        dt=get("integration", "dt", _parse_float, 0.1),
-        steps=get("integration", "steps", _parse_int, 1000),
-        sample_every=get("integration", "sample_every", _parse_int, 1),
-        pryce_kinds=get("output", "pryce_kinds", _parse_kinds,
-                        ("c", "d", "e")),
-        packet=PacketSpec(
-            p0=get("packet", "p0", _parse_vec3, PacketSpec.p0),
-            widths=get("packet", "widths", _parse_vec3, PacketSpec.widths),
-            spin=get("packet", "spin", _parse_vec3, PacketSpec.spin),
-            grid_points=get("packet", "grid_points", _parse_int,
-                            PacketSpec.grid_points),
-            grid_radius=get("packet", "grid_radius", _parse_float,
-                            PacketSpec.grid_radius),
-        ),
-        converge=ConvergeSpec(
-            target=get("converge", "target", None, ConvergeSpec.target),
-            rungs=get("converge", "rungs", _parse_int, ConvergeSpec.rungs),
-        ),
-        algebra_momenta=get("algebra", "momenta", _parse_int, 100),
-        algebra_pmax=get("algebra", "pmax", _parse_float, 10.0),
-        seed=get("algebra", "seed", _parse_int, 0),
-    )
+    cfg = ScenarioConfig()
+    for section, key, attr, parse, _ in _FIELDS:
+        if parser.has_section(section) and key in parser[section]:
+            setattr(*_owner(cfg, attr),
+                    parse(section, key, parser.get(section, key)))
     _validate(cfg)
     return cfg
 
@@ -217,17 +226,10 @@ def _validate(cfg: ScenarioConfig):
     if not cfg.name:
         raise ConfigError("scenario.name: must not be empty")
     _parse_kinds("output", "pryce_kinds", " ".join(cfg.pryce_kinds))
-    pk = cfg.packet
-    for name, value in (
-            ("constants.mass", cfg.mass), ("constants.charge", cfg.charge),
-            ("fields.E", cfg.E), ("fields.B", cfg.B), ("initial.x", cfg.x0),
-            ("initial.v", cfg.v0), ("initial.s", cfg.s0),
-            ("integration.dt", cfg.dt), ("packet.p0", pk.p0),
-            ("packet.widths", pk.widths), ("packet.spin", pk.spin),
-            ("packet.grid_radius", pk.grid_radius),
-            ("algebra.pmax", cfg.algebra_pmax)):
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(f"{name}: must be finite")
+    for section, key, attr, parse, _ in _FIELDS:
+        if (parse in (_parse_float, _parse_vec3)
+                and not np.all(np.isfinite(getattr(*_owner(cfg, attr))))):
+            raise ConfigError(f"{section}.{key}: must be finite")
     if cfg.mass <= 0:
         raise ConfigError("constants.mass: must be positive")
     if cfg.dt <= 0:
@@ -261,55 +263,17 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("algebra.pmax: must be positive")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _fmt_vec(v) -> str:
-    return " ".join(repr(float(c)) for c in v)
-
-
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text for a configuration (stable section and key order)."""
     _validate(cfg)
+    allowed = set().union(*_MODE_SECTIONS[cfg.mode])
     out = io.StringIO()
-
-    def section(name, pairs):
-        out.write(f"[{name}]\n")
-        for k, v in pairs:
-            out.write(f"{k} = {v}\n")
-        out.write("\n")
-
-    section("scenario", [("name", cfg.name), ("mode", cfg.mode)])
-    section("constants", [("mass", _fmt(cfg.mass)),
-                          ("charge", _fmt(cfg.charge))])
-    allowed = _MODE_SECTIONS[cfg.mode]
-    if "fields" in allowed:
-        section("fields", [("E", _fmt_vec(cfg.E)), ("B", _fmt_vec(cfg.B))])
-    if "initial" in allowed:
-        section("initial", [("x", _fmt_vec(cfg.x0)), ("v", _fmt_vec(cfg.v0)),
-                            ("s", _fmt_vec(cfg.s0))])
-    if "integration" in allowed:
-        section("integration", [("dt", _fmt(cfg.dt)),
-                                ("steps", _fmt(cfg.steps)),
-                                ("sample_every", _fmt(cfg.sample_every))])
-    if "output" in allowed:
-        section("output", [("pryce_kinds", " ".join(cfg.pryce_kinds))])
-    if "packet" in allowed:
-        section("packet", [("p0", _fmt_vec(cfg.packet.p0)),
-                           ("widths", _fmt_vec(cfg.packet.widths)),
-                           ("spin", _fmt_vec(cfg.packet.spin)),
-                           ("grid_points", _fmt(cfg.packet.grid_points)),
-                           ("grid_radius", _fmt(cfg.packet.grid_radius))])
-    if "converge" in allowed:
-        section("converge", [("target", cfg.converge.target),
-                             ("rungs", _fmt(cfg.converge.rungs))])
-    if "algebra" in allowed:
-        section("algebra", [("momenta", _fmt(cfg.algebra_momenta)),
-                            ("pmax", _fmt(cfg.algebra_pmax)),
-                            ("seed", _fmt(cfg.seed))])
+    for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0]):
+        if section in allowed:
+            out.write(f"[{section}]\n")
+            for _, key, attr, _, fmt in rows:
+                out.write(f"{key} = {fmt(getattr(*_owner(cfg, attr)))}\n")
+            out.write("\n")
     return out.getvalue()
 
 

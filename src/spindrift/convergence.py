@@ -67,14 +67,7 @@ def fg_ladder(cfg: ScenarioConfig) -> Ladder:
     ws, errs = [], []
     for k in range(cfg.converge.rungs):
         w = widths / 2**k
-        try:
-            pkt = packets.make_gaussian_packet(
-                cfg.packet.p0, w, cfg.packet.spin, m=cfg.mass,
-                grid_points=cfg.packet.grid_points,
-                grid_radius=cfg.packet.grid_radius)
-        except ValueError as exc:
-            raise ConfigError(f"packet: {exc}") from None
-        rep = packets.verify_fg_relations(pkt)
+        rep = packets.verify_fg_relations(cfg.wave_packet(w))
         live = [r.residual for r in rep if r.residual > RESIDUAL_FLOOR]
         if not live:
             raise ConfigError("converge: every relation residual sits at "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import PryceKind, pryce_factors
+from .algebra import PryceKind, energy, pryce_factors
 
 G_FACTOR = 2.0
 
@@ -411,7 +411,7 @@ def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
             row += 1
 
     p = ys[:, 3:6]
-    e_on_shell = np.sqrt(m * m + np.sum(p * p, axis=1))
+    e_on_shell = energy(p, m)
     traj = Trajectory(t=ts, x=ys[:, 0:3], v=p / e_on_shell[:, None],
                       s=ys[:, 6:9], gamma=e_on_shell / m, fields=fields,
                       dt=dt * sample_every)

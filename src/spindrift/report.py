@@ -47,9 +47,6 @@ class ExpectationReport:
     def __len__(self) -> int:
         return len(self._relations)
 
-    def names(self):
-        return list(self._relations)
-
     def residual(self, name: str) -> float:
         return self._relations[name].residual
 
@@ -113,13 +110,6 @@ class RunReport:
         row = CheckRow(name, status, residual, float(tolerance), wall_time)
         self.rows.append(row)
         return row
-
-    def extend(self, other: "RunReport"):
-        for row in other.rows:
-            if row.name in self._names:
-                raise ValueError(f"duplicate check {row.name!r}")
-            self._names.add(row.name)
-            self.rows.append(row)
 
     def __iter__(self):
         return iter(self.rows)

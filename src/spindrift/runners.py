@@ -234,13 +234,7 @@ def run_verify(cfg: ScenarioConfig, outdir):
         kv_lines = report.to_kv_lines(prefix="algebra.")
         title = f"verify-algebra: {cfg.name}"
     elif cfg.mode == "verify-fg":
-        try:
-            pkt = packets.make_gaussian_packet(
-                cfg.packet.p0, cfg.packet.widths, cfg.packet.spin, m=cfg.mass,
-                grid_points=cfg.packet.grid_points,
-                grid_radius=cfg.packet.grid_radius)
-        except ValueError as exc:
-            raise ConfigError(f"packet: {exc}") from None
+        pkt = cfg.wave_packet()
         report = RunReport()
 
         def grade(name, residual, seconds):

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from spindrift import cli, runners
+from spindrift import cli, gallery, runners
 from spindrift.config import ScenarioConfig, parse_config, serialize_config
 
 TINY_SIMULATE = """
@@ -112,9 +112,20 @@ def test_non_finite_field_exit_code(tiny_config, tmp_path, capsys):
     assert "fields.B" in capsys.readouterr().err
 
 
-def test_mode_mismatch_exit_code(tiny_config, tmp_path):
-    assert cli.main(["converge", "--config", str(tiny_config),
+@pytest.mark.parametrize("command",
+                         ["simulate", "verify-fg", "verify-algebra",
+                          "converge"])
+def test_mode_mismatch_exit_code(command, tiny_config, tmp_path, capsys):
+    path = tiny_config
+    if command == "simulate":
+        path = tmp_path / "algebra.cfg"
+        path.write_text(serialize_config(ScenarioConfig(
+            name="x", mode="verify-algebra")), encoding="utf-8")
+    assert cli.main([command, "--config", str(path),
                      "--out", str(tmp_path)]) == 2
+    got = "verify-algebra" if command == "simulate" else "simulate"
+    assert (f"scenario.mode: expected {command!r}, got {got!r}"
+            in capsys.readouterr().err)
 
 
 def test_guard_violation_exit_code(tmp_path):
@@ -184,6 +195,16 @@ def test_verify_fg_truncating_grid_is_config_error(tmp_path):
     rc = cli.main(["verify-fg", "--out", str(tmp_path),
                    "--grid-radius", "3.0"])
     assert rc == 2
+
+
+def test_converge_fg_truncating_grid_is_config_error(tmp_path, capsys):
+    cfg = gallery.converge_configs()["converge_fg"]
+    cfg.packet.grid_radius = 3.0
+    path = tmp_path / "truncating.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["converge", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+    assert "error: packet: grid radius 3.0" in capsys.readouterr().err
 
 
 def test_converge_command(tmp_path):

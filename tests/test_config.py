@@ -86,15 +86,32 @@ def test_bad_vector_rejected():
                      "[fields]\nB = 1 2\n")
 
 
-def test_non_finite_vector_rejected():
-    with pytest.raises(ConfigError, match="fields.B"):
-        parse_config("[scenario]\nname = x\nmode = simulate\n\n"
-                     "[fields]\nB = nan 0 0.02\n")
+# every float and vec3 key, the mode whose config may hold it, and a
+# non-finite value for it
+NON_FINITE = [
+    ("constants.mass", "simulate", "nan"),
+    ("constants.charge", "simulate", "-inf"),
+    ("fields.E", "simulate", "0 inf 0"),
+    ("fields.B", "simulate", "nan 0 0.02"),
+    ("initial.x", "simulate", "nan 0 0"),
+    ("initial.v", "simulate", "0 0 -inf"),
+    ("initial.s", "simulate", "0 nan 0"),
+    ("integration.dt", "simulate", "inf"),
+    ("packet.p0", "verify-fg", "nan 0 0.6"),
+    ("packet.widths", "verify-fg", "0.01 0.01 inf"),
+    ("packet.spin", "verify-fg", "1 0 nan"),
+    ("packet.grid_radius", "verify-fg", "inf"),
+    ("algebra.pmax", "verify-algebra", "nan"),
+]
 
 
-def test_non_finite_scalar_rejected():
-    with pytest.raises(ConfigError, match="constants.charge"):
-        parse_config(MINIMAL_SIMULATE + "\n[constants]\ncharge = -inf\n")
+@pytest.mark.parametrize("name, mode, raw", NON_FINITE,
+                         ids=[name for name, _, _ in NON_FINITE])
+def test_non_finite_rejected(name, mode, raw):
+    section, key = name.split(".")
+    with pytest.raises(ConfigError, match=f"^{name}: must be finite$"):
+        parse_config(f"[scenario]\nname = x\nmode = {mode}\n\n"
+                     f"[{section}]\n{key} = {raw}\n")
 
 
 def test_duplicate_kinds_rejected():
@@ -108,8 +125,18 @@ def test_unknown_kind_rejected():
 
 
 def test_golden_file_roundtrip():
-    golden = (DATA / "golden_simulate.cfg").read_text(encoding="utf-8")
-    assert serialize_config(parse_config(golden)) == golden
+    # one canonical file per mode, written by the serializer before its
+    # sections and keys were declared in one table
+    for name in ("simulate", "verify_fg", "verify_algebra", "converge"):
+        golden = (DATA / f"golden_{name}.cfg").read_text(encoding="utf-8")
+        assert serialize_config(parse_config(golden)) == golden, name
+
+
+def test_serialize_parse_idempotent_int_valued_floats():
+    text = serialize_config(ScenarioConfig(name="x", dt=1, mass=2,
+                                           charge=-1))
+    assert "mass = 2.0\n" in text
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_serialize_parse_idempotent_gallery():

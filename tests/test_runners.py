@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pathlib
 
 import numpy as np
@@ -21,6 +22,11 @@ GALLERY_FD_TOLERANCES = {
     "fprime_zero": (1.0124922769494805e-05, 1.0177533408961136e-05,
                     1.0149339449530661e-05),
 }
+
+# sha256 of the heavy_crossed CSV, recorded with Python 3.11.7 and
+# numpy 2.4.6
+HEAVY_CROSSED_CSV_SHA256 = (
+    "8f94bf0ca13f8af9a2c19c54cb080e02887eb32cc6efe3753757fc859275ece6")
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +148,16 @@ def test_verify_fg_row_times(tmp_path):
     for row in centers:
         assert row.wall_time > 0.0, row.name
     assert report["offset_ratio_d_e"].wall_time > 0.0
+
+
+def test_heavy_crossed_simulate(tmp_path):
+    # m = 1.7, e = -1.3: the one simulate input whose bytes see how charge,
+    # mass and gamma are combined (with m = 1, |e| = 1 they round alike)
+    report, artifacts = runners.run_simulate(
+        load_config(DATA / "heavy_crossed.cfg"), tmp_path)
+    fd = {row.name: row.status for row in report
+          if row.name.startswith("fd_mass_center_")}
+    assert fd == {f"fd_mass_center_{k}": "pass" for k in "cde"}
+    csv_bytes = (tmp_path / "heavy_crossed_trajectory.csv").read_bytes()
+    assert (hashlib.sha256(csv_bytes).hexdigest()
+            == HEAVY_CROSSED_CSV_SHA256)
