@@ -79,10 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _flag_config(args) -> ScenarioConfig:
     """The scenario of a verify-fg or verify-algebra call without --config."""
     if args.command == "verify-fg":
-        kinds = tuple(args.kinds.replace(",", " ").split())
         cfg = ScenarioConfig(
             name="verify_fg", mode="verify-fg", mass=args.mass,
-            pryce_kinds=kinds or ScenarioConfig.pryce_kinds,
+            pryce_kinds=tuple(args.kinds.replace(",", " ").split()),
             packet=PacketSpec(p0=tuple(args.p0), widths=tuple(args.widths),
                               spin=tuple(args.spin),
                               grid_points=args.grid_points,

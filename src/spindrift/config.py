@@ -180,6 +180,12 @@ def _owner(cfg: ScenarioConfig, attr: str):
     return (getattr(cfg, head) if head else cfg), name
 
 
+def _check_mode(mode: str):
+    if mode not in MODES:
+        raise ConfigError(f"scenario.mode: unknown mode {mode!r} "
+                          f"(expected one of {MODES})")
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document."""
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
@@ -195,9 +201,7 @@ def parse_config(text: str) -> ScenarioConfig:
     mode = parser.get("scenario", "mode", fallback=None)
     if mode is None:
         raise ConfigError("scenario.mode: required")
-    if mode not in MODES:
-        raise ConfigError(f"scenario.mode: unknown mode {mode!r} "
-                          f"(expected one of {MODES})")
+    _check_mode(mode)
 
     required, optional = _MODE_SECTIONS[mode]
     for section in parser.sections():
@@ -223,6 +227,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig):
+    _check_mode(cfg.mode)
     if not cfg.name:
         raise ConfigError("scenario.name: must not be empty")
     _parse_kinds("output", "pryce_kinds", " ".join(cfg.pryce_kinds))

@@ -185,6 +185,8 @@ def test_verify_fg_wide_packet_warns(tmp_path):
     (["verify-fg", "--widths", "0.01", "0.01", "inf"], "packet.widths"),
     (["verify-fg", "--kinds", "d x"], "output.pryce_kinds"),
     (["verify-algebra", "--pmax", "nan"], "algebra.pmax"),
+    (["verify-fg", "--kinds", "", "--grid-points", "8"],
+     "output.pryce_kinds: at least one kind required"),
 ])
 def test_flag_config_is_validated(argv, field, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2

@@ -67,6 +67,16 @@ def test_unknown_mode_rejected():
         parse_config("[scenario]\nname = x\nmode = explode\n")
 
 
+def test_serialize_unknown_mode_is_config_error():
+    # a config built in code reaches no parse_config mode check
+    with pytest.raises(ConfigError) as built:
+        serialize_config(ScenarioConfig(name="x", mode="simulat"))
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("[scenario]\nname = x\nmode = simulat\n")
+    assert str(built.value).startswith("scenario.mode: unknown mode")
+    assert str(built.value) == str(parsed.value)
+
+
 def test_verify_fg_requires_packet_block():
     with pytest.raises(ConfigError, match=r"\[packet\]"):
         parse_config("[scenario]\nname = x\nmode = verify-fg\n")
