@@ -18,7 +18,6 @@ All kernel builders broadcast over momenta: `p` may be shape (3,) or
 from __future__ import annotations
 
 import enum
-import time
 
 import numpy as np
 
@@ -236,7 +235,8 @@ def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
     and square of the free Hamiltonian, unitarity/diagonalization of the FW
     rotation, commutation of the little-group generators with H, Hermiticity
     of the mean-spin operator, and the two independent assemblies of the
-    Pryce kernels.  Each row reports the worst-case entrywise residual.
+    Pryce kernels.  Each row reports the worst-case entrywise residual
+    and the time since the row before it.
     """
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_momenta, 3))
@@ -244,110 +244,77 @@ def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
     momenta = dirs * (rng.uniform(0.0, pmax_over_m * m, size=(n_momenta, 1)))
 
     report = RunReport()
+    report.add("clifford_anticommutator", max(
+        _maxabs(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
+                - 2.0 * (mu == nu) * IDENTITY)
+        for mu in range(4) for nu in range(4)), tolerance)
+    report.add("gamma5_product",
+               _maxabs(GAMMA5 - GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]),
+               tolerance)
+    report.add("alpha_definition",
+               max(_maxabs(ALPHA[i] - 1j * BETA @ GAMMA[i]) for i in range(3)),
+               tolerance)
+    report.add("sigma_definition",
+               max(_maxabs(SIGMA[i] - 1j * GAMMA[3] @ GAMMA5 @ GAMMA[i])
+                   for i in range(3)), tolerance)
+    report.add("alpha_anticommutator", max(
+        _maxabs(ALPHA[i] @ ALPHA[j] + ALPHA[j] @ ALPHA[i]
+                - 2.0 * (i == j) * IDENTITY)
+        for i in range(3) for j in range(3)), tolerance)
+    report.add("sigma_commutator", max(
+        _maxabs(SIGMA[i] @ SIGMA[j] - SIGMA[j] @ SIGMA[i]
+                - 2j * np.einsum("k,kab->ab", _EPS[i, j], SIGMA))
+        for i in range(3) for j in range(3)), tolerance)
 
-    def check(name, fn):
-        t0 = time.perf_counter()
-        residual = fn()
-        report.add(name, residual, tolerance,
-                   wall_time=time.perf_counter() - t0)
-
-    def clifford():
-        r = 0.0
-        for mu in range(4):
-            for nu in range(4):
-                anti = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
-                r = max(r, _maxabs(anti - 2.0 * (mu == nu) * IDENTITY))
-        return r
-
-    check("clifford_anticommutator", clifford)
-    check("gamma5_product",
-          lambda: _maxabs(GAMMA5 - GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]))
-    check("alpha_definition",
-          lambda: max(_maxabs(ALPHA[i] - 1j * BETA @ GAMMA[i]) for i in range(3)))
-    check("sigma_definition",
-          lambda: max(_maxabs(SIGMA[i] - 1j * GAMMA[3] @ GAMMA5 @ GAMMA[i])
-                      for i in range(3)))
-
-    def alpha_anti():
-        r = 0.0
-        for i in range(3):
-            for j in range(3):
-                anti = ALPHA[i] @ ALPHA[j] + ALPHA[j] @ ALPHA[i]
-                r = max(r, _maxabs(anti - 2.0 * (i == j) * IDENTITY))
-        return r
-
-    check("alpha_anticommutator", alpha_anti)
-
-    def sigma_comm():
-        r = 0.0
-        for i in range(3):
-            for j in range(3):
-                comm = SIGMA[i] @ SIGMA[j] - SIGMA[j] @ SIGMA[i]
-                expect = 2j * np.einsum("k,kab->ab", _EPS[i, j], SIGMA)
-                r = max(r, _maxabs(comm - expect))
-        return r
-
-    check("sigma_commutator", sigma_comm)
-
+    # each row below also counts the set-up it needs (H, the FW pair,
+    # the generators, O)
     h = free_hamiltonian(momenta, m)
     e = energy(momenta, m)
-
-    check("hamiltonian_square",
-          lambda: _maxabs(np.einsum("nab,nbc->nac", h, h)
-                          - (e**2)[:, None, None] * IDENTITY))
-
-    def spectrum():
-        vals = np.linalg.eigvalsh(h)
-        expect = np.stack([-e, -e, e, e], axis=1)
-        return _maxabs(vals - expect)
-
-    check("hamiltonian_spectrum", spectrum)
+    report.add("hamiltonian_square",
+               _maxabs(np.einsum("nab,nbc->nac", h, h)
+                       - (e**2)[:, None, None] * IDENTITY), tolerance)
+    report.add("hamiltonian_spectrum",
+               _maxabs(np.linalg.eigvalsh(h)
+                       - np.stack([-e, -e, e, e], axis=1)), tolerance)
 
     up = fw_transform(momenta, m, +1)
     um = fw_transform(momenta, m, -1)
-
-    check("fw_unitary",
-          lambda: _maxabs(np.einsum("nab,nbc->nac", up, _dagger(up)) - IDENTITY))
-    check("fw_inverse_pair",
-          lambda: _maxabs(np.einsum("nab,nbc->nac", up, um) - IDENTITY))
-    check("fw_diagonalizes",
-          lambda: _maxabs(np.einsum("nab,nbc,ncd->nad", up, h, um)
-                          - e[:, None, None] * BETA))
+    report.add("fw_unitary",
+               _maxabs(np.einsum("nab,nbc->nac", up, _dagger(up)) - IDENTITY),
+               tolerance)
+    report.add("fw_inverse_pair",
+               _maxabs(np.einsum("nab,nbc->nac", up, um) - IDENTITY),
+               tolerance)
+    report.add("fw_diagonalizes",
+               _maxabs(np.einsum("nab,nbc,ncd->nad", up, h, um)
+                       - e[:, None, None] * BETA), tolerance)
 
     t, t4 = little_group_generators(momenta, m)
-
-    check("little_group_commutes",
-          lambda: _maxabs(np.einsum("niab,nbc->niac", t, h)
-                          - np.einsum("nab,nibc->niac", h, t)))
-    check("little_group_t4_commutes",
-          lambda: _maxabs(np.einsum("nab,nbc->nac", t4, h)
-                          - np.einsum("nab,nbc->nac", h, t4)))
+    report.add("little_group_commutes",
+               _maxabs(np.einsum("niab,nbc->niac", t, h)
+                       - np.einsum("nab,nibc->niac", h, t)), tolerance)
+    report.add("little_group_t4_commutes",
+               _maxabs(np.einsum("nab,nbc->nac", t4, h)
+                       - np.einsum("nab,nbc->nac", h, t4)), tolerance)
 
     o = o_operator(momenta, m)
-    check("mean_spin_hermitian", lambda: _maxabs(o - _dagger(o)))
-    check("mean_spin_at_rest",
-          lambda: _maxabs(o_operator(np.zeros(3), m) - _BETA_SIGMA))
+    report.add("mean_spin_hermitian", _maxabs(o - _dagger(o)), tolerance)
+    report.add("mean_spin_at_rest",
+               _maxabs(o_operator(np.zeros(3), m) - _BETA_SIGMA), tolerance)
 
-    def pryce_assembly():
-        return max(
-            _maxabs(pryce_kernel(k, momenta, m)
-                    - pryce_kernel_general_form(k, momenta, m))
-            for k in PryceKind)
+    report.add("pryce_kernel_two_routes", max(
+        _maxabs(pryce_kernel(k, momenta, m)
+                - pryce_kernel_general_form(k, momenta, m))
+        for k in PryceKind), tolerance)
 
-    check("pryce_kernel_two_routes", pryce_assembly)
-
-    def factor_table():
-        g = e / m
-        r = 0.0
-        for k in PryceKind:
-            f1, f2, _f3, fp = pryce_factors(k, g)
-            r = max(r, _maxabs(fp - (np.asarray(f1) - np.asarray(f2))))
-        _, _, _, fpd = pryce_factors("d", 2.5)
-        _, _, _, fpe = pryce_factors("e", 1.0)
-        _, _, _, fpc = pryce_factors("c", 3.0)
-        r = max(r, abs(fpd - 1.0), abs(fpe - 0.5), abs(fpc))
-        return r
-
-    check("pryce_factor_table", factor_table)
+    # fP = f1 - f2 at every sampled gamma, plus three spot values
+    residual = max(abs(pryce_factors("d", 2.5)[3] - 1.0),
+                   abs(pryce_factors("e", 1.0)[3] - 0.5),
+                   abs(pryce_factors("c", 3.0)[3]))
+    for k in PryceKind:
+        f1, f2, _f3, fp = pryce_factors(k, e / m)
+        residual = max(residual,
+                       _maxabs(fp - (np.asarray(f1) - np.asarray(f2))))
+    report.add("pryce_factor_table", residual, tolerance)
 
     return report

@@ -47,6 +47,9 @@ def integrator_ladder(cfg: ScenarioConfig) -> Ladder:
     if not any(cfg.B):
         raise ConfigError("converge: the integrator target needs a nonzero "
                           "magnetic field")
+    if not any(cfg.v0):
+        raise ConfigError("initial.v: the integrator target needs a moving "
+                          "electron; at rest every endpoint error is zero")
     fields = cfg.field_config()
     state0 = cfg.initial_state()
     dts, errs = [], []
@@ -83,6 +86,9 @@ def anomalous_fd_ladder(cfg: ScenarioConfig) -> Ladder:
     Requires a frozen-energy scenario; the dry-run |e E.v| monitor guards
     that precondition.
     """
+    if not any(cfg.s0):
+        raise ConfigError("initial.s: the anomalous-fd target needs a nonzero "
+                          "spin; without one every error is zero")
     fields = cfg.field_config()
     state0 = cfg.initial_state()
     dts, errs = [], []

@@ -51,6 +51,9 @@ FG_RESIDUAL_COEFF = {
 SHARP_WIDTH_FRACTION = 0.05
 # Fraction of the continuum Gaussian mass a grid may cut off.
 MAX_TRUNCATED_MASS = 1e-6
+# Largest imaginary part, relative to the magnitude, that a declared-Hermitian
+# expectation may carry.
+IMAG_TOL = 1e-12
 
 # sum_ab conj(a_a) a_b C_A[a, b] on (re, im)-interleaved outer products
 _CLIFFORD_COLUMNS = np.stack([algebra.CLIFFORD.real, -algebra.CLIFFORD.imag],
@@ -191,14 +194,13 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
     return MomentumWavePacket(momenta, amplitudes, cell, p0, w, spacings, m)
 
 
-def expectation(packet: MomentumWavePacket, kernel, hermitian: bool = True,
-                imag_tol: float = 1e-12):
+def expectation(packet: MomentumWavePacket, kernel, hermitian: bool = True):
     """Grid-sum expectation value of a matrix-valued kernel.
 
     `kernel` is either an array evaluated on the packet grid or a callable
     applied to `packet.momenta`; shapes (..., 4, 4) give a scalar result and
     (..., 3, 4, 4) a 3-vector.  For a kernel declared Hermitian the imaginary
-    part must stay below `imag_tol` (relative to the magnitude), and the real
+    part must stay below `IMAG_TOL` (relative to the magnitude), and the real
     part is returned.
     """
     k = kernel(packet.momenta) if callable(kernel) else np.asarray(kernel)
@@ -209,14 +211,14 @@ def expectation(packet: MomentumWavePacket, kernel, hermitian: bool = True,
         density = np.einsum("pqra,pqriab,pqrb->pqri", a.conj(), k, a)
     else:
         raise ValueError(f"kernel shape {k.shape} does not match packet grid")
-    return grid_expectation(packet, density, hermitian, imag_tol)
+    return grid_expectation(packet, density, hermitian)
 
 
 def grid_expectation(packet: MomentumWavePacket, density,
-                     hermitian: bool = True, imag_tol: float = 1e-12):
+                     hermitian: bool = True):
     """Grid sum of a per-point expectation density (grid or grid + (3,)).
 
-    A declared-Hermitian result must have an imaginary part below `imag_tol`
+    A declared-Hermitian result must have an imaginary part below `IMAG_TOL`
     (relative to its magnitude); its real part is returned.
     """
     val = np.sum(density, axis=(0, 1, 2)) * packet.cell_volume
@@ -224,37 +226,30 @@ def grid_expectation(packet: MomentumWavePacket, density,
     if not hermitian:
         return val
     imag = float(np.max(np.abs(np.imag(val))))
-    if imag > imag_tol * max(1.0, float(np.max(np.abs(np.real(val))))):
+    if imag > IMAG_TOL * max(1.0, float(np.max(np.abs(np.real(val))))):
         raise ValueError(f"kernel declared Hermitian but expectation has "
                          f"imaginary part {imag:.3e}")
     return val.real
 
 
-def expectation_position(packet: MomentumWavePacket,
-                         method: str = "spectral") -> np.ndarray:
+def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     """<x> in the momentum representation: expectation of i d/dp.
 
-    `method` selects spectral (FFT) differentiation of the amplitudes or
-    second-order central differences.  The result picks up a spin-dependent
-    offset away from zero for moving packets because the spinor itself
-    carries momentum dependence.
+    The amplitudes are differentiated spectrally (FFT).  The result picks
+    up a spin-dependent offset away from zero for moving packets because
+    the spinor itself carries momentum dependence.
     """
     a = packet.amplitudes
     if min(a.shape[:3]) < 4:
         raise ValueError("grid too coarse for differentiation stencil")
-    if method not in ("spectral", "central"):
-        raise ValueError(f"unknown differentiation method {method!r}")
     out = np.empty(3)
     for axis in range(3):
-        if method == "spectral":
-            n = a.shape[axis]
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=packet.spacings[axis])
-            shape = [1, 1, 1, 1]
-            shape[axis] = n
-            da = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(a, axis=axis),
-                             axis=axis)
-        else:
-            da = np.gradient(a, packet.spacings[axis], axis=axis)
+        n = a.shape[axis]
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=packet.spacings[axis])
+        shape = [1, 1, 1, 1]
+        shape[axis] = n
+        da = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(a, axis=axis),
+                         axis=axis)
         val = 1j * np.einsum("pqra,pqra->", a.conj(), da) * packet.cell_volume
         if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
             raise ValueError("position expectation came out complex; "

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import pathlib
-import time
 import warnings
 
 import numpy as np
@@ -32,18 +31,6 @@ FD_MAX_SAMPLE_ANGLE = 2.0
 # gains no time and costs memory: 1 024-row blocks raised simulate_dense's
 # peak RSS by ~2 MiB, the whole trajectory at once by ~42 MiB.
 _ROW_BLOCK = 128
-
-
-class _Lap:
-    """Seconds since the previous call, or since construction."""
-
-    def __init__(self):
-        self.t = time.perf_counter()
-
-    def __call__(self) -> float:
-        now = time.perf_counter()
-        elapsed, self.t = now - self.t, now
-        return elapsed
 
 
 def trajectory_columns(traj: dynamics.Trajectory, kinds) -> list[tuple]:
@@ -134,31 +121,19 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
             f"the fastest rotation rate, above {FD_MAX_SAMPLE_ANGLE}; their "
             f"finite differences would alias")
 
-    t0 = time.perf_counter()
+    report = RunReport()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantGammaWarning)
         traj = dynamics.integrate(state0, fields, cfg.dt, cfg.steps,
                                   sample_every=cfg.sample_every,
                                   kinds=cfg.pryce_kinds)
-    elapsed = time.perf_counter() - t0
-
-    csv_path = outdir / f"{cfg.name}_trajectory.csv"
-    write_trajectory_csv(csv_path, traj, cfg.pryce_kinds)
-    artifacts = [csv_path]
-    if plot:
-        artifacts += write_plot_files(outdir, cfg.name, traj, cfg.pryce_kinds)
-
-    report = RunReport()
     report.add("constant_gamma_max_ev", traj.max_ev,
-               dynamics.CONSTANT_GAMMA_WARN * cfg.mass**2,
-               wall_time=elapsed, warn_only=True)
+               dynamics.CONSTANT_GAMMA_WARN * cfg.mass**2, warn_only=True)
 
-    # every later row reports the time since the row before it
-    lap = _Lap()
     if not any(cfg.E) and any(cfg.B):
         drift = float((traj.energy.max() - traj.energy.min())
                       / traj.energy[0])
-        report.add("energy_drift_relative", drift, 1e-10, wall_time=lap())
+        report.add("energy_drift_relative", drift, 1e-10)
 
     if graded:
         h = traj.dt
@@ -177,15 +152,20 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
             residual = float(np.max(np.linalg.norm(fd - predicted, axis=1)))
             tol = _fd_tolerance(traj.centers[kind], h, extra=shortcut,
                                 substeps=cfg.sample_every)
-            report.add(f"fd_mass_center_{kind}", residual, tol,
-                       wall_time=lap())
+            report.add(f"fd_mass_center_{kind}", residual, tol)
 
         gamma_excursion = float(np.max(traj.gamma) - 1.0)
         if (not any(cfg.B) and any(cfg.E)
                 and gamma_excursion < LOW_VELOCITY_GAMMA_LIMIT
                 and np.any(traj.s[0])):
-            _low_velocity_rows(report, traj, fields, cfg, lap)
+            _low_velocity_rows(report, traj, fields, cfg)
 
+    # written after the last row, so no row's time includes the writers
+    csv_path = outdir / f"{cfg.name}_trajectory.csv"
+    write_trajectory_csv(csv_path, traj, cfg.pryce_kinds)
+    artifacts = [csv_path]
+    if plot:
+        artifacts += write_plot_files(outdir, cfg.name, traj, cfg.pryce_kinds)
     text_path = outdir / f"{cfg.name}_report.txt"
     text_path.write_text(report.format_table(f"simulate: {cfg.name}") + "\n",
                          encoding="utf-8")
@@ -193,7 +173,7 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
     return report, artifacts
 
 
-def _low_velocity_rows(report, traj, fields, cfg, lap):
+def _low_velocity_rows(report, traj, fields, cfg):
     """The electric-only low-velocity mass-center velocity table.
 
     d-type: fd(X_d - x) matches e/(2m^2) s x E; e-type: half the d-type
@@ -210,16 +190,14 @@ def _low_velocity_rows(report, traj, fields, cfg, lap):
           for k in cfg.pryce_kinds}
     if "d" in fd:
         rel = np.linalg.norm(fd["d"] - reference, axis=1) / ref_norm
-        report.add("low_velocity_table_d", float(np.max(rel)), 1e-6,
-                   wall_time=lap())
+        report.add("low_velocity_table_d", float(np.max(rel)), 1e-6)
     if "d" in fd and "e" in fd:
         rel = (np.linalg.norm(fd["e"] - 0.5 * fd["d"], axis=1)
                / (0.5 * np.linalg.norm(fd["d"], axis=1)))
-        report.add("low_velocity_table_e", float(np.max(rel)), 1e-3,
-                   wall_time=lap())
+        report.add("low_velocity_table_e", float(np.max(rel)), 1e-3)
     if "c" in fd:
         report.add("low_velocity_table_c", float(np.max(np.abs(fd["c"]))),
-                   1e-15, wall_time=lap())
+                   1e-15)
 
 
 def run_verify(cfg: ScenarioConfig, outdir):
@@ -243,29 +221,25 @@ def run_verify(cfg: ScenarioConfig, outdir):
         pkt = cfg.wave_packet()
         report = RunReport()
 
-        def grade(name, residual, seconds):
+        def grade(name, residual, seconds=None):
             report.add(name, residual, packets.fg_tolerance(name, pkt),
                        wall_time=seconds, warn=not pkt.is_sharp)
 
         # FG rows share the relations phase; later rows time their own work
-        t0 = time.perf_counter()
         vals = packets.fg_expectations(pkt)
         fg = packets.verify_fg_relations(pkt, vals)
-        elapsed = time.perf_counter() - t0
+        phase = report.lap()
         for rel in fg:
-            grade(rel.name, rel.residual, elapsed)
+            grade(rel.name, rel.residual, phase)
         offsets = {}
         for kind in cfg.pryce_kinds:
-            t0 = time.perf_counter()
             (rel,) = packets.verify_main_result(pkt, kind, tbar=vals["T"])
             offsets[kind] = rel.lhs
-            grade(rel.name, rel.residual, time.perf_counter() - t0)
+            grade(rel.name, rel.residual)
         if "d" in offsets and "e" in offsets:
-            t0 = time.perf_counter()
             g = pkt.gamma_bar
             ratio = np.linalg.norm(offsets["d"]) / np.linalg.norm(offsets["e"])
-            grade("offset_ratio_d_e", abs(ratio - (1.0 + g)) / (1.0 + g),
-                  time.perf_counter() - t0)
+            grade("offset_ratio_d_e", abs(ratio - (1.0 + g)) / (1.0 + g))
         kv_lines = [f"packet.gamma_bar = {pkt.gamma_bar:.17g}",
                     f"packet.sharp = {pkt.is_sharp}"]
         kv_lines += fg.to_kv_lines(prefix="fg.")
@@ -286,15 +260,11 @@ def run_converge(cfg: ScenarioConfig, outdir):
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    t0 = time.perf_counter()
-    ladder = convergence.run_ladder(cfg)
-    elapsed = time.perf_counter() - t0
-
-    center, halfwidth = ORDER_WINDOW[ladder.target]
     report = RunReport()
+    ladder = convergence.run_ladder(cfg)
+    center, halfwidth = ORDER_WINDOW[ladder.target]
     report.add(f"{ladder.target}_order",
-               abs(ladder.fitted_order - center), halfwidth,
-               wall_time=elapsed)
+               abs(ladder.fitted_order - center), halfwidth)
 
     csv_path = outdir / f"{cfg.name}_convergence.csv"
     orders = [""] + [CSV_FMT % o for o in ladder.pairwise_orders]

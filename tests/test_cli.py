@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import pytest
 
@@ -255,6 +256,26 @@ def test_converge_anomalous_requires_frozen_energy(tmp_path):
     path.write_text(serialize_config(cfg), encoding="utf-8")
     assert cli.main(["converge", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("target, key, field", [
+    ("anomalous-fd", "initial.s", "s0"),
+    ("integrator", "initial.v", "v0"),
+])
+def test_converge_zero_error_ladder_is_config_error(tmp_path, capsys,
+                                                    target, key, field):
+    # at rest, or without spin, every rung's error is exactly zero and no
+    # order can be fitted
+    cfg = dataclasses.replace(
+        gallery.converge_configs()["converge_integrator"],
+        name="zero", **{field: (0.0, 0.0, 0.0)})
+    cfg.converge.target = target
+    path = tmp_path / "zero.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["converge", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "zero_convergence.csv").exists()
 
 
 def test_run_simulate_report_checks_unique(tiny_config, tmp_path):

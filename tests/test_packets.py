@@ -149,18 +149,6 @@ class TestPosition:
         # the moving packet carries a transverse spin-dependent offset
         assert abs(spectral[1]) > 0.05
 
-    def test_methods_agree_on_smooth_packet(self):
-        pkt = make_gaussian_packet((0, 0, 0.2), 0.02, (0, 1, 0),
-                                   grid_points=32, grid_radius=5.0)
-        a = expectation_position(pkt, "spectral")
-        b = expectation_position(pkt, "central")
-        # central differences are only second order; loose agreement
-        assert np.max(np.abs(a - b)) < 5e-3
-
-    def test_unknown_method(self, fast_packet):
-        with pytest.raises(ValueError):
-            expectation_position(fast_packet, "fancy")
-
 
 class TestRelations:
     def test_all_relations_within_calibrated_tolerance(self, fast_packet):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import pathlib
+import time
 import tracemalloc
 import warnings
 
@@ -53,6 +54,44 @@ def test_simulate_row_times(name, gallery_reports):
     # header and rule, then one line per row ending in its printed time
     for line in gallery_reports[name].format_table().splitlines()[2:]:
         assert float(line.split()[-1]) != 0.0, line
+
+
+def _assert_rows_timed(report):
+    for row in report:
+        assert row.wall_time > 0.0, row.name
+    # header and rule, then one line per row ending in its printed time
+    for line in report.format_table().splitlines()[2:]:
+        assert float(line.split()[-1]) != 0.0, line
+
+
+def test_verify_algebra_row_times(tmp_path):
+    cfg = ScenarioConfig(name="t", mode="verify-algebra", algebra_momenta=20)
+    report, _ = runners.run_verify(cfg, tmp_path)
+    assert len(report) == 17
+    _assert_rows_timed(report)
+
+
+@pytest.mark.parametrize("name", sorted(gallery.converge_configs()))
+def test_converge_row_times(name, tmp_path):
+    report, _ = runners.run_converge(gallery.converge_configs()[name],
+                                     tmp_path)
+    _assert_rows_timed(report)
+
+
+def test_simulate_rows_exclude_writers(tmp_path, monkeypatch):
+    def slow(write):
+        def wrapped(*args):
+            time.sleep(0.2)
+            return write(*args)
+        return wrapped
+
+    for name in ("write_trajectory_csv", "write_plot_files"):
+        monkeypatch.setattr(runners, name, slow(getattr(runners, name)))
+    cfg = gallery.gallery_configs()["e_only_low_velocity"]
+    report, _ = runners.run_simulate(cfg, tmp_path, plot=True)
+    assert len(report) == 7
+    for row in report:
+        assert row.wall_time < 0.2, row.name
 
 
 def _slow_cyclotron(angle):
