@@ -218,6 +218,10 @@ def pryce_kernel_general_form(kind, p, m: float):
             + f3 * odd / (2.0 * m**3))
 
 
+# Largest entrywise residual at which an identity-suite row passes.
+IDENTITY_TOL = 1e-12
+
+
 def _maxabs(a) -> float:
     return float(np.max(np.abs(a)))
 
@@ -227,8 +231,7 @@ def _dagger(a):
 
 
 def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
-                    m: float = 1.0, seed: int = 0,
-                    tolerance: float = 1e-12) -> RunReport:
+                    m: float = 1.0, seed: int = 0) -> RunReport:
     """Numeric identity suite over random momenta |p| <= pmax_over_m * m.
 
     Checks the Clifford algebra, the auxiliary-matrix definitions, spectrum
@@ -247,24 +250,24 @@ def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
     report.add("clifford_anticommutator", max(
         _maxabs(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
                 - 2.0 * (mu == nu) * IDENTITY)
-        for mu in range(4) for nu in range(4)), tolerance)
+        for mu in range(4) for nu in range(4)), IDENTITY_TOL)
     report.add("gamma5_product",
                _maxabs(GAMMA5 - GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]),
-               tolerance)
+               IDENTITY_TOL)
     report.add("alpha_definition",
                max(_maxabs(ALPHA[i] - 1j * BETA @ GAMMA[i]) for i in range(3)),
-               tolerance)
+               IDENTITY_TOL)
     report.add("sigma_definition",
                max(_maxabs(SIGMA[i] - 1j * GAMMA[3] @ GAMMA5 @ GAMMA[i])
-                   for i in range(3)), tolerance)
+                   for i in range(3)), IDENTITY_TOL)
     report.add("alpha_anticommutator", max(
         _maxabs(ALPHA[i] @ ALPHA[j] + ALPHA[j] @ ALPHA[i]
                 - 2.0 * (i == j) * IDENTITY)
-        for i in range(3) for j in range(3)), tolerance)
+        for i in range(3) for j in range(3)), IDENTITY_TOL)
     report.add("sigma_commutator", max(
         _maxabs(SIGMA[i] @ SIGMA[j] - SIGMA[j] @ SIGMA[i]
                 - 2j * np.einsum("k,kab->ab", _EPS[i, j], SIGMA))
-        for i in range(3) for j in range(3)), tolerance)
+        for i in range(3) for j in range(3)), IDENTITY_TOL)
 
     # each row below also counts the set-up it needs (H, the FW pair,
     # the generators, O)
@@ -272,40 +275,40 @@ def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
     e = energy(momenta, m)
     report.add("hamiltonian_square",
                _maxabs(np.einsum("nab,nbc->nac", h, h)
-                       - (e**2)[:, None, None] * IDENTITY), tolerance)
+                       - (e**2)[:, None, None] * IDENTITY), IDENTITY_TOL)
     report.add("hamiltonian_spectrum",
                _maxabs(np.linalg.eigvalsh(h)
-                       - np.stack([-e, -e, e, e], axis=1)), tolerance)
+                       - np.stack([-e, -e, e, e], axis=1)), IDENTITY_TOL)
 
     up = fw_transform(momenta, m, +1)
     um = fw_transform(momenta, m, -1)
     report.add("fw_unitary",
                _maxabs(np.einsum("nab,nbc->nac", up, _dagger(up)) - IDENTITY),
-               tolerance)
+               IDENTITY_TOL)
     report.add("fw_inverse_pair",
                _maxabs(np.einsum("nab,nbc->nac", up, um) - IDENTITY),
-               tolerance)
+               IDENTITY_TOL)
     report.add("fw_diagonalizes",
                _maxabs(np.einsum("nab,nbc,ncd->nad", up, h, um)
-                       - e[:, None, None] * BETA), tolerance)
+                       - e[:, None, None] * BETA), IDENTITY_TOL)
 
     t, t4 = little_group_generators(momenta, m)
     report.add("little_group_commutes",
                _maxabs(np.einsum("niab,nbc->niac", t, h)
-                       - np.einsum("nab,nibc->niac", h, t)), tolerance)
+                       - np.einsum("nab,nibc->niac", h, t)), IDENTITY_TOL)
     report.add("little_group_t4_commutes",
                _maxabs(np.einsum("nab,nbc->nac", t4, h)
-                       - np.einsum("nab,nbc->nac", h, t4)), tolerance)
+                       - np.einsum("nab,nbc->nac", h, t4)), IDENTITY_TOL)
 
     o = o_operator(momenta, m)
-    report.add("mean_spin_hermitian", _maxabs(o - _dagger(o)), tolerance)
+    report.add("mean_spin_hermitian", _maxabs(o - _dagger(o)), IDENTITY_TOL)
     report.add("mean_spin_at_rest",
-               _maxabs(o_operator(np.zeros(3), m) - _BETA_SIGMA), tolerance)
+               _maxabs(o_operator(np.zeros(3), m) - _BETA_SIGMA), IDENTITY_TOL)
 
     report.add("pryce_kernel_two_routes", max(
         _maxabs(pryce_kernel(k, momenta, m)
                 - pryce_kernel_general_form(k, momenta, m))
-        for k in PryceKind), tolerance)
+        for k in PryceKind), IDENTITY_TOL)
 
     # fP = f1 - f2 at every sampled gamma, plus three spot values
     residual = max(abs(pryce_factors("d", 2.5)[3] - 1.0),
@@ -315,6 +318,6 @@ def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
         f1, f2, _f3, fp = pryce_factors(k, e / m)
         residual = max(residual,
                        _maxabs(fp - (np.asarray(f1) - np.asarray(f2))))
-    report.add("pryce_factor_table", residual, tolerance)
+    report.add("pryce_factor_table", residual, IDENTITY_TOL)
 
     return report

@@ -70,8 +70,8 @@ def fg_ladder(cfg: ScenarioConfig) -> Ladder:
     ws, errs = [], []
     for k in range(cfg.converge.rungs):
         w = widths / 2**k
-        rep = packets.verify_fg_relations(cfg.wave_packet(w))
-        live = [r.residual for r in rep if r.residual > RESIDUAL_FLOOR]
+        rels = packets.verify_fg_relations(cfg.wave_packet(w)).values()
+        live = [r.residual for r in rels if r.residual > RESIDUAL_FLOOR]
         if not live:
             raise ConfigError("converge: every relation residual sits at "
                               "roundoff; nothing to measure")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import PryceKind
-from .report import ExpectationReport
+from .report import Relation
 
 # Measured residual/(w/m)^2 over the width ladder {0.04, 0.02, 0.01}m for the
 # reference packet (p0 = 0.6m zhat, transverse spin), times a safety factor
@@ -297,8 +297,7 @@ def fg_expectations(packet: MomentumWavePacket) -> dict:
     return vals
 
 
-def verify_fg_relations(packet: MomentumWavePacket,
-                        vals: dict | None = None) -> ExpectationReport:
+def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
     """Residuals of the expectation-value relations tying T, T4, O, sigma.
 
     Relations checked (g = dilation factor, v = packet velocity):
@@ -309,25 +308,27 @@ def verify_fg_relations(packet: MomentumWavePacket,
       ibeta_alpha_from_T:   <i beta alpha> = <T> x <p> / (g m)
       momentum_cross_sigma: <p x sigma> = <p> x <T> / g
       odd_term_null:        <i beta (alpha.p) p> = 0
-    All residuals scale as (width/m)^2 for sharp packets.  `vals` may pass
-    in the result of `fg_expectations`.
+    All residuals scale as (width/m)^2 for sharp packets.  Returns the
+    relations by name in this order; the lhs of T_from_O is <T>.
     """
     m = packet.mass
-    vals = fg_expectations(packet) if vals is None else vals
-    g, v = vals["gamma_bar"], vals["v"]
+    vals = fg_expectations(packet)
+    g, v, p = vals["gamma_bar"], vals["v"], vals["p"]
     tbar, obar = vals["T"], vals["O"]
-
-    report = ExpectationReport()
-    report.add("T_from_O", tbar, obar + g**2 / (g + 1.0) * np.dot(v, obar) * v)
-    report.add("T4_from_O", vals["T4"], 1j * g * np.dot(v, obar))
-    report.add("O_from_T", obar, tbar - g / (g + 1.0) * np.dot(v, tbar) * v)
-    report.add("sigma_from_T", vals["sigma"], tbar / g)
-    report.add("ibeta_alpha_from_T", vals["ibeta_alpha"],
-               np.cross(tbar, vals["p"]) / (g * m))
-    report.add("momentum_cross_sigma", vals["p_cross_sigma"],
-               np.cross(vals["p"], tbar) / g)
-    report.add("odd_term_null", vals["odd"], np.zeros(3))
-    return report
+    relations = [
+        Relation("T_from_O", tbar,
+                 obar + g**2 / (g + 1.0) * np.dot(v, obar) * v),
+        Relation("T4_from_O", vals["T4"], 1j * g * np.dot(v, obar)),
+        Relation("O_from_T", obar,
+                 tbar - g / (g + 1.0) * np.dot(v, tbar) * v),
+        Relation("sigma_from_T", vals["sigma"], tbar / g),
+        Relation("ibeta_alpha_from_T", vals["ibeta_alpha"],
+                 np.cross(tbar, p) / (g * m)),
+        Relation("momentum_cross_sigma", vals["p_cross_sigma"],
+                 np.cross(p, tbar) / g),
+        Relation("odd_term_null", vals["odd"], np.zeros(3)),
+    ]
+    return {rel.name: rel for rel in relations}
 
 
 def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
@@ -342,8 +343,11 @@ def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
 
 
 def verify_main_result(packet: MomentumWavePacket, kind,
-                       tbar=None) -> ExpectationReport:
-    """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type."""
+                       tbar=None) -> Relation:
+    """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type.
+
+    `tbar` may pass in <T>, the lhs of verify_fg_relations' T_from_O.
+    """
     kind = PryceKind.coerce(kind)
     m = packet.mass
     g = packet.gamma_bar
@@ -351,14 +355,12 @@ def verify_main_result(packet: MomentumWavePacket, kind,
         tbar = fg_expectations(packet)["T"]
     fp = algebra.pryce_factors(kind, g)[3]
     predicted = fp * np.cross(tbar, packet.mean_momentum) / (2.0 * m * m * g)
-    report = ExpectationReport()
-    report.add(f"mass_center_offset_{kind.value}",
-               mass_center_offset(packet, kind), predicted)
-    return report
+    return Relation(f"mass_center_offset_{kind.value}",
+                    mass_center_offset(packet, kind), predicted)
 
 
 def fg_tolerance(name: str, packet: MomentumWavePacket) -> float:
     """Pass threshold for one relation: coeff * (max width / m)^2, floored."""
-    coeff = FG_RESIDUAL_COEFF.get(name, max(FG_RESIDUAL_COEFF.values()))
+    coeff = FG_RESIDUAL_COEFF[name]
     scale = float(np.max(packet.widths)) / packet.mass
     return max(coeff * scale * scale, RESIDUAL_FLOOR)

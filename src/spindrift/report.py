@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,45 +23,21 @@ class Relation:
     name: str
     lhs: object
     rhs: object
-    residual: float
+    residual: float = field(init=False)
+
+    def __post_init__(self):
+        self.residual = max_abs_difference(self.lhs, self.rhs)
 
 
-class ExpectationReport:
-    """Ordered set of named relations with residuals."""
-
-    def __init__(self):
-        self._relations: dict[str, Relation] = {}
-
-    def add(self, name: str, lhs, rhs) -> Relation:
-        if name in self._relations:
-            raise ValueError(f"duplicate relation {name!r}")
-        rel = Relation(name, lhs, rhs, max_abs_difference(lhs, rhs))
-        self._relations[name] = rel
-        return rel
-
-    def __getitem__(self, name: str) -> Relation:
-        return self._relations[name]
-
-    def __iter__(self):
-        return iter(self._relations.values())
-
-    def __len__(self) -> int:
-        return len(self._relations)
-
-    def residual(self, name: str) -> float:
-        return self._relations[name].residual
-
-    def max_residual(self) -> float:
-        return max(r.residual for r in self)
-
-    def to_kv_lines(self, prefix: str = "") -> list[str]:
-        lines = []
-        for rel in self:
-            key = f"{prefix}{rel.name}"
-            lines.append(f"{key}.residual = {rel.residual:.17g}")
-            lines.append(f"{key}.lhs = {_fmt_value(rel.lhs)}")
-            lines.append(f"{key}.rhs = {_fmt_value(rel.rhs)}")
-        return lines
+def relation_kv_lines(relations, prefix: str = "") -> list[str]:
+    """`key = value` lines of each relation's residual, lhs and rhs."""
+    lines = []
+    for rel in relations:
+        key = f"{prefix}{rel.name}"
+        lines.append(f"{key}.residual = {rel.residual:.17g}")
+        lines.append(f"{key}.lhs = {_fmt_value(rel.lhs)}")
+        lines.append(f"{key}.rhs = {_fmt_value(rel.rhs)}")
+    return lines
 
 
 def _fmt_value(v) -> str:

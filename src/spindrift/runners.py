@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import contextlib
 import pathlib
-import warnings
 
 import numpy as np
 
 from . import algebra, convergence, dynamics, packets
 from .config import ConfigError, ScenarioConfig
 from .convergence import ORDER_WINDOW
-from .dynamics import ConstantGammaWarning
-from .report import RunReport
+from .report import RunReport, relation_kv_lines
 
 CSV_FMT = "%.17g"
 LOW_VELOCITY_GAMMA_LIMIT = 1e-4
@@ -122,11 +120,9 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
             f"finite differences would alias")
 
     report = RunReport()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstantGammaWarning)
-        traj = dynamics.integrate(state0, fields, cfg.dt, cfg.steps,
-                                  sample_every=cfg.sample_every,
-                                  kinds=cfg.pryce_kinds)
+    traj = dynamics.integrate(state0, fields, cfg.dt, cfg.steps,
+                              sample_every=cfg.sample_every,
+                              kinds=cfg.pryce_kinds)
     report.add("constant_gamma_max_ev", traj.max_ev,
                dynamics.CONSTANT_GAMMA_WARN * cfg.mass**2, warn_only=True)
 
@@ -226,14 +222,14 @@ def run_verify(cfg: ScenarioConfig, outdir):
                        wall_time=seconds, warn=not pkt.is_sharp)
 
         # FG rows share the relations phase; later rows time their own work
-        vals = packets.fg_expectations(pkt)
-        fg = packets.verify_fg_relations(pkt, vals)
+        fg = packets.verify_fg_relations(pkt)
         phase = report.lap()
-        for rel in fg:
+        for rel in fg.values():
             grade(rel.name, rel.residual, phase)
+        tbar = fg["T_from_O"].lhs  # <T>
         offsets = {}
         for kind in cfg.pryce_kinds:
-            (rel,) = packets.verify_main_result(pkt, kind, tbar=vals["T"])
+            rel = packets.verify_main_result(pkt, kind, tbar=tbar)
             offsets[kind] = rel.lhs
             grade(rel.name, rel.residual)
         if "d" in offsets and "e" in offsets:
@@ -242,7 +238,7 @@ def run_verify(cfg: ScenarioConfig, outdir):
             grade("offset_ratio_d_e", abs(ratio - (1.0 + g)) / (1.0 + g))
         kv_lines = [f"packet.gamma_bar = {pkt.gamma_bar:.17g}",
                     f"packet.sharp = {pkt.is_sharp}"]
-        kv_lines += fg.to_kv_lines(prefix="fg.")
+        kv_lines += relation_kv_lines(fg.values(), prefix="fg.")
         kv_lines += report.to_kv_lines(prefix="check.")
         title = f"verify-fg: {cfg.name}"
     else:

@@ -153,7 +153,7 @@ class TestPosition:
 class TestRelations:
     def test_all_relations_within_calibrated_tolerance(self, fast_packet):
         report = verify_fg_relations(fast_packet)
-        for rel in report:
+        for rel in report.values():
             assert rel.residual < packets.fg_tolerance(rel.name, fast_packet), rel.name
 
     def test_quadratic_scaling_window(self):
@@ -163,7 +163,7 @@ class TestRelations:
             pkt = make_gaussian_packet((0, 0, 0.6), w, (1, 0, 0),
                                        grid_points=24)
             residuals[w] = {r.name: r.residual
-                            for r in verify_fg_relations(pkt)}
+                            for r in verify_fg_relations(pkt).values()}
         for w_coarse, w_fine in ((0.04, 0.02), (0.02, 0.01)):
             for name in residuals[w_coarse]:
                 coarse = residuals[w_coarse][name]
@@ -205,14 +205,14 @@ class TestMainResult:
         pkt = make_gaussian_packet((0, 0, 0), 0.02, (0, 1, 0),
                                    grid_points=16)
         for kind in ("c", "d", "e"):
-            rep = verify_main_result(pkt, kind)
-            assert rep.max_residual() < 1e-10
+            rel = verify_main_result(pkt, kind)
+            assert rel.residual < 1e-10
             assert np.max(np.abs(mass_center_offset(pkt, kind))) < 1e-10
 
     def test_offsets_match_prediction(self, fast_packet):
         for kind in ("d", "e"):
-            rep = verify_main_result(fast_packet, kind)
-            assert rep.max_residual() < packets.fg_tolerance(
+            rel = verify_main_result(fast_packet, kind)
+            assert rel.residual < packets.fg_tolerance(
                 f"mass_center_offset_{kind}", fast_packet)
 
     def test_d_to_e_ratio(self, fast_packet):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spindrift import dynamics, gallery, runners
+from spindrift import dynamics, gallery, packets, runners
 from spindrift.config import ConfigError, ScenarioConfig, load_config
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -190,6 +190,50 @@ def test_verify_fg_row_times(tmp_path):
     for row in centers:
         assert row.wall_time > 0.0, row.name
     assert report["offset_ratio_d_e"].wall_time > 0.0
+
+
+FG_RELATIONS = ("T_from_O", "T4_from_O", "O_from_T", "sigma_from_T",
+                "ibeta_alpha_from_T", "momentum_cross_sigma", "odd_term_null")
+
+
+def _small_verify_fg():
+    cfg = ScenarioConfig(name="t", mode="verify-fg")
+    cfg.packet.grid_points = 16
+    assert cfg.pryce_kinds == ("c", "d", "e")
+    return cfg
+
+
+def test_fg_tolerance_has_every_verify_fg_row(tmp_path):
+    cfg = _small_verify_fg()
+    report, _ = runners.run_verify(cfg, tmp_path)
+    pkt = cfg.wave_packet()
+    assert len(report) == 11
+    for row in report:
+        assert row.name in packets.FG_RESIDUAL_COEFF, row.name
+        assert row.tolerance == packets.fg_tolerance(row.name, pkt)
+    # a misnamed row is an error, not a silent loosest coefficient
+    with pytest.raises(KeyError):
+        packets.fg_tolerance("no_such_relation", pkt)
+
+
+def test_verify_fg_kv_layout(tmp_path):
+    cfg = _small_verify_fg()
+    report, (_, kv_path) = runners.run_verify(cfg, tmp_path)
+    pairs = [line.split(" = ", 1) for line in
+             kv_path.read_text(encoding="utf-8").splitlines()]
+    keys = [key for key, _ in pairs]
+    values = dict(pairs)
+    assert list(packets.verify_fg_relations(cfg.wave_packet())) == list(
+        FG_RELATIONS)
+    fg_keys = [f"fg.{name}.{part}" for name in FG_RELATIONS
+               for part in ("residual", "lhs", "rhs")]
+    check_keys = [f"check.{row.name}.{part}" for row in report
+                  for part in ("status", "residual", "tolerance")]
+    assert keys == ["packet.gamma_bar", "packet.sharp"] + fg_keys + check_keys
+    assert [row.name for row in report][:7] == list(FG_RELATIONS)
+    for name in FG_RELATIONS:
+        assert (values[f"check.{name}.residual"]
+                == values[f"fg.{name}.residual"]), name
 
 
 def test_heavy_crossed_simulate(tmp_path):
