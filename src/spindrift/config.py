@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import PryceKind
 from .dynamics import ClassicalState, FieldConfig
 from .packets import MomentumWavePacket, make_gaussian_packet
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
+PRYCE_KINDS = tuple(kind.value for kind in PryceKind)
 
 
 class ConfigError(ValueError):
@@ -56,7 +58,7 @@ class ScenarioConfig:
     dt: float = 0.1
     steps: int = 1000
     sample_every: int = 1
-    pryce_kinds: tuple = ("c", "d", "e")
+    pryce_kinds: tuple = PRYCE_KINDS
     packet: PacketSpec = field(default_factory=PacketSpec)
     converge: ConvergeSpec = field(default_factory=ConvergeSpec)
     algebra_momenta: int = 100
@@ -115,7 +117,7 @@ def _parse_kinds(section, key, raw) -> tuple:
     kinds = tuple(raw.split())
     if not kinds:
         raise ConfigError(f"{section}.{key}: at least one kind required")
-    bad = [k for k in kinds if k not in ("c", "d", "e")]
+    bad = [k for k in kinds if k not in PRYCE_KINDS]
     if bad:
         raise ConfigError(f"{section}.{key}: unknown kind(s) {bad}")
     if len(set(kinds)) != len(kinds):

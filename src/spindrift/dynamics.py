@@ -179,7 +179,7 @@ def position_shift(S, v, m: float) -> np.ndarray:
     return np.cross(S, v) / (2.0 * m)
 
 
-def mass_center(state, kind, m: float = 1.0) -> np.ndarray:
+def mass_center(state, kind, m: float) -> np.ndarray:
     """X = x + fP(kind, gbar) * deltaX."""
     fp = pryce_factors(kind, state.gamma)[3]
     shift = position_shift(boost_spin(state).S, state.v, m)
@@ -350,7 +350,7 @@ def _make_deriv(fields: FieldConfig):
 
 def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
               steps: int, sample_every: int = 1,
-              kinds=("c", "d", "e")) -> Trajectory:
+              kinds=tuple(PryceKind)) -> Trajectory:
     """Classic fourth-order fixed-step integration of (x, p, s).
 
     The momentum, not the velocity, is carried so the force equation keeps

@@ -265,6 +265,13 @@ def _cross_and_odd_density(packet: MomentumWavePacket):
     return np.cross(p, b[..., _SIGMA]), odd
 
 
+def _t_density(packet: MomentumWavePacket) -> np.ndarray:
+    """Per-point <T> = b[beta Sigma] - p b[gamma5] / m."""
+    b = packet.bilinears
+    return (b[..., _BETA_SIGMA]
+            - packet.momenta * b[..., _GAMMA5, None] / packet.mass)
+
+
 def fg_expectations(packet: MomentumWavePacket) -> dict:
     """All expectation values entering the little-group/mean-spin relations.
 
@@ -280,8 +287,8 @@ def fg_expectations(packet: MomentumWavePacket) -> dict:
     cross, odd = _cross_and_odd_density(packet)
     g5 = p * b[..., _GAMMA5, None]
     p_beta_sigma = np.einsum("...j,...j->...", p, beta_sigma)[..., None]
-    vals = {
-        "T": grid_expectation(packet, beta_sigma - g5 / m),
+    return {
+        "T": grid_expectation(packet, _t_density(packet)),
         "T4": grid_expectation(packet, 1j * np.sum(p * sigma, axis=-1) / m,
                                hermitian=False),
         "O": grid_expectation(packet, beta_sigma - g5 / e
@@ -291,10 +298,9 @@ def fg_expectations(packet: MomentumWavePacket) -> dict:
         "p_cross_sigma": grid_expectation(packet, cross),
         "odd": grid_expectation(packet, odd),
         "p": packet.mean_momentum,
+        "gamma_bar": packet.gamma_bar,
+        "v": packet.velocity,
     }
-    vals["gamma_bar"] = packet.gamma_bar
-    vals["v"] = packet.velocity
-    return vals
 
 
 def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
@@ -352,7 +358,7 @@ def verify_main_result(packet: MomentumWavePacket, kind,
     m = packet.mass
     g = packet.gamma_bar
     if tbar is None:
-        tbar = fg_expectations(packet)["T"]
+        tbar = grid_expectation(packet, _t_density(packet))
     fp = algebra.pryce_factors(kind, g)[3]
     predicted = fp * np.cross(tbar, packet.mean_momentum) / (2.0 * m * m * g)
     return Relation(f"mass_center_offset_{kind.value}",

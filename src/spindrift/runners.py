@@ -14,7 +14,6 @@ import numpy as np
 
 from . import algebra, convergence, dynamics, packets
 from .config import ConfigError, ScenarioConfig
-from .convergence import ORDER_WINDOW
 from .report import RunReport, relation_kv_lines
 
 CSV_FMT = "%.17g"
@@ -258,7 +257,7 @@ def run_converge(cfg: ScenarioConfig, outdir):
 
     report = RunReport()
     ladder = convergence.run_ladder(cfg)
-    center, halfwidth = ORDER_WINDOW[ladder.target]
+    center, halfwidth = convergence.TARGETS[ladder.target].window
     report.add(f"{ladder.target}_order",
                abs(ladder.fitted_order - center), halfwidth)
 

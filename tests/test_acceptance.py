@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spindrift import algebra, dynamics as dyn, gallery, packets, runners
-from spindrift.convergence import anomalous_fd_ladder, integrator_ladder
+from spindrift.convergence import run_ladder
 from spindrift.dynamics import ClassicalState
 from spindrift.packets import RESIDUAL_FLOOR
 
@@ -147,7 +147,7 @@ def test_criterion_6_finite_difference_oracle():
     period = dyn.cyclotron_period(state, fields)
     ladder_cfg = gallery.converge_configs()["converge_anomalous_fd"]
     assert ladder_cfg.dt == pytest.approx(period / 100.0)
-    ladder = anomalous_fd_ladder(ladder_cfg)
+    ladder = run_ladder(ladder_cfg)
     order = ladder.fitted_order
     assert 1.5 < order < 2.5
     _announce(6, "finite-difference anomalous velocity",
@@ -173,8 +173,7 @@ def test_criterion_7_low_velocity_table(tmp_path):
 
 
 def test_criterion_8_integrator_order():
-    ladder = integrator_ladder(gallery.converge_configs()
-                               ["converge_integrator"])
+    ladder = run_ladder(gallery.converge_configs()["converge_integrator"])
     order = ladder.fitted_order
     assert 3.5 < order < 4.5
     _announce(8, "integrator convergence order", f"observed {order:.3f}")

@@ -188,18 +188,18 @@ class TestPositionShift:
 class TestMassCenter:
     def test_c_is_position(self):
         st = ClassicalState(0.0, (1, 2, 3), (0.5, 0.1, 0), (0.3, 0.2, 0.1))
-        assert np.array_equal(dyn.mass_center(st, "c"), st.x)
+        assert np.array_equal(dyn.mass_center(st, "c", 1.0), st.x)
 
     def test_at_rest_all_kinds(self):
         st = ClassicalState(0.0, (1, 2, 3), (0, 0, 0), (0.3, 0.2, 0.1))
         for kind in ("c", "d", "e"):
-            assert np.array_equal(dyn.mass_center(st, kind), st.x)
+            assert np.array_equal(dyn.mass_center(st, kind, 1.0), st.x)
 
     def test_d_e_offset_ratio(self):
         st = ClassicalState(0.0, (0, 0, 0), (0.6, 0, 0), (0, 0, 0.5))
         g = st.gamma
-        off_d = dyn.mass_center(st, "d") - st.x
-        off_e = dyn.mass_center(st, "e") - st.x
+        off_d = dyn.mass_center(st, "d", 1.0) - st.x
+        off_e = dyn.mass_center(st, "e", 1.0) - st.x
         assert np.allclose(off_d, (1.0 + g) * off_e, rtol=1e-14)
 
 
