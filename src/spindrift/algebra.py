@@ -208,10 +208,8 @@ def pryce_kernel_general_form(kind, p, m: float):
     """Same kernel assembled from the factor table; cross-check route."""
     p = np.asarray(p, dtype=float)
     g = energy(p, m) / m
-    f1, f2, f3 = pryce_factors(kind, g)[:3]
-    f1 = np.asarray(f1)[..., None, None, None]
-    f2 = np.asarray(f2)[..., None, None, None]
-    f3 = np.asarray(f3)[..., None, None, None]
+    f1, f2, f3 = (np.asarray(f)[..., None, None, None]
+                  for f in pryce_factors(kind, g)[:3])
     cross, odd = _cross_and_odd(p)
     return (f1 * _I_BETA_ALPHA / (2.0 * m)
             + f2 * cross / (2.0 * m**2)

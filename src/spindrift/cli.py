@@ -98,9 +98,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gallery":
-            paths = gallery.write_gallery(args.out)
-            for p in paths:
-                print(p)
+            print(*gallery.write_gallery(args.out), sep="\n")
             return 0
 
         # subcommands other than gallery are named after the mode they run

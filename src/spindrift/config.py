@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import PryceKind
 from .dynamics import ClassicalState, FieldConfig
-from .packets import MomentumWavePacket, make_gaussian_packet
+from .packets import MAX_GRID_SPACING, MomentumWavePacket, make_gaussian_packet
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
@@ -252,10 +252,12 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError(f"initial.v: |v| = {vnorm:.6g} must be < 1")
     if any(w <= 0 for w in cfg.packet.widths):
         raise ConfigError("packet.widths: must be positive")
-    if cfg.packet.grid_points < 4:
-        raise ConfigError("packet.grid_points: must be >= 4")
     if cfg.packet.grid_radius <= 0:
         raise ConfigError("packet.grid_radius: must be positive")
+    n = cfg.packet.grid_points
+    if n < 4 or 2 * cfg.packet.grid_radius / (n - 1) > MAX_GRID_SPACING:
+        raise ConfigError(f"packet.grid_points: needs >= 4 points, at most "
+                          f"{MAX_GRID_SPACING} widths apart")
     if float(np.linalg.norm(cfg.packet.spin)) == 0.0:
         raise ConfigError("packet.spin: must be nonzero")
     if cfg.converge.target not in CONVERGE_TARGETS:

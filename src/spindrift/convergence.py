@@ -38,9 +38,10 @@ class Ladder:
 def _integrator_rung(cfg: ScenarioConfig, n: int):
     """Endpoint position error against the pure-B closed form at dt/n.
 
-    Floor: a step rounds three position components by half an ulp of the
-    largest position on the path, the same way every step on a straight
-    path (v || B): sqrt(3)/2 < 1 ulp per step.
+    Uniform fields make the motion translation-invariant, so both start at
+    x = 0, not initial.x.  Floor: a step rounds three position components
+    by half an ulp of the largest excursion on the path, the same way every
+    step on a straight path (v || B): sqrt(3)/2 < 1 ulp per step.
     """
     if any(cfg.E):
         raise ConfigError("converge: the integrator target needs a pure "
@@ -48,14 +49,14 @@ def _integrator_rung(cfg: ScenarioConfig, n: int):
     if not any(cfg.B):
         raise ConfigError("converge: the integrator target needs a nonzero "
                           "magnetic field")
-    fields, state0 = cfg.field_config(), cfg.initial_state()
+    fields = cfg.field_config()
+    state0 = dynamics.ClassicalState(0.0, (0.0, 0.0, 0.0), cfg.v0, cfg.s0)
     dt, steps = cfg.dt / n, cfg.steps * n
     traj = dynamics.integrate(state0, fields, dt, steps, sample_every=steps)
-    x_ref, _ = dynamics.helix_reference(state0, fields, traj.t[-1:])
     path, _ = dynamics.helix_reference(state0, fields,
                                        dt * np.arange(steps + 1))
     floor = steps * np.spacing(np.max(np.linalg.norm(path, axis=-1)))
-    return dt, float(np.linalg.norm(traj.x[-1] - x_ref[0])), float(floor)
+    return dt, float(np.linalg.norm(traj.x[-1] - path[-1])), float(floor)
 
 
 def _anomalous_fd_rung(cfg: ScenarioConfig, n: int):

@@ -57,22 +57,18 @@ def gallery_configs() -> dict[str, ScenarioConfig]:
 
 def converge_configs() -> dict[str, ScenarioConfig]:
     """Ready-made ladders for the three convergence targets."""
-    integrator = ScenarioConfig(
-        name="converge_integrator", mode="converge", mass=1.0, charge=1.0,
-        B=(0.0, 0.0, _CYCLOTRON_B), v0=(_CYCLOTRON_V, 0.0, 0.0),
-        s0=(0.15, 0.0, 0.65),
+    # the integrator and anomalous-fd ladders share one cyclotron orbit
+    integrator, anomalous = [ScenarioConfig(
+        name=f"converge_{target.replace('-', '_')}", mode="converge",
+        mass=1.0, charge=1.0, B=(0.0, 0.0, _CYCLOTRON_B),
+        v0=(_CYCLOTRON_V, 0.0, 0.0), s0=(0.15, 0.0, 0.65),
         dt=_CYCLOTRON_PERIOD / 100.0, steps=100, sample_every=1,
-        converge=ConvergeSpec(target="integrator", rungs=3))
+        converge=ConvergeSpec(target=target, rungs=3))
+        for target in ("integrator", "anomalous-fd")]
     fg = ScenarioConfig(
         name="converge_fg", mode="converge",
         converge=ConvergeSpec(target="fg", rungs=3))
     fg.packet.widths = (0.04, 0.04, 0.04)
-    anomalous = ScenarioConfig(
-        name="converge_anomalous_fd", mode="converge", mass=1.0, charge=1.0,
-        B=(0.0, 0.0, _CYCLOTRON_B), v0=(_CYCLOTRON_V, 0.0, 0.0),
-        s0=(0.15, 0.0, 0.65),
-        dt=_CYCLOTRON_PERIOD / 100.0, steps=100, sample_every=1,
-        converge=ConvergeSpec(target="anomalous-fd", rungs=3))
     return {cfg.name: cfg for cfg in (integrator, fg, anomalous)}
 
 

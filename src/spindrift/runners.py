@@ -3,11 +3,13 @@
 Each runner consumes a validated ScenarioConfig and produces a RunReport
 plus flat-file artifacts (CSV trajectories, plain-text reports, key-value
 dumps).  CSV numbers carry 17 significant digits so a rerun is
-byte-identical; human-readable reports use 6.
+byte-identical; human-readable reports use 6.  Plot files are cut from
+the trajectory CSV's strings, so each value is formatted once.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import pathlib
 
 import numpy as np
@@ -24,29 +26,26 @@ LOW_VELOCITY_GAMMA_LIMIT = 1e-4
 # at 2.0 and first exceeds 1 near 2.9 (pure B at gamma ~ 1, where the rate
 # is the gyration frequency); aliased samples see no curvature at all.
 FD_MAX_SAMPLE_ANGLE = 2.0
-# Trajectory rows formatted per write.  Holding more rows' text at once
-# gains no time and costs memory: 1 024-row blocks raised simulate_dense's
-# peak RSS by ~2 MiB, the whole trajectory at once by ~42 MiB.
-_ROW_BLOCK = 128
+# Trajectory rows per write.  More rows gain no time and cost memory: the
+# plot writer's traced peak on the 10 001-row cyclotron is 0.75 MB at 64
+# rows and 1.02 MB at 128; the whole trajectory at once raised
+# simulate_dense's peak RSS by ~42 MiB.
+_ROW_BLOCK = 64
 
 
 def trajectory_columns(traj: dynamics.Trajectory, kinds) -> list[tuple]:
-    """(header, values) pairs in the canonical column order."""
-    cols = [("t", traj.t)]
-    for label, arr in (("", traj.x), ("v", traj.v), ("s", traj.s)):
-        for i, ax in enumerate("xyz"):
-            cols.append((f"{label}{ax}", arr[:, i]))
-    cols.append(("S0", traj.S0))
-    for i, ax in enumerate("xyz"):
-        cols.append((f"S{ax}", traj.S[:, i]))
-    for i, ax in enumerate("xyz"):
-        cols.append((f"dX{ax}", traj.delta_x[:, i]))
-    for kind in kinds:
-        for i, ax in enumerate("xyz"):
-            cols.append((f"X{kind}_{ax}", traj.centers[kind][:, i]))
-    for i, ax in enumerate("xyz"):
-        cols.append((f"Vp_{ax}", traj.v_anomalous[:, i]))
-    cols.append(("energy", traj.energy))
+    """(header, values) pairs in the canonical column order; a 3-vector
+    series `label` gives the columns labelx, labely and labelz."""
+    series = [("t", traj.t), ("", traj.x), ("v", traj.v), ("s", traj.s),
+              ("S0", traj.S0), ("S", traj.S), ("dX", traj.delta_x)]
+    series += [(f"X{kind}_", traj.centers[kind]) for kind in kinds]
+    series += [("Vp_", traj.v_anomalous), ("energy", traj.energy)]
+    cols = []
+    for label, vals in series:
+        if vals.ndim == 1:
+            cols.append((label, vals))
+        else:
+            cols += [(label + ax, vals[:, i]) for i, ax in enumerate("xyz")]
     return cols
 
 
@@ -61,22 +60,26 @@ def write_trajectory_csv(path, traj: dynamics.Trajectory, kinds):
             fh.write("".join([row % values for values in rows]))
 
 
-def write_plot_files(outdir, name, traj: dynamics.Trajectory, kinds):
-    """Two-column gnuplot-style (t, value) files, one per observable."""
+def write_plot_files(outdir, name, csv_path):
+    """Two-column gnuplot-style (t, value) files, one per column after t,
+    cut from the strings of the trajectory CSV at `csv_path`."""
     outdir = pathlib.Path(outdir)
-    cols = trajectory_columns(traj, kinds)[1:]
-    paths = [outdir / f"{name}_plot_{col}.dat" for col, _ in cols]
     with contextlib.ExitStack() as stack:
+        table = stack.enter_context(
+            open(csv_path, newline="", encoding="utf-8"))
+        cols = table.readline().rstrip("\r\n").split(",")
+        ncol = len(cols)
+        paths = [outdir / f"{name}_plot_{col}.dat" for col in cols[1:]]
         files = [stack.enter_context(open(path, "w", encoding="utf-8"))
                  for path in paths]
-        for fh, (col, _) in zip(files, cols):
+        for fh, col in zip(files, cols[1:]):
             fh.write(f"# t  {col}\n")
-        row = "%s " + CSV_FMT + "\n"
-        for a in range(0, len(traj.t), _ROW_BLOCK):
-            t = [CSV_FMT % x for x in traj.t[a:a + _ROW_BLOCK].tolist()]
-            for fh, (_, vals) in zip(files, cols):
-                rows = zip(t, vals[a:a + _ROW_BLOCK].tolist())
-                fh.write("".join([row % tv for tv in rows]))
+        while lines := list(itertools.islice(table, _ROW_BLOCK)):
+            cells = "".join(lines).replace("\r\n", ",").split(",")
+            t = cells[:-1:ncol]
+            for j, fh in enumerate(files, start=1):
+                fh.write("\n".join(map(" ".join, zip(t, cells[j::ncol])))
+                         + "\n")
     return paths
 
 
@@ -160,7 +163,7 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
     write_trajectory_csv(csv_path, traj, cfg.pryce_kinds)
     artifacts = [csv_path]
     if plot:
-        artifacts += write_plot_files(outdir, cfg.name, traj, cfg.pryce_kinds)
+        artifacts += write_plot_files(outdir, cfg.name, csv_path)
     text_path = outdir / f"{cfg.name}_report.txt"
     text_path.write_text(report.format_table(f"simulate: {cfg.name}") + "\n",
                          encoding="utf-8")
@@ -275,10 +278,8 @@ def run_converge(cfg: ScenarioConfig, outdir):
     orders = [float("nan")] + list(ladder.pairwise_orders)
     for h, e, o in zip(ladder.resolutions, ladder.errors, orders):
         lines.append(f"{h:>14.6g}  {e:>13.6g}  {o:>8.3f}")
-    lines.append(f"fitted order: {ladder.fitted_order:.3f} "
-                 f"(window {center} +- {halfwidth})")
-    lines.append("")
-    lines.append(report.format_table())
+    lines += [f"fitted order: {ladder.fitted_order:.3f} "
+              f"(window {center} +- {halfwidth})", "", report.format_table()]
     text_path = outdir / f"{cfg.name}_convergence.txt"
     text_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return report, [csv_path, text_path]

@@ -200,6 +200,20 @@ def test_verify_fg_truncating_grid_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", [
+    ["--grid-points", "4"],                         # 3.33 widths apart
+    ["--grid-points", "7"],                         # 1.67
+    ["--grid-points", "12", "--grid-radius", "9"],  # 1.64
+])
+def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
+    # a 4-point grid fails eight relation rows of the default packet; the
+    # guard names the field before any row is graded
+    assert cli.main(["verify-fg", "--out", str(tmp_path)] + grid) == 2
+    err = capsys.readouterr().err
+    assert "error: packet.grid_points: needs >= 4 points" in err
+    assert not (tmp_path / "verify_fg_report.txt").exists()
+
+
 def test_converge_fg_truncating_grid_is_config_error(tmp_path, capsys):
     cfg = gallery.converge_configs()["converge_fg"]
     cfg.packet.grid_radius = 3.0

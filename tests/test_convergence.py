@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spindrift import cli, convergence, gallery
+from spindrift import cli, convergence, dynamics, gallery
 from spindrift.config import (CONVERGE_TARGETS, ConvergeSpec, ScenarioConfig,
                               serialize_config)
 
@@ -74,3 +74,18 @@ def test_floor_separates_zero_signal_from_real_ladders(m, e, b, v):
                 assert err <= floor, (target, n, err, floor)
             else:
                 assert err >= 1e3 * floor, (target, n, err, floor)
+
+
+def test_integrator_ladder_ignores_initial_offset():
+    # uniform fields make the motion translation-invariant: an orbit 1e3
+    # from the origin converges exactly as the same orbit at the origin.
+    # The last rung's error, 1e-11, lies below 512 ulp(1e3), so a floor
+    # scaled with |x| rather than the excursion would refuse it
+    base = gallery.converge_configs()["converge_integrator"]
+    rate = dynamics.max_rotation_rate(base.field_config())
+    cfg = dataclasses.replace(base, dt=0.05 / rate, steps=32,
+                              converge=ConvergeSpec("integrator", rungs=5))
+    near = convergence.run_ladder(cfg)
+    far = convergence.run_ladder(dataclasses.replace(cfg, x0=(1e3, 0.0, 0.0)))
+    np.testing.assert_array_equal(far.errors, near.errors)
+    assert abs(far.fitted_order - 4.0) < 0.5

@@ -319,7 +319,7 @@ WRITER_CASES = {
     "heavy_crossed": lambda: _configured(
         load_config(DATA / "heavy_crossed.cfg")),
     **{f"samples_{n}": lambda n=n: _samples(n)
-       for n in (1, 127, 128, 129, 257)},
+       for n in (1, 63, 64, 65, 127, 128, 129, 257)},
     "samples_129_kind_d": lambda: _samples(129, kinds=("d",)),
     "extremes": _extremes,
 }
@@ -334,7 +334,7 @@ def test_writers_match_oracle_bytes(case, tmp_path):
     runners.write_trajectory_csv(new / "t.csv", traj, cfg.pryce_kinds)
     _oracle_trajectory_csv(old / "t.csv", traj, cfg.pryce_kinds)
     assert (new / "t.csv").read_bytes() == (old / "t.csv").read_bytes()
-    paths = runners.write_plot_files(new, cfg.name, traj, cfg.pryce_kinds)
+    paths = runners.write_plot_files(new, cfg.name, new / "t.csv")
     expected = _oracle_plot_files(old, cfg.name, traj, cfg.pryce_kinds)
     assert [p.name for p in paths] == [p.name for p in expected]
     assert all(p.parent == new for p in paths)
@@ -342,10 +342,50 @@ def test_writers_match_oracle_bytes(case, tmp_path):
         assert path.read_bytes() == oracle.read_bytes(), path.name
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_plot_files_read_back_to_trajectory_bits(tmp_path):
+    # an independent route from the CSV: every .dat value parses back with
+    # float() to the integrated Trajectory's own column, bit for bit
+    cfg = load_config(DATA / "heavy_crossed.cfg")
+    _, artifacts = runners.run_simulate(cfg, tmp_path, plot=True)
+    traj = _trajectory(cfg)
+    expected = {"S0": traj.S0, "energy": traj.energy}
+    series = [("", traj.x), ("v", traj.v), ("s", traj.s), ("S", traj.S),
+              ("dX", traj.delta_x), ("Vp_", traj.v_anomalous)]
+    series += [(f"X{k}_", traj.centers[k]) for k in cfg.pryce_kinds]
+    for label, arr in series:
+        expected.update({f"{label}{ax}": arr[:, i]
+                         for i, ax in enumerate("xyz")})
+    dats = {p.name: p for p in artifacts if p.suffix == ".dat"}
+    assert set(dats) == {f"{cfg.name}_plot_{col}.dat" for col in expected}
+    for col, vals in expected.items():
+        lines = dats[f"{cfg.name}_plot_{col}.dat"].read_text().splitlines()
+        assert lines[0] == f"# t  {col}"
+        t, v = zip(*[map(float, line.split(" ")) for line in lines[1:]])
+        np.testing.assert_array_equal(_bits(t), _bits(traj.t))
+        np.testing.assert_array_equal(_bits(v), _bits(vals), err_msg=col)
+
+
+def test_plot_files_named_from_csv_header(tmp_path):
+    cfg, traj = _samples(65, kinds=("d",))
+    runners.write_trajectory_csv(tmp_path / "t.csv", traj, cfg.pryce_kinds)
+    header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
+    paths = runners.write_plot_files(tmp_path, cfg.name, tmp_path / "t.csv")
+    assert [p.name for p in paths] == [f"{cfg.name}_plot_{col}.dat"
+                                       for col in header[1:]]
+    centers = [p.name for p in paths if "_plot_X" in p.name]
+    assert centers == [f"{cfg.name}_plot_Xd_{ax}.dat" for ax in "xyz"]
+    assert sorted(tmp_path.glob("*.dat")) == sorted(paths)
+
+
 # Traced peak of each writer on the 10 001-row cyclotron, row blocks of
-# 128, measured with Python 3.11: 0.37 MB for the CSV and 0.44 MB for the
-# plot files, whose 29 open 8 KiB file buffers count too.  Formatting the
-# whole trajectory at once peaks above 20 MB.
+# 64, measured with Python 3.11: 0.23 MB for the CSV and 0.75 MB for the
+# plot files, which hold a block's split CSV cells and whose 29 open 8 KiB
+# file buffers count too (1.02 MB at 128 rows).  Formatting the whole
+# trajectory at once peaks above 20 MB.
 WRITER_PEAK_BYTES = 900_000
 
 
@@ -359,7 +399,7 @@ def test_writers_peak_memory_is_bounded(tmp_path):
                                      cfg.pryce_kinds)
         csv_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        runners.write_plot_files(tmp_path, cfg.name, traj, cfg.pryce_kinds)
+        runners.write_plot_files(tmp_path, cfg.name, tmp_path / "c.csv")
         plot_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
