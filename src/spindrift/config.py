@@ -114,7 +114,7 @@ def _parse_vec3(section, key, raw) -> tuple:
 
 
 def _parse_kinds(section, key, raw) -> tuple:
-    kinds = tuple(raw.split())
+    kinds = tuple(raw.replace(",", " ").split())
     if not kinds:
         raise ConfigError(f"{section}.{key}: at least one kind required")
     bad = [k for k in kinds if k not in PRYCE_KINDS]
@@ -161,8 +161,9 @@ _FIELDS = (
     ("algebra", "pmax", "algebra_pmax", *_FLOAT),
     ("algebra", "seed", "seed", *_INT),
 )
-_KEYS = {(section, key) for section, key, *_ in _FIELDS}
-_SECTIONS = {section for section, _ in _KEYS}
+_ROWS = {f"{row[0]}.{row[1]}": row for row in _FIELDS}
+_SECTIONS = {row[0] for row in _FIELDS}
+VEC3_KEYS = {dotted for dotted, row in _ROWS.items() if row[3] is _parse_vec3}
 
 # mode -> (sections it requires, further sections it allows)
 _MODE_SECTIONS = {
@@ -173,6 +174,18 @@ _MODE_SECTIONS = {
     "converge": (("converge",), ("scenario", "constants", "fields",
                                  "initial", "integration", "output",
                                  "packet")),
+}
+
+# mode -> {CLI flag: the config key it sets}, for the modes that also run
+# without --config; a flag takes the key's text, one word per vec3 component
+MODE_FLAGS = {
+    "verify-fg": {"p0": "packet.p0", "widths": "packet.widths",
+                  "spin": "packet.spin", "kinds": "output.pryce_kinds",
+                  "grid-points": "packet.grid_points",
+                  "grid-radius": "packet.grid_radius",
+                  "mass": "constants.mass"},
+    "verify-algebra": {"seed": "algebra.seed", "momenta": "algebra.momenta",
+                       "pmax": "algebra.pmax", "mass": "constants.mass"},
 }
 
 
@@ -213,17 +226,24 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"section [{section}] is not valid in "
                               f"{mode!r} mode")
         for key in parser[section]:
-            if (section, key) not in _KEYS:
+            if f"{section}.{key}" not in _ROWS:
                 raise ConfigError(f"{section}.{key}: unknown key")
     for section in required:
         if not parser.has_section(section):
             raise ConfigError(f"mode {mode!r} requires a [{section}] section")
 
-    cfg = ScenarioConfig()
-    for section, key, attr, parse, _ in _FIELDS:
-        if parser.has_section(section) and key in parser[section]:
-            setattr(*_owner(cfg, attr),
-                    parse(section, key, parser.get(section, key)))
+    return override(ScenarioConfig(), {
+        f"{section}.{key}": parser.get(section, key)
+        for section, key, *_ in _FIELDS
+        if parser.has_section(section) and key in parser[section]})
+
+
+def override(cfg: ScenarioConfig, values: dict) -> ScenarioConfig:
+    """`cfg` with each "section.key" in `values` set from its raw text, read
+    as in a config file, then fully validated."""
+    for dotted, raw in values.items():
+        section, key, attr, parse, _ = _ROWS[dotted]
+        setattr(*_owner(cfg, attr), parse(section, key, raw))
     _validate(cfg)
     return cfg
 

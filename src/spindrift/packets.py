@@ -66,6 +66,11 @@ _ONE, _GAMMA5 = 0, 2
 _SIGMA, _IBETA_ALPHA, _BETA_SIGMA = slice(7, 10), slice(10, 13), slice(13, 16)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass
 class MomentumWavePacket:
     """Sharp positive-energy packet sampled on a regular momentum lattice."""
@@ -88,28 +93,31 @@ class MomentumWavePacket:
         """(n1, n2, n3, 16) real table a^dagger C_A a, C = algebra.CLIFFORD."""
         a = self.amplitudes
         outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
-        table = (outer.view(float) @ _CLIFFORD_COLUMNS).reshape(
-            a.shape[:3] + (16,))
-        table.flags.writeable = False
-        return table
+        return _read_only((outer.view(float) @ _CLIFFORD_COLUMNS).reshape(
+            a.shape[:3] + (16,)))
 
     @property
     def norm_squared(self) -> float:
         return float(self.bilinears[..., _ONE].sum() * self.cell_volume)
 
-    @property
+    @functools.cached_property
     def mean_momentum(self) -> np.ndarray:
-        return np.einsum("pqr,pqri->i", self.bilinears[..., _ONE],
-                         self.momenta) * self.cell_volume
+        return _read_only(np.einsum("pqr,pqri->i", self.bilinears[..., _ONE],
+                                    self.momenta) * self.cell_volume)
 
-    @property
+    @functools.cached_property
     def gamma_bar(self) -> float:
         """Dilation factor of the packet, E(<p>)/m."""
         return float(algebra.energy(self.mean_momentum, self.mass) / self.mass)
 
-    @property
+    @functools.cached_property
     def velocity(self) -> np.ndarray:
-        return self.mean_momentum / (self.gamma_bar * self.mass)
+        return _read_only(self.mean_momentum / (self.gamma_bar * self.mass))
+
+    @functools.cached_property
+    def mean_t(self) -> np.ndarray:
+        """<T>, the space part of the little-group generator."""
+        return _read_only(grid_expectation(self, _t_density(self)))
 
     @property
     def is_sharp(self) -> bool:
@@ -292,7 +300,7 @@ def fg_expectations(packet: MomentumWavePacket) -> dict:
     g5 = p * b[..., _GAMMA5, None]
     p_beta_sigma = np.einsum("...j,...j->...", p, beta_sigma)[..., None]
     return {
-        "T": grid_expectation(packet, _t_density(packet)),
+        "T": packet.mean_t,
         "T4": grid_expectation(packet, 1j * np.sum(p * sigma, axis=-1) / m,
                                hermitian=False),
         "O": grid_expectation(packet, beta_sigma - g5 / e
@@ -352,19 +360,13 @@ def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
         + f2 * cross / (2.0 * m**2) + f3 * odd / (2.0 * m**3))
 
 
-def verify_main_result(packet: MomentumWavePacket, kind,
-                       tbar=None) -> Relation:
-    """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type.
-
-    `tbar` may pass in <T>, the lhs of verify_fg_relations' T_from_O.
-    """
+def verify_main_result(packet: MomentumWavePacket, kind) -> Relation:
+    """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type."""
     kind = PryceKind.coerce(kind)
-    m = packet.mass
-    g = packet.gamma_bar
-    if tbar is None:
-        tbar = grid_expectation(packet, _t_density(packet))
+    m, g = packet.mass, packet.gamma_bar
     fp = algebra.pryce_factors(kind, g)[3]
-    predicted = fp * np.cross(tbar, packet.mean_momentum) / (2.0 * m * m * g)
+    predicted = (fp * np.cross(packet.mean_t, packet.mean_momentum)
+                 / (2.0 * m * m * g))
     return Relation(f"mass_center_offset_{kind.value}",
                     mass_center_offset(packet, kind), predicted)
 

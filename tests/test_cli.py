@@ -1,10 +1,17 @@
+import argparse
 import csv
 import dataclasses
 
+from pathlib import Path
+
 import pytest
 
-from spindrift import cli, gallery, runners
-from spindrift.config import ScenarioConfig, parse_config, serialize_config
+from spindrift import cli, config, gallery, runners
+from spindrift.config import (ScenarioConfig, load_config, parse_config,
+                              serialize_config)
+from spindrift.report import RunReport
+
+DATA = Path(__file__).parent / "data"
 
 TINY_SIMULATE = """
 [scenario]
@@ -171,6 +178,20 @@ def test_verify_fg_flags(tmp_path):
     assert "offset_ratio_d_e" in text
 
 
+@pytest.mark.parametrize("p0, graded", [
+    (["0", "0", "0"], False),      # at rest: <T> x <p> = 0
+    (["0.6", "0", "0"], False),    # p0 along the default spin x
+    (["0", "0", "1e-9"], True),    # a tiny transverse p0 is still a signal
+])
+def test_offset_ratio_needs_a_signal(p0, graded, tmp_path):
+    out = tmp_path / "ratio"
+    assert cli.main(["verify-fg", "--out", str(out), "--grid-points", "16",
+                     "--p0", *p0]) == 0
+    kv = (out / "verify_fg_report.kv").read_text()
+    assert ("check.offset_ratio_d_e.status = pass" in kv) == graded
+    assert ("offset_ratio_d_e" in kv) == graded
+
+
 def test_verify_fg_wide_packet_warns(tmp_path):
     out = tmp_path / "wide"
     rc = cli.main(["verify-fg", "--out", str(out),
@@ -188,10 +209,79 @@ def test_verify_fg_wide_packet_warns(tmp_path):
     (["verify-algebra", "--pmax", "nan"], "algebra.pmax"),
     (["verify-fg", "--kinds", "", "--grid-points", "8"],
      "output.pryce_kinds: at least one kind required"),
+    (["verify-fg", "--grid-points", "16.5"],
+     "error: packet.grid_points: not an integer: '16.5'"),
+    (["verify-algebra", "--momenta", "2.5"], "algebra.momenta"),
+    (["verify-algebra", "--seed", "x"], "algebra.seed"),
+    (["verify-fg", "--config", str(DATA / "golden_verify_fg.cfg"),
+      "--p0", "nan", "0", "0", "--grid-points", "8"], "packet.p0"),
 ])
 def test_flag_config_is_validated(argv, field, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.fixture
+def captured_config(monkeypatch):
+    """The config each cli.main call hands to run_verify, which is skipped."""
+    seen = []
+
+    def fake_run_verify(cfg, outdir):
+        seen.append(cfg)
+        return RunReport(), []
+    monkeypatch.setattr(runners, "run_verify", fake_run_verify)
+    return seen
+
+
+def test_flags_override_config_file(captured_config, tmp_path):
+    path = DATA / "golden_verify_fg.cfg"
+    assert cli.main(["verify-fg", "--config", str(path), "--out",
+                     str(tmp_path), "--grid-points", "16", "--kinds", "e,d",
+                     "--spin", "0", "0", "1", "--mass", "2"]) == 0
+    want = load_config(path)
+    want.packet.grid_points = 16
+    want.pryce_kinds = ("e", "d")
+    want.packet.spin = (0.0, 0.0, 1.0)
+    want.mass = 2.0
+    assert captured_config == [want]
+
+    path = DATA / "golden_verify_algebra.cfg"
+    assert cli.main(["verify-algebra", "--config", str(path), "--out",
+                     str(tmp_path), "--momenta", "3"]) == 0
+    want = load_config(path)
+    want.algebra_momenta = 3
+    assert captured_config[1] == want
+
+
+def test_flags_without_config_set_the_mode_default(captured_config,
+                                                   tmp_path):
+    assert cli.main(["verify-algebra", "--out", str(tmp_path)]) == 0
+    assert cli.main(["verify-fg", "--out", str(tmp_path),
+                     "--p0", "0", "0", "-1"]) == 0
+    want = ScenarioConfig(name="verify_fg", mode="verify-fg")
+    want.packet.p0 = (0.0, 0.0, -1.0)
+    assert captured_config == [
+        ScenarioConfig(name="verify_algebra", mode="verify-algebra"), want]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify-fg", [("--help", 0), ("--config", None), ("--out", None),
+                   ("--p0", 3), ("--widths", 3), ("--spin", 3),
+                   ("--kinds", None), ("--grid-points", None),
+                   ("--grid-radius", None), ("--mass", None)]),
+    ("verify-algebra", [("--help", 0), ("--config", None), ("--out", None),
+                        ("--seed", None), ("--momenta", None),
+                        ("--pmax", None), ("--mass", None)]),
+])
+def test_verify_flags_are_config_keys(command, flags):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    assert [(a.option_strings[-1], a.nargs) for a in actions] == flags
+    keys = {f"{section}.{key}" for section, key, *_ in config._FIELDS}
+    table = config.MODE_FLAGS[command]
+    assert [f"--{flag}" for flag in table] == [f for f, _ in flags[3:]]
+    assert set(table.values()) <= keys
 
 
 def test_verify_fg_truncating_grid_is_config_error(tmp_path):

@@ -134,6 +134,13 @@ def test_unknown_kind_rejected():
         parse_config(MINIMAL_SIMULATE + "\n[output]\npryce_kinds = c q\n")
 
 
+def test_kinds_may_be_comma_separated():
+    # the verify-fg --kinds flag is read by this parser too
+    cfg = parse_config(MINIMAL_SIMULATE + "\n[output]\npryce_kinds = e,d\n")
+    assert cfg.pryce_kinds == ("e", "d")
+    assert "pryce_kinds = e d\n" in serialize_config(cfg)
+
+
 def test_golden_file_roundtrip():
     # one canonical file per mode, written by the serializer before its
     # sections and keys were declared in one table

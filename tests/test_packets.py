@@ -324,6 +324,21 @@ class TestBilinearTable:
         with pytest.raises(ValueError):
             table[0, 0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("name", ["mean_momentum", "velocity", "mean_t"])
+    def test_moments_are_cached_and_read_only(self, fast_packet, name):
+        value = getattr(fast_packet, name)
+        assert value.shape == (3,)
+        assert getattr(fast_packet, name) is value
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+
+    def test_mean_t_is_the_t_relations_lhs(self, fast_packet):
+        assert (verify_fg_relations(fast_packet)["T_from_O"].lhs
+                is fast_packet.mean_t)
+        direct = packets.grid_expectation(fast_packet,
+                                          packets._t_density(fast_packet))
+        assert np.array_equal(fast_packet.mean_t, direct)
+
     def test_hermitian_rule_on_table_route(self, fast_packet):
         density = 1j * fast_packet.bilinears[..., 0]   # <i> = i
         with pytest.raises(ValueError, match="Hermitian"):
