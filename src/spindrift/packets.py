@@ -90,11 +90,13 @@ class MomentumWavePacket:
 
     @functools.cached_property
     def bilinears(self) -> np.ndarray:
-        """(n1, n2, n3, 16) real table a^dagger C_A a, C = algebra.CLIFFORD."""
-        a = self.amplitudes
-        outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
-        return _read_only((outer.view(float) @ _CLIFFORD_COLUMNS).reshape(
-            a.shape[:3] + (16,)))
+        """(n1, n2, n3, 16) real table a^dagger C_A a, C = algebra.CLIFFORD,
+        filled one slab of the first grid axis at a time."""
+        table = np.empty(self.amplitudes.shape[:3] + (16,))
+        for a, out in zip(self.amplitudes, table):
+            outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
+            out.reshape(-1, 16)[...] = outer.view(float) @ _CLIFFORD_COLUMNS
+        return _read_only(table)
 
     @property
     def norm_squared(self) -> float:
@@ -117,7 +119,7 @@ class MomentumWavePacket:
     @functools.cached_property
     def mean_t(self) -> np.ndarray:
         """<T>, the space part of the little-group generator."""
-        return _read_only(grid_expectation(self, _t_density(self)))
+        return _read_only(grid_expectation(self, _slab_density(self, _t)))
 
     @property
     def is_sharp(self) -> bool:
@@ -171,7 +173,8 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
     `widths` sets the per-axis Gaussian amplitude scale, `grid_radius` the
     half-extent of the lattice in units of the width.  Grids that cut off
     more than 1e-6 of the continuum Gaussian mass are rejected, as are
-    non-positive widths.
+    non-positive widths and packets that floats cannot hold (a subnormal
+    cell volume, a zero or non-finite norm, gamma^3 or m^3 overflowing).
     """
     p0 = np.asarray(p0, dtype=float)
     w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
@@ -187,22 +190,33 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
             f"{1.0 - retained:.2e} of the Gaussian mass (limit "
             f"{MAX_TRUNCATED_MASS:.0e})")
 
+    # gamma at the grid corner farthest from p = 0 bounds gamma_bar; the
+    # e-type Pryce factors take its cube, the mass-center offsets m^3
+    gamma = math.hypot(m, *(np.abs(p0) + grid_radius * w)) / m
+    if not math.isfinite(gamma * gamma * gamma + m * m * m):
+        raise ValueError(f"gamma^3 or m^3 overflows (gamma = {gamma:.3g} at "
+                         f"the grid edge, m = {m:.3g})")
     axes = [p0[i] + np.linspace(-grid_radius * w[i], grid_radius * w[i],
                                 grid_points) for i in range(3)]
     spacings = np.array([ax[1] - ax[0] for ax in axes])
-    grids = np.meshgrid(*axes, indexing="ij")
-    momenta = np.stack(grids, axis=-1)
-
-    delta = momenta - p0
-    envelope = np.exp(-np.sum(delta**2 / (2.0 * w**2), axis=-1))
-    chi = rest_spinor(spin_direction)
-    spinors = positive_energy_spinor(momenta, chi, m)
-    amplitudes = envelope[..., None] * spinors
-
     cell = float(np.prod(spacings))
-    norm = np.einsum("pqra,pqra->", amplitudes.conj(),
-                     amplitudes).real * cell
-    amplitudes = amplitudes / np.sqrt(norm)
+    if not cell >= np.finfo(float).tiny:
+        raise ValueError(f"grid spacings {spacings.tolist()} give a cell "
+                         f"volume {cell:.3g} below the smallest normal float")
+    momenta = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+    chi = rest_spinor(spin_direction)
+    amplitudes = np.empty(momenta.shape[:3] + (4,), dtype=complex)
+    for p, out in zip(momenta, amplitudes):
+        envelope = np.exp(-np.sum((p - p0)**2 / (2.0 * w**2), axis=-1))
+        out[...] = envelope[..., None] * positive_energy_spinor(p, chi, m)
+
+    norm = float(np.einsum("pqra,pqra->", amplitudes.conj(),
+                           amplitudes).real * cell)
+    # a non-finite amplitude makes the norm non-finite too
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
+    amplitudes /= np.sqrt(norm)
     return MomentumWavePacket(momenta, amplitudes, cell, p0, w, spacings, m)
 
 
@@ -270,18 +284,28 @@ def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     return out
 
 
-def _cross_and_odd_density(packet: MomentumWavePacket):
-    """Per-point <(p x Sigma)_i> and <i beta (alpha.p) p_i>."""
-    p, b = packet.momenta, packet.bilinears
-    odd = p * np.einsum("...j,...j->...", p, b[..., _IBETA_ALPHA])[..., None]
-    return np.cross(p, b[..., _SIGMA]), odd
+def _slab_density(packet: MomentumWavePacket, density) -> np.ndarray:
+    """Per-point 3-vector density(p, b, m), one first-axis slab at a time
+    (every density is elementwise, so the slabs carry the full-grid bits)."""
+    out = np.empty_like(packet.momenta)
+    for p, b, slab in zip(packet.momenta, packet.bilinears, out):
+        slab[...] = density(p, b, packet.mass)
+    return out
 
 
-def _t_density(packet: MomentumWavePacket) -> np.ndarray:
-    """Per-point <T> = b[beta Sigma] - p b[gamma5] / m."""
-    b = packet.bilinears
-    return (b[..., _BETA_SIGMA]
-            - packet.momenta * b[..., _GAMMA5, None] / packet.mass)
+def _t(p, b, m):
+    """<T> = b[beta Sigma] - p b[gamma5] / m."""
+    return b[..., _BETA_SIGMA] - p * b[..., _GAMMA5, None] / m
+
+
+def _cross(p, b, m):
+    """<(p x Sigma)_i>."""
+    return np.cross(p, b[..., _SIGMA])
+
+
+def _odd(p, b, m):
+    """<i beta (alpha.p) p_i>."""
+    return p * np.einsum("...j,...j->...", p, b[..., _IBETA_ALPHA])[..., None]
 
 
 def fg_expectations(packet: MomentumWavePacket) -> dict:
@@ -292,23 +316,26 @@ def fg_expectations(packet: MomentumWavePacket) -> dict:
     expanded with A = beta alpha.p, A^2 = -p^2, [beta Sigma_i, A] =
     -2 p_i gamma5, A beta Sigma_i A = 2 p_i p.beta Sigma - p^2 beta Sigma_i:
     O_i = beta Sigma_i - p_i gamma5 / E - p_i p.beta Sigma / (E (E + m)).
+    Each density is built just before its grid sum and dropped after it.
     """
+    def o(p, b, m):
+        e = algebra.energy(p, m)[..., None]
+        p_beta_sigma = np.einsum("...j,...j->...", p, b[..., _BETA_SIGMA])
+        return (b[..., _BETA_SIGMA] - p * b[..., _GAMMA5, None] / e
+                - p * p_beta_sigma[..., None] / (e * (e + m)))
+
     m, p, b = packet.mass, packet.momenta, packet.bilinears
-    e = algebra.energy(p, m)[..., None]
-    sigma, beta_sigma = b[..., _SIGMA], b[..., _BETA_SIGMA]
-    cross, odd = _cross_and_odd_density(packet)
-    g5 = p * b[..., _GAMMA5, None]
-    p_beta_sigma = np.einsum("...j,...j->...", p, beta_sigma)[..., None]
     return {
         "T": packet.mean_t,
-        "T4": grid_expectation(packet, 1j * np.sum(p * sigma, axis=-1) / m,
+        "T4": grid_expectation(packet, 1j * np.sum(p * b[..., _SIGMA],
+                                                   axis=-1) / m,
                                hermitian=False),
-        "O": grid_expectation(packet, beta_sigma - g5 / e
-                              - p * p_beta_sigma / (e * (e + m))),
-        "sigma": grid_expectation(packet, sigma),
+        "O": grid_expectation(packet, _slab_density(packet, o)),
+        "sigma": grid_expectation(packet, b[..., _SIGMA]),
         "ibeta_alpha": grid_expectation(packet, b[..., _IBETA_ALPHA]),
-        "p_cross_sigma": grid_expectation(packet, cross),
-        "odd": grid_expectation(packet, odd),
+        "p_cross_sigma": grid_expectation(packet,
+                                          _slab_density(packet, _cross)),
+        "odd": grid_expectation(packet, _slab_density(packet, _odd)),
         "p": packet.mean_momentum,
         "gamma_bar": packet.gamma_bar,
         "v": packet.velocity,
@@ -351,13 +378,14 @@ def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
 
 def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
     """<X_P> - <x> for one type, from the kernel's factor-table form."""
-    m = packet.mass
-    f1, f2, f3 = (np.asarray(f)[..., None] for f in algebra.pryce_factors(
-        kind, algebra.energy(packet.momenta, m) / m)[:3])
-    cross, odd = _cross_and_odd_density(packet)
-    return grid_expectation(
-        packet, f1 * packet.bilinears[..., _IBETA_ALPHA] / (2.0 * m)
-        + f2 * cross / (2.0 * m**2) + f3 * odd / (2.0 * m**3))
+    def offset(p, b, m):
+        f1, f2, f3 = (np.asarray(f)[..., None] for f in algebra.pryce_factors(
+            kind, algebra.energy(p, m) / m)[:3])
+        return (f1 * b[..., _IBETA_ALPHA] / (2.0 * m)
+                + f2 * _cross(p, b, m) / (2.0 * m**2)
+                + f3 * _odd(p, b, m) / (2.0 * m**3))
+
+    return grid_expectation(packet, _slab_density(packet, offset))
 
 
 def verify_main_result(packet: MomentumWavePacket, kind) -> Relation:

@@ -304,6 +304,23 @@ def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
     assert not (tmp_path / "verify_fg_report.txt").exists()
 
 
+@pytest.mark.parametrize("flags, cause", [
+    (["--widths", "1e-300", "1e-300", "1e-300"], "cell volume"),
+    (["--p0", "1e200", "0", "0"], "gamma^3"),
+    (["--mass", "1e-200"], "gamma^3"),
+    (["--mass", "1e-150"], "gamma^3"),
+    (["--mass", "1e103"], "m^3"),
+])
+def test_verify_fg_non_finite_packet_is_config_error(flags, cause, tmp_path,
+                                                     capsys):
+    # these graded NaN rows, or raised OverflowError at g**2 or m**3,
+    # before make_gaussian_packet checked its floats
+    assert cli.main(["verify-fg", "--out", str(tmp_path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "error: packet: " in err and cause in err
+    assert not (tmp_path / "verify_fg_report.txt").exists()
+
+
 def test_converge_fg_truncating_grid_is_config_error(tmp_path, capsys):
     cfg = gallery.converge_configs()["converge_fg"]
     cfg.packet.grid_radius = 3.0

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import rotation_matrix
-from spindrift import algebra, packets
+from spindrift import algebra, config, packets
 from spindrift.packets import (expectation, expectation_position,
                                make_gaussian_packet, mass_center_offset,
                                verify_fg_relations, verify_main_result)
@@ -31,6 +33,24 @@ class TestConstruction:
     def test_rejects_truncating_grid(self):
         with pytest.raises(ValueError, match="truncates"):
             make_gaussian_packet((0, 0, 0), 0.01, (0, 0, 1), grid_radius=3.0)
+
+    @pytest.mark.parametrize("p0, widths, m, match", [
+        ((0, 0, 0.6), 1e-300, 1.0, "cell volume"),    # spacings round to 0
+        ((0, 0, 0), 1e-106, 1.0, "cell volume"),      # subnormal cell
+        ((1e200, 0, 0), 0.01, 1.0, "gamma"),          # gamma^3 overflows
+        ((0, 0, 0.6), 0.01, 1e-150, "gamma"),         # and by a tiny mass
+        ((0, 0, 0.6), 0.01, 1e103, "m\\^3"),          # m^3 overflows
+    ])
+    def test_rejects_packets_floats_cannot_hold(self, p0, widths, m, match):
+        with pytest.raises(ValueError, match=match):
+            make_gaussian_packet(p0, widths, (1, 0, 0), m=m, grid_points=8)
+
+    def test_rejects_non_finite_norm(self):
+        # a NaN amplitude makes the norm NaN
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="norm nan"):
+            make_gaussian_packet((0, 0, 0.6), 0.01, (np.nan, 0, 0),
+                                 grid_points=8)
 
     def test_rejects_zero_spin(self):
         with pytest.raises(ValueError):
@@ -316,6 +336,35 @@ class TestBilinearTable:
         for key in table.keys() & dense.keys():
             assert np.max(np.abs(table[key] - dense[key])) <= 1e-12, key
 
+    @pytest.mark.parametrize("translate", [False, True])
+    @pytest.mark.parametrize("n", [5, 16, 17, 48])
+    def test_slab_build_matches_dense_oracle(self, n, translate):
+        # the full-grid expressions that the slab loops replace; a 25-row
+        # slab may take another BLAS edge kernel and move a last bit
+        p0, w, spin, m = (np.array([0.3, -0.2, 0.6]),
+                          np.array([0.02, 0.03, 0.025]), (1, 0.5, -0.2), 1.3)
+        pkt = make_gaussian_packet(p0, w, spin, m=m, grid_points=n)
+        p = pkt.momenta
+        envelope = np.exp(-np.sum((p - p0)**2 / (2.0 * w**2), axis=-1))
+        amps = envelope[..., None] * packets.positive_energy_spinor(
+            p, packets.rest_spinor(spin), m)
+        amps = amps / np.sqrt(np.einsum("pqra,pqra->", amps.conj(),
+                                        amps).real * pkt.cell_volume)
+        pairs = [(pkt.amplitudes, amps)]
+        if translate:   # generic phases
+            pkt = pkt.translated((0.7, -1.1, 2.3))
+        a = pkt.amplitudes
+        outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
+        table = (outer.view(float) @ packets._CLIFFORD_COLUMNS).reshape(
+            pkt.bilinears.shape)
+        pairs.append((pkt.bilinears, table))
+        for got, want in pairs:
+            if n == 5:
+                assert (np.max(np.abs(got - want))
+                        <= 1e-15 * np.max(np.abs(want)))
+            else:
+                assert got.tobytes() == want.tobytes()
+
     def test_table_is_real_and_cached(self, fast_packet):
         table = fast_packet.bilinears
         assert table.shape == fast_packet.momenta.shape[:3] + (16,)
@@ -335,8 +384,10 @@ class TestBilinearTable:
     def test_mean_t_is_the_t_relations_lhs(self, fast_packet):
         assert (verify_fg_relations(fast_packet)["T_from_O"].lhs
                 is fast_packet.mean_t)
-        direct = packets.grid_expectation(fast_packet,
-                                          packets._t_density(fast_packet))
+        b, p = fast_packet.bilinears, fast_packet.momenta
+        density = (b[..., packets._BETA_SIGMA]
+                   - p * b[..., packets._GAMMA5, None] / fast_packet.mass)
+        direct = packets.grid_expectation(fast_packet, density)
         assert np.array_equal(fast_packet.mean_t, direct)
 
     def test_hermitian_rule_on_table_route(self, fast_packet):
@@ -349,3 +400,30 @@ class TestBilinearTable:
         vector = np.stack([density] * 3, axis=-1)
         with pytest.raises(ValueError, match="Hermitian"):
             packets.grid_expectation(fast_packet, vector)
+
+
+# tracemalloc peak, above the held momenta, amplitudes and bilinear table
+# (24 + 64 + 128 B a point: 23.9 MB at 48^3), of building the default
+# verify-fg packet at 48^3, its seven relations and three mass-center
+# offsets.  With the table, the packet and every density built on the full
+# grid at once it read 28.3 MB; slab by slab, holding one density at a time,
+# 3.55 MB, most of it the <T4> density's temporaries (32 B a point).
+PACKET_PEAK_BYTES = 6_000_000
+
+
+def test_packet_path_peak_memory_is_bounded():
+    cfg = config.override(config.ScenarioConfig(name="verify_fg",
+                                                mode="verify-fg"),
+                          {"packet.grid_points": "48"})
+    tracemalloc.start()
+    try:
+        pkt = cfg.wave_packet()
+        verify_fg_relations(pkt)
+        for kind in ("c", "d", "e"):
+            verify_main_result(pkt, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = pkt.momenta.nbytes + pkt.amplitudes.nbytes + pkt.bilinears.nbytes
+    assert held == 216 * 48**3
+    assert peak - held < PACKET_PEAK_BYTES
