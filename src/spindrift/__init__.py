@@ -17,7 +17,7 @@ suites and convergence studies from plain-text scenario configs.
 """
 
 from .algebra import (
-    PryceKind,
+    PRYCE_KINDS,
     dirac_matrices,
     energy,
     free_hamiltonian,

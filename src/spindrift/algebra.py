@@ -10,14 +10,13 @@ with Euclidean index conventions, {gamma_mu, gamma_nu} = 2 delta_mu_nu.
 Momentum-dependent kernels (Hamiltonian, little-group generators, the
 Foldy-Wouthuysen rotation, Pryce mass-center kernels) treat the momentum as
 a number; they are meant to act on sharp positive-energy packets where the
-canonical momentum is effectively classical.
+canonical momentum is effectively classical.  A Pryce kind is one of the
+strings in `PRYCE_KINDS`; any other value is a ValueError.
 
 All kernel builders broadcast over momenta: `p` may be shape (3,) or
 (..., 3) and matrix results gain the matching leading axes.
 """
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
@@ -64,18 +63,8 @@ for _m in (PAULI, BETA, ALPHA, SIGMA, GAMMA5, GAMMA, _BETA_ALPHA, _BETA_SIGMA,
     _m.flags.writeable = False
 
 
-class PryceKind(enum.Enum):
-    """The three mass-center operator types."""
-
-    C = "c"
-    D = "d"
-    E = "e"
-
-    @classmethod
-    def coerce(cls, value) -> "PryceKind":
-        if isinstance(value, cls):
-            return value
-        return cls(str(value).lower())
+# The three mass-center operator types, by the names every layer uses.
+PRYCE_KINDS = ("c", "d", "e")
 
 
 def dirac_matrices() -> dict:
@@ -155,17 +144,18 @@ def pryce_factors(kind, gamma_bar):
     fP = f1 - f2 controls the expectation-level offset between the mass
     center and the canonical position.  Rejects gamma_bar < 1.
     """
-    kind = PryceKind.coerce(kind)
     g = np.asarray(gamma_bar, dtype=float)
     if np.any(g < 1.0):
         raise ValueError("dilation factor must be >= 1")
     one = np.ones_like(g)
-    if kind is PryceKind.D:
+    if kind == "d":
         f1, f2, f3 = one, 0.0 * one, -1.0 / g**2
-    elif kind is PryceKind.E:
+    elif kind == "e":
         f1, f2, f3 = 1.0 / g, 1.0 / (g * (1.0 + g)), -1.0 / (g**2 * (g + 1.0))
-    else:
+    elif kind == "c":
         f1, f2, f3 = 1.0 / g**2, 1.0 / g**2, 0.0 * one
+    else:
+        raise ValueError(f"unknown Pryce kind {kind!r}")
     if np.ndim(gamma_bar) == 0:
         return float(f1), float(f2), float(f3), float(f1 - f2)
     return f1, f2, f3, f1 - f2
@@ -189,19 +179,20 @@ def pryce_kernel(kind, p, m: float):
               - i beta (alpha.p) p / 2E^2(E+m)
         c:  i m beta alpha / 2E^2 + (p x sigma) / 2E^2
     """
-    kind = PryceKind.coerce(kind)
     if m <= 0:
         raise ValueError("mass must be positive")
     p = np.asarray(p, dtype=float)
     e = energy(p, m)[..., None, None, None]
     cross, odd = _cross_and_odd(p)
-    if kind is PryceKind.D:
+    if kind == "d":
         return _I_BETA_ALPHA / (2.0 * m) - odd / (2.0 * m * e**2)
-    if kind is PryceKind.E:
+    if kind == "e":
         return (_I_BETA_ALPHA / (2.0 * e)
                 + cross / (2.0 * e * (e + m))
                 - odd / (2.0 * e**2 * (e + m)))
-    return m * _I_BETA_ALPHA / (2.0 * e**2) + cross / (2.0 * e**2)
+    if kind == "c":
+        return m * _I_BETA_ALPHA / (2.0 * e**2) + cross / (2.0 * e**2)
+    raise ValueError(f"unknown Pryce kind {kind!r}")
 
 
 def pryce_kernel_general_form(kind, p, m: float):
@@ -306,13 +297,13 @@ def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
     report.add("pryce_kernel_two_routes", max(
         _maxabs(pryce_kernel(k, momenta, m)
                 - pryce_kernel_general_form(k, momenta, m))
-        for k in PryceKind), IDENTITY_TOL)
+        for k in PRYCE_KINDS), IDENTITY_TOL)
 
     # fP = f1 - f2 at every sampled gamma, plus three spot values
     residual = max(abs(pryce_factors("d", 2.5)[3] - 1.0),
                    abs(pryce_factors("e", 1.0)[3] - 0.5),
                    abs(pryce_factors("c", 3.0)[3]))
-    for k in PryceKind:
+    for k in PRYCE_KINDS:
         f1, f2, _f3, fp = pryce_factors(k, e / m)
         residual = max(residual,
                        _maxabs(fp - (np.asarray(f1) - np.asarray(f2))))

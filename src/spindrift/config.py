@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import PryceKind
-from .dynamics import ClassicalState, FieldConfig
+from .algebra import PRYCE_KINDS
+from .dynamics import (MAX_STEP_ROTATION, ClassicalState, FieldConfig,
+                       max_rotation_rate)
 from .packets import MAX_GRID_SPACING, MomentumWavePacket, make_gaussian_packet
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
-PRYCE_KINDS = tuple(kind.value for kind in PryceKind)
 
 
 class ConfigError(ValueError):
@@ -290,6 +290,11 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("algebra.momenta: must be >= 1")
     if cfg.algebra_pmax <= 0:
         raise ConfigError("algebra.pmax: must be positive")
+    # simulate and all ladders but fg integrate; dt is their largest step
+    angle = cfg.dt * max_rotation_rate(cfg.field_config())
+    if angle >= MAX_STEP_ROTATION and cfg.converge.target != "fg":
+        raise ConfigError(f"integration.dt: dt * max rotation rate = "
+                          f"{angle:.3g} >= {MAX_STEP_ROTATION}")
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

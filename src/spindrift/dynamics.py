@@ -11,7 +11,7 @@ with the g factor fixed at 2.  Momentum, not velocity, is integrated, so the
 (v.E) dilation bookkeeping never enters the right-hand side.
 
 The mass-center layer attaches the lab-frame spin (S0, S), the position
-shift  deltaX = S x v / 2m, the per-type centers  X = x + fP(gbar) deltaX,
+shift  deltaX = S x v / 2m, every kind's center  X = x + fP(gbar) deltaX,
 and the anomalous velocity  V = d(deltaX)/dt  in three equivalent analytic
 forms (compact, E/B-decomposed, Thomas-precession).  The analytic forms
 assume the energy is frozen (d gbar/dt = 0); evaluating them on a state with
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import PryceKind, energy, pryce_factors
+from .algebra import PRYCE_KINDS, energy, pryce_factors
 
 G_FACTOR = 2.0
 
@@ -36,6 +36,7 @@ G_FACTOR = 2.0
 CONSTANT_GAMMA_WARN = 1e-9
 CONSTANT_GAMMA_REFUSE = 1e-6
 FPRIME_TOLERANCE = 1e-10
+MAX_STEP_ROTATION = 0.1  # largest dt * max_rotation_rate a step may take
 
 
 class ConstantGammaWarning(UserWarning):
@@ -292,7 +293,7 @@ class Trajectory:
     S0: np.ndarray = field(init=False)           # (n,)
     S: np.ndarray = field(init=False)            # (n, 3)
     delta_x: np.ndarray = field(init=False)      # (n, 3)
-    centers: dict = field(init=False)            # kind value -> (n, 3)
+    centers: dict = field(init=False)            # Pryce kind -> (n, 3)
     v_anomalous: np.ndarray = field(init=False)  # (n, 3) compact form
     max_ev: float = field(init=False)            # max |e E.v| along the run
 
@@ -307,12 +308,7 @@ class Trajectory:
         """Central differences of a sampled series at the interior samples."""
         return (series[2:] - series[:-2]) / (2.0 * self.dt)
 
-    def center_offset(self, kind) -> np.ndarray:
-        kind = PryceKind.coerce(kind)
-        return self.centers[kind.value] - self.x
-
     def pryce_fp(self, kind) -> np.ndarray:
-        kind = PryceKind.coerce(kind)
         return pryce_factors(kind, self.gamma)[3]
 
 
@@ -349,25 +345,23 @@ def _make_deriv(fields: FieldConfig):
 
 
 def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
-              steps: int, sample_every: int = 1,
-              kinds=tuple(PryceKind)) -> Trajectory:
+              steps: int, sample_every: int = 1) -> Trajectory:
     """Classic fourth-order fixed-step integration of (x, p, s).
 
     The momentum, not the velocity, is carried so the force equation keeps
-    its canonical form; v is recovered on-shell at every stage.  Rejects
-    steps that under-resolve the fastest rotation; aborts if the state goes
-    non-finite.
+    its canonical form; v is recovered on-shell at every stage, and the
+    centers of all three Pryce kinds are derived.  Rejects steps that
+    under-resolve the fastest rotation; aborts if the state goes non-finite.
     """
     if dt <= 0 or steps < 1 or sample_every < 1:
         raise ValueError("dt, steps and sample_every must be positive")
     m = fields.mass
     rate = max_rotation_rate(fields)
-    if dt * rate >= 0.1:
+    if dt * rate >= MAX_STEP_ROTATION:
         raise IntegrationError(
-            f"dt * max rotation rate = {dt * rate:.3g} >= 0.1; reduce the "
-            f"step or the fields")
+            f"dt * max rotation rate = {dt * rate:.3g} >= "
+            f"{MAX_STEP_ROTATION}; reduce the step or the fields")
 
-    kinds = [PryceKind.coerce(k) for k in kinds]
     y = np.concatenate((state0.x, state0.momentum(m), state0.s))
     n_samples = steps // sample_every + 1
     ys = np.empty((n_samples, 9))
@@ -418,7 +412,7 @@ def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
     lab = boost_spin(traj)
     traj.S0, traj.S = lab.S0, lab.S
     traj.delta_x = position_shift(lab.S, traj.v, m)
-    traj.centers = {kind.value: mass_center(traj, kind, m) for kind in kinds}
+    traj.centers = {kind: mass_center(traj, kind, m) for kind in PRYCE_KINDS}
     traj.v_anomalous = anomalous_velocity(traj, fields)
     traj.max_ev = float(np.max(_constant_gamma_violation(traj, fields)))
     return traj

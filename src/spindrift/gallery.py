@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import pathlib
 
-import numpy as np
-
 from .config import ConvergeSpec, ScenarioConfig, serialize_config
+from .dynamics import cyclotron_period
 
-_CYCLOTRON_B = 0.02
-_CYCLOTRON_V = 0.6
-_CYCLOTRON_GAMMA = 1.0 / np.sqrt(1.0 - _CYCLOTRON_V**2)
-_CYCLOTRON_PERIOD = 2.0 * np.pi * _CYCLOTRON_GAMMA / _CYCLOTRON_B
+# the orbit of the cyclotron scenario and of two ladders
+_ORBIT = ScenarioConfig(charge=1.0, B=(0.0, 0.0, 0.02), v0=(0.6, 0.0, 0.0))
+_PERIOD = cyclotron_period(_ORBIT.initial_state(), _ORBIT.field_config())
 
 
 def gallery_configs() -> dict[str, ScenarioConfig]:
@@ -37,10 +35,8 @@ def gallery_configs() -> dict[str, ScenarioConfig]:
         dt=0.05, steps=60, sample_every=1)
     cyclotron = ScenarioConfig(
         name="cyclotron", mode="simulate", mass=1.0, charge=1.0,
-        E=(0.0, 0.0, 0.0), B=(0.0, 0.0, _CYCLOTRON_B),
-        x0=(0.0, 0.0, 0.0), v0=(_CYCLOTRON_V, 0.0, 0.0),
-        s0=(0.15, 0.0, 0.65),
-        dt=_CYCLOTRON_PERIOD / 1000.0, steps=10000, sample_every=1)
+        E=(0.0, 0.0, 0.0), B=_ORBIT.B, x0=(0.0, 0.0, 0.0), v0=_ORBIT.v0,
+        s0=(0.15, 0.0, 0.65), dt=_PERIOD / 1000.0, steps=10000, sample_every=1)
     crossed = ScenarioConfig(
         name="crossed_drift", mode="simulate", mass=1.0, charge=1.0,
         E=(0.0, 0.006, 0.0), B=(0.0, 0.0, 0.02),
@@ -60,9 +56,8 @@ def converge_configs() -> dict[str, ScenarioConfig]:
     # the integrator and anomalous-fd ladders share one cyclotron orbit
     integrator, anomalous = [ScenarioConfig(
         name=f"converge_{target.replace('-', '_')}", mode="converge",
-        mass=1.0, charge=1.0, B=(0.0, 0.0, _CYCLOTRON_B),
-        v0=(_CYCLOTRON_V, 0.0, 0.0), s0=(0.15, 0.0, 0.65),
-        dt=_CYCLOTRON_PERIOD / 100.0, steps=100, sample_every=1,
+        mass=1.0, charge=1.0, B=_ORBIT.B, v0=_ORBIT.v0, s0=(0.15, 0.0, 0.65),
+        dt=_PERIOD / 100.0, steps=100, sample_every=1,
         converge=ConvergeSpec(target=target, rungs=3))
         for target in ("integrator", "anomalous-fd")]
     fg = ScenarioConfig(

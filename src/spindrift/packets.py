@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import PryceKind
 from .report import Relation
 
 # Measured residual/(w/m)^2 over the width ladder {0.04, 0.02, 0.01}m for the
@@ -174,7 +173,8 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
     half-extent of the lattice in units of the width.  Grids that cut off
     more than 1e-6 of the continuum Gaussian mass are rejected, as are
     non-positive widths and packets that floats cannot hold (a subnormal
-    cell volume, a zero or non-finite norm, gamma^3 or m^3 overflowing).
+    cell volume, a zero or non-finite norm, gamma^3, m^3 or a density sum
+    overflowing).
     """
     p0 = np.asarray(p0, dtype=float)
     w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
@@ -192,7 +192,8 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
 
     # gamma at the grid corner farthest from p = 0 bounds gamma_bar; the
     # e-type Pryce factors take its cube, the mass-center offsets m^3
-    gamma = math.hypot(m, *(np.abs(p0) + grid_radius * w)) / m
+    p_max = math.hypot(*(np.abs(p0) + grid_radius * w))
+    gamma = math.hypot(m, p_max) / m
     if not math.isfinite(gamma * gamma * gamma + m * m * m):
         raise ValueError(f"gamma^3 or m^3 overflows (gamma = {gamma:.3g} at "
                          f"the grid edge, m = {m:.3g})")
@@ -216,6 +217,11 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
     # a non-finite amplitude makes the norm non-finite too
     if not 0.0 < norm < math.inf:
         raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
+    # no density sum exceeds N max|a|^2 (1 + p_max/m)^2 / m, and max|a|^2 <=
+    # 1/norm once normalised (envelopes <= 1, unit spinors)
+    bound = grid_points**3 / norm * (1.0 + p_max / m)**2 / m
+    if not bound < math.inf:
+        raise ValueError(f"density sums overflow (bound {bound:.3g})")
     amplitudes /= np.sqrt(norm)
     return MomentumWavePacket(momenta, amplitudes, cell, p0, w, spacings, m)
 
@@ -390,12 +396,11 @@ def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
 
 def verify_main_result(packet: MomentumWavePacket, kind) -> Relation:
     """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type."""
-    kind = PryceKind.coerce(kind)
     m, g = packet.mass, packet.gamma_bar
     fp = algebra.pryce_factors(kind, g)[3]
     predicted = (fp * np.cross(packet.mean_t, packet.mean_momentum)
                  / (2.0 * m * m * g))
-    return Relation(f"mass_center_offset_{kind.value}",
+    return Relation(f"mass_center_offset_{kind}",
                     mass_center_offset(packet, kind), predicted)
 
 

@@ -11,14 +11,9 @@ WARN = "warn"
 FAIL = "fail"
 
 
-def max_abs_difference(lhs, rhs) -> float:
-    """Max-norm of (lhs - rhs); works for scalars and complex vectors."""
-    return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
-
-
 @dataclass
 class Relation:
-    """One verified expectation-value relation: both sides plus their gap."""
+    """One verified relation: both sides and the max-norm of their gap."""
 
     name: str
     lhs: object
@@ -26,7 +21,7 @@ class Relation:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        self.residual = max_abs_difference(self.lhs, self.rhs)
+        self.residual = float(np.max(np.abs(np.subtract(self.lhs, self.rhs))))
 
 
 def relation_kv_lines(relations, prefix: str = "") -> list[str]:

@@ -123,8 +123,7 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
 
     report = RunReport()
     traj = dynamics.integrate(state0, fields, cfg.dt, cfg.steps,
-                              sample_every=cfg.sample_every,
-                              kinds=cfg.pryce_kinds)
+                              sample_every=cfg.sample_every)
     report.add("constant_gamma_max_ev", traj.max_ev,
                dynamics.CONSTANT_GAMMA_WARN * cfg.mass**2, warn_only=True)
 
@@ -184,7 +183,7 @@ def _low_velocity_rows(report, traj, fields, cfg):
     ref_norm = np.linalg.norm(reference, axis=1)
     if not np.all(ref_norm > 0):
         return
-    fd = {k: traj.finite_difference(traj.center_offset(k))
+    fd = {k: traj.finite_difference(traj.centers[k] - traj.x)
           for k in cfg.pryce_kinds}
     if "d" in fd:
         rel = np.linalg.norm(fd["d"] - reference, axis=1) / ref_norm

@@ -114,8 +114,7 @@ def test_criterion_5_anomalous_velocity_triple_agreement():
     worst_pair = 0.0
     for name, cfg in GALLERY.items():
         fields, state = cfg.field_config(), cfg.initial_state()
-        traj = dyn.integrate(state, fields, cfg.dt, cfg.steps,
-                             kinds=cfg.pryce_kinds)
+        traj = dyn.integrate(state, fields, cfg.dt, cfg.steps)
         admissible = np.abs(fields.charge * (traj.v @ fields.E)) \
             <= dyn.CONSTANT_GAMMA_REFUSE * cfg.mass**2
         idx = np.flatnonzero(admissible)[::25]

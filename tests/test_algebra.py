@@ -3,7 +3,7 @@ import pytest
 
 from spindrift import algebra
 from spindrift.algebra import (ALPHA, BETA, GAMMA, GAMMA5, IDENTITY, PAULI,
-                               SIGMA, PryceKind)
+                               PRYCE_KINDS, SIGMA)
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
@@ -204,7 +204,7 @@ class TestPryce:
     def test_two_assemblies_agree(self):
         rng = np.random.default_rng(13)
         p = rng.normal(size=(50, 3)) * 3.0
-        for kind in PryceKind:
+        for kind in PRYCE_KINDS:
             explicit = algebra.pryce_kernel(kind, p, 1.0)
             table = algebra.pryce_kernel_general_form(kind, p, 1.0)
             assert np.max(np.abs(explicit - table)) < 1e-13
@@ -234,11 +234,13 @@ class TestPryce:
         assert np.all(np.diff(fp) < 0)
         assert algebra.pryce_factors("e", 1e6)[3] < 2e-6
 
-    def test_kind_coercion(self):
-        assert PryceKind.coerce("D") is PryceKind.D
-        assert PryceKind.coerce(PryceKind.E) is PryceKind.E
-        with pytest.raises(ValueError):
-            PryceKind.coerce("x")
+    def test_rejects_unknown_kind(self):
+        # kinds are the lowercase strings of PRYCE_KINDS; "D" is not one
+        for kind in ("x", "D"):
+            with pytest.raises(ValueError, match="unknown Pryce kind"):
+                algebra.pryce_factors(kind, 2.0)
+            with pytest.raises(ValueError, match="unknown Pryce kind"):
+                algebra.pryce_kernel(kind, np.zeros(3), 1.0)
 
 
 def test_identity_report_clean():

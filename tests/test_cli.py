@@ -136,12 +136,36 @@ def test_mode_mismatch_exit_code(command, tiny_config, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_guard_violation_exit_code(tmp_path):
+def _large_step_exits_2(tmp_path, capsys, mode, section=""):
+    # dt * max rotation rate = 25 * 0.02 = 0.5: a ConfigError naming the
+    # key, before anything is integrated
+    text = (TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0")
+            .replace("mode = simulate", f"mode = {mode}") + section)
     cfg = tmp_path / "fast.cfg"
-    cfg.write_text(TINY_SIMULATE.replace("dt = 1.0", "dt = 10.0"),
-                   encoding="utf-8")
-    assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 2
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main([mode, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: integration.dt: dt * max rotation rate = 0.5 >= 0.1")
+    assert not list(tmp_path.glob("tiny_*"))
+
+
+def test_guard_violation_exit_code(tmp_path, capsys):
+    _large_step_exits_2(tmp_path, capsys, "simulate")
+
+
+@pytest.mark.parametrize("target", ["integrator", "anomalous-fd"])
+def test_integrating_ladder_large_step_is_config_error(target, tmp_path,
+                                                       capsys):
+    _large_step_exits_2(tmp_path, capsys, "converge",
+                        f"[converge]\ntarget = {target}\n")
+
+
+def test_fg_ladder_ignores_the_step_guard():
+    # the fg target integrates nothing, so its dt is never checked
+    text = (TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0")
+            .replace("mode = simulate", "mode = converge")
+            + "[converge]\ntarget = fg\n[packet]\ngrid_points = 16\n")
+    assert parse_config(text).dt == 25.0
 
 
 def test_failing_check_exit_code(tmp_path):
@@ -310,6 +334,9 @@ def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
     (["--mass", "1e-200"], "gamma^3"),
     (["--mass", "1e-150"], "gamma^3"),
     (["--mass", "1e103"], "m^3"),
+    (["--mass", "1e-90", "--p0", "0", "0", "0",
+      "--widths", "1e-100", "1e-100", "1e-100", "--grid-points", "16"],
+     "density sums overflow"),
 ])
 def test_verify_fg_non_finite_packet_is_config_error(flags, cause, tmp_path,
                                                      capsys):

@@ -8,7 +8,7 @@ import pytest
 from conftest import rotation_matrix
 from spindrift import dynamics as dyn
 from spindrift import gallery
-from spindrift.algebra import pryce_factors
+from spindrift.algebra import PRYCE_KINDS, pryce_factors
 from spindrift.config import load_config
 from spindrift.dynamics import (ClassicalState, ConstantGammaWarning,
                                 FieldConfig, IntegrationError)
@@ -201,6 +201,12 @@ class TestMassCenter:
         off_d = dyn.mass_center(st, "d", 1.0) - st.x
         off_e = dyn.mass_center(st, "e", 1.0) - st.x
         assert np.allclose(off_d, (1.0 + g) * off_e, rtol=1e-14)
+
+    def test_rejects_unknown_kind(self):
+        st = ClassicalState(0.0, (0, 0, 0), (0.6, 0, 0), (0, 0, 0.5))
+        for kind in ("x", "D"):
+            with pytest.raises(ValueError, match="unknown Pryce kind"):
+                dyn.mass_center(st, kind, 1.0)
 
 
 class TestFprime:
@@ -417,12 +423,17 @@ class TestIntegration:
         traj = dyn.integrate(state, fields, 2.0, 200)
         assert np.array_equal(traj.centers["c"], traj.x)
 
+    def test_centers_of_every_kind(self):
+        state, fields = pure_b_setup()
+        traj = dyn.integrate(state, fields, 2.0, 10)
+        assert list(traj.centers) == ["c", "d", "e"]
+
     def test_d_e_offset_velocity_ratio_pointwise(self):
         # frozen gamma: fd(X_d - x) = (1 + gbar) fd(X_e - x) pointwise
         state, fields = pure_b_setup(s=(0.3, -0.2, 0.5))
         traj = dyn.integrate(state, fields, 2.0, 200)
-        fd_d = traj.finite_difference(traj.center_offset("d"))
-        fd_e = traj.finite_difference(traj.center_offset("e"))
+        fd_d = traj.finite_difference(traj.centers["d"] - traj.x)
+        fd_e = traj.finite_difference(traj.centers["e"] - traj.x)
         g = traj.gamma[traj.interior_slice()]
         assert np.max(np.abs(fd_d - (1.0 + g)[:, None] * fd_e)) < 1e-12
 
@@ -554,10 +565,9 @@ def test_derived_series_match_inline_reference_bitwise(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # integrate itself never warns
         traj = dyn.integrate(cfg.initial_state(), fields, cfg.dt, cfg.steps,
-                             sample_every=cfg.sample_every,
-                             kinds=cfg.pryce_kinds)
+                             sample_every=cfg.sample_every)
     want = _inline_series(traj.x, traj.v, traj.s, traj.gamma, fields,
-                          cfg.pryce_kinds)
+                          PRYCE_KINDS)
     for key in ("S0", "S", "delta_x", "v_anomalous", "max_ev"):
         _assert_same_bits(getattr(traj, key), want[key])
     assert sorted(traj.centers) == sorted(want["centers"])

@@ -40,6 +40,7 @@ class TestConstruction:
         ((1e200, 0, 0), 0.01, 1.0, "gamma"),          # gamma^3 overflows
         ((0, 0, 0.6), 0.01, 1e-150, "gamma"),         # and by a tiny mass
         ((0, 0, 0.6), 0.01, 1e103, "m\\^3"),          # m^3 overflows
+        ((0, 0, 0), 1e-100, 1e-90, "density sums overflow"),  # max|a|^2 / m
     ])
     def test_rejects_packets_floats_cannot_hold(self, p0, widths, m, match):
         with pytest.raises(ValueError, match=match):
@@ -228,6 +229,11 @@ class TestMainResult:
             rel = verify_main_result(pkt, kind)
             assert rel.residual < 1e-10
             assert np.max(np.abs(mass_center_offset(pkt, kind))) < 1e-10
+
+    def test_rejects_unknown_kind(self, fast_packet):
+        for kind in ("x", "D"):
+            with pytest.raises(ValueError, match="unknown Pryce kind"):
+                verify_main_result(fast_packet, kind)
 
     def test_offsets_match_prediction(self, fast_packet):
         for kind in ("d", "e"):

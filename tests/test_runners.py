@@ -134,8 +134,7 @@ def long_drift():
     cfg = load_config(DATA / "orbit_crossed_seed0.cfg")
     traj = dynamics.integrate(cfg.initial_state(),
                               cfg.field_config(), cfg.dt, cfg.steps,
-                              sample_every=cfg.sample_every,
-                              kinds=cfg.pryce_kinds)
+                              sample_every=cfg.sample_every)
     return cfg, traj
 
 
@@ -283,8 +282,7 @@ def _trajectory(cfg):
         warnings.simplefilter("ignore", dynamics.ConstantGammaWarning)
         return dynamics.integrate(cfg.initial_state(), cfg.field_config(),
                                   cfg.dt, cfg.steps,
-                                  sample_every=cfg.sample_every,
-                                  kinds=cfg.pryce_kinds)
+                                  sample_every=cfg.sample_every)
 
 
 def _samples(n, kinds=("c", "d", "e")):
