@@ -12,7 +12,8 @@ standard deviation w_i / sqrt(2)).  Expectation values are plain grid sums
 weighted by the cell volume; with the default 5-width truncation both the
 quadrature and truncation errors sit far below the physical packet-spread
 effects, which scale as (w/m)^2.  Packet-path operators are Clifford
-matrices times functions of p, summed against the packet's bilinear table;
+matrices times functions of p, summed against the bilinears a^dagger C_A a
+in one pass over the grid that holds one slab of them at a time;
 `expectation`, on dense (..., 4, 4) kernels, is the oracle for that route.
 """
 from __future__ import annotations
@@ -63,6 +64,9 @@ _CLIFFORD_COLUMNS = np.stack([algebra.CLIFFORD.real, -algebra.CLIFFORD.imag],
                              axis=-1).reshape(16, 32).T
 _ONE, _GAMMA5 = 0, 2
 _SIGMA, _IBETA_ALPHA, _BETA_SIGMA = slice(7, 10), slice(10, 13), slice(13, 16)
+# The 3-vector expectations that the packet's pass sums, one row each
+_VECTOR_SUMS = ("T", "O", "sigma", "ibeta_alpha", "p_cross_sigma",
+                "odd") + algebra.PRYCE_KINDS
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -88,23 +92,47 @@ class MomentumWavePacket:
             arr.flags.writeable = False
 
     @functools.cached_property
-    def bilinears(self) -> np.ndarray:
-        """(n1, n2, n3, 16) real table a^dagger C_A a, C = algebra.CLIFFORD,
-        filled one slab of the first grid axis at a time."""
-        table = np.empty(self.amplitudes.shape[:3] + (16,))
-        for a, out in zip(self.amplitudes, table):
+    def expectations(self) -> dict:
+        """Every packet-path expectation by name, from one pass over the grid.
+
+        Each slab of the first grid axis builds its bilinears b[A] =
+        a^dagger C_A a (C = algebra.CLIFFORD), evaluates every density of
+        `_VECTOR_SUMS` on them once and drops them.  A contiguous grid's sum
+        over its point axes adds the points one after another, so carrying
+        the running sums as row 0 above each slab's rows gives the full-grid
+        bits.  The pairwise sums (the norm, <T4>) and <p>'s einsum do not
+        run in that order; they keep their (n1, n2, n3) arrays.
+        """
+        m = self.mass
+        one = np.empty(self.amplitudes.shape[:3])
+        t4 = np.empty_like(one, dtype=complex)
+        sums = np.zeros((len(_VECTOR_SUMS), 3))
+        for p, a, one_slab, t4_slab in zip(self.momenta, self.amplitudes,
+                                           one, t4):
             outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
-            out.reshape(-1, 16)[...] = outer.view(float) @ _CLIFFORD_COLUMNS
-        return _read_only(table)
+            b = (outer.view(float) @ _CLIFFORD_COLUMNS).reshape(
+                one_slab.shape + (16,))
+            one_slab[...] = b[..., _ONE]
+            t4_slab[...] = 1j * np.sum(p * b[..., _SIGMA], axis=-1) / m
+            rows = np.empty((1 + one_slab.size,) + sums.shape)
+            rows[0] = sums
+            np.stack(_densities(p, b, m), axis=-2,
+                     out=rows[1:].reshape(one_slab.shape + sums.shape))
+            sums = np.add.reduce(rows, axis=0)
+        vals = dict(zip(_VECTOR_SUMS, _read_only(sums * self.cell_volume)))
+        vals["T4"] = grid_expectation(self, t4, hermitian=False)
+        vals["p"] = _read_only(np.einsum("pqr,pqri->i", one, self.momenta)
+                               * self.cell_volume)
+        vals["norm"] = float(one.sum() * self.cell_volume)
+        return vals
 
     @property
     def norm_squared(self) -> float:
-        return float(self.bilinears[..., _ONE].sum() * self.cell_volume)
+        return self.expectations["norm"]
 
-    @functools.cached_property
+    @property
     def mean_momentum(self) -> np.ndarray:
-        return _read_only(np.einsum("pqr,pqri->i", self.bilinears[..., _ONE],
-                                    self.momenta) * self.cell_volume)
+        return self.expectations["p"]
 
     @functools.cached_property
     def gamma_bar(self) -> float:
@@ -115,10 +143,10 @@ class MomentumWavePacket:
     def velocity(self) -> np.ndarray:
         return _read_only(self.mean_momentum / (self.gamma_bar * self.mass))
 
-    @functools.cached_property
+    @property
     def mean_t(self) -> np.ndarray:
         """<T>, the space part of the little-group generator."""
-        return _read_only(grid_expectation(self, _slab_density(self, _t)))
+        return self.expectations["T"]
 
     @property
     def is_sharp(self) -> bool:
@@ -290,62 +318,41 @@ def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     return out
 
 
-def _slab_density(packet: MomentumWavePacket, density) -> np.ndarray:
-    """Per-point 3-vector density(p, b, m), one first-axis slab at a time
-    (every density is elementwise, so the slabs carry the full-grid bits)."""
-    out = np.empty_like(packet.momenta)
-    for p, b, slab in zip(packet.momenta, packet.bilinears, out):
-        slab[...] = density(p, b, packet.mass)
-    return out
+def _densities(p, b, m) -> list:
+    """The per-point 3-vector densities of `_VECTOR_SUMS`, in its order, at
+    momenta p (..., 3) from bilinears b[X] = a^dagger X a (..., 16).
 
-
-def _t(p, b, m):
-    """<T> = b[beta Sigma] - p b[gamma5] / m."""
-    return b[..., _BETA_SIGMA] - p * b[..., _GAMMA5, None] / m
-
-
-def _cross(p, b, m):
-    """<(p x Sigma)_i>."""
-    return np.cross(p, b[..., _SIGMA])
-
-
-def _odd(p, b, m):
-    """<i beta (alpha.p) p_i>."""
-    return p * np.einsum("...j,...j->...", p, b[..., _IBETA_ALPHA])[..., None]
-
-
-def fg_expectations(packet: MomentumWavePacket) -> dict:
-    """All expectation values entering the little-group/mean-spin relations.
-
-    Grid sums over the bilinears b[X] = a^dagger X a: T = b[beta Sigma] -
-    p b[gamma5] / m, T4 = i p.b[Sigma] / m, and O = fw(-1) beta Sigma fw(+1)
+    T = b[beta Sigma] - p b[gamma5] / m, and O = fw(-1) beta Sigma fw(+1)
     expanded with A = beta alpha.p, A^2 = -p^2, [beta Sigma_i, A] =
     -2 p_i gamma5, A beta Sigma_i A = 2 p_i p.beta Sigma - p^2 beta Sigma_i:
     O_i = beta Sigma_i - p_i gamma5 / E - p_i p.beta Sigma / (E (E + m)).
-    Each density is built just before its grid sum and dropped after it.
+    Each mass-center offset is the kernel's factor-table form
+    f1 i beta alpha / 2m + f2 p x Sigma / 2m^2 + f3 i beta (alpha.p) p / 2m^3.
     """
-    def o(p, b, m):
-        e = algebra.energy(p, m)[..., None]
-        p_beta_sigma = np.einsum("...j,...j->...", p, b[..., _BETA_SIGMA])
-        return (b[..., _BETA_SIGMA] - p * b[..., _GAMMA5, None] / e
-                - p * p_beta_sigma[..., None] / (e * (e + m)))
+    e = algebra.energy(p, m)[..., None]
+    b_sigma, b_iba = b[..., _SIGMA], b[..., _IBETA_ALPHA]
+    b_bs, b_g5 = b[..., _BETA_SIGMA], b[..., _GAMMA5, None]
+    cross = np.cross(p, b_sigma)
+    odd = p * np.einsum("...j,...j->...", p, b_iba)[..., None]
+    p_beta_sigma = np.einsum("...j,...j->...", p, b_bs)[..., None]
+    dens = [b_bs - p * b_g5 / m,
+            b_bs - p * b_g5 / e - p * p_beta_sigma / (e * (e + m)),
+            b_sigma, b_iba, cross, odd]
+    for kind in algebra.PRYCE_KINDS:
+        f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
+        dens.append(f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
+                    + f3 * odd / (2.0 * m**3))
+    return dens
 
-    m, p, b = packet.mass, packet.momenta, packet.bilinears
-    return {
-        "T": packet.mean_t,
-        "T4": grid_expectation(packet, 1j * np.sum(p * b[..., _SIGMA],
-                                                   axis=-1) / m,
-                               hermitian=False),
-        "O": grid_expectation(packet, _slab_density(packet, o)),
-        "sigma": grid_expectation(packet, b[..., _SIGMA]),
-        "ibeta_alpha": grid_expectation(packet, b[..., _IBETA_ALPHA]),
-        "p_cross_sigma": grid_expectation(packet,
-                                          _slab_density(packet, _cross)),
-        "odd": grid_expectation(packet, _slab_density(packet, _odd)),
-        "p": packet.mean_momentum,
-        "gamma_bar": packet.gamma_bar,
-        "v": packet.velocity,
-    }
+
+def fg_expectations(packet: MomentumWavePacket) -> dict:
+    """All expectation values entering the little-group/mean-spin relations,
+    read from the packet's one pass (T4 = i p.b[Sigma] / m; see `_densities`
+    for the others)."""
+    keys = ("T", "T4", "O", "sigma", "ibeta_alpha", "p_cross_sigma", "odd",
+            "p")
+    vals = {key: packet.expectations[key] for key in keys}
+    return vals | {"gamma_bar": packet.gamma_bar, "v": packet.velocity}
 
 
 def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
@@ -383,15 +390,10 @@ def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
 
 
 def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
-    """<X_P> - <x> for one type, from the kernel's factor-table form."""
-    def offset(p, b, m):
-        f1, f2, f3 = (np.asarray(f)[..., None] for f in algebra.pryce_factors(
-            kind, algebra.energy(p, m) / m)[:3])
-        return (f1 * b[..., _IBETA_ALPHA] / (2.0 * m)
-                + f2 * _cross(p, b, m) / (2.0 * m**2)
-                + f3 * _odd(p, b, m) / (2.0 * m**3))
-
-    return grid_expectation(packet, _slab_density(packet, offset))
+    """<X_P> - <x> for one type, read from the packet's one pass."""
+    if kind not in algebra.PRYCE_KINDS:
+        raise ValueError(f"unknown Pryce kind {kind!r}")
+    return packet.expectations[kind]
 
 
 def verify_main_result(packet: MomentumWavePacket, kind) -> Relation:

@@ -222,21 +222,20 @@ def run_verify(cfg: ScenarioConfig, outdir):
             report.add(name, residual, packets.fg_tolerance(name, pkt),
                        wall_time=seconds, warn=not pkt.is_sharp)
 
-        # FG rows share the relations phase; later rows time their own work
+        # the packet's one pass serves the FG and the mass-center rows, so
+        # they share its phase; the ratio row times its own work
         fg = packets.verify_fg_relations(pkt)
+        centers = {kind: packets.verify_main_result(pkt, kind)
+                   for kind in cfg.pryce_kinds}
         phase = report.lap()
-        for rel in fg.values():
+        for rel in [*fg.values(), *centers.values()]:
             grade(rel.name, rel.residual, phase)
-        offsets = {}
-        for kind in cfg.pryce_kinds:
-            rel = packets.verify_main_result(pkt, kind)
-            offsets[kind] = rel.lhs
-            grade(rel.name, rel.residual)
         # with <T> x <p> = 0 both offsets are roundoff and so is their ratio
-        if ("d" in offsets and "e" in offsets and np.linalg.norm(offsets["e"])
-                > packets.RESIDUAL_FLOOR):
+        if ("d" in centers and "e" in centers
+                and np.linalg.norm(centers["e"].lhs) > packets.RESIDUAL_FLOOR):
             g = pkt.gamma_bar
-            ratio = np.linalg.norm(offsets["d"]) / np.linalg.norm(offsets["e"])
+            ratio = (np.linalg.norm(centers["d"].lhs)
+                     / np.linalg.norm(centers["e"].lhs))
             grade("offset_ratio_d_e", abs(ratio - (1.0 + g)) / (1.0 + g))
         kv_lines = [f"packet.gamma_bar = {pkt.gamma_bar:.17g}",
                     f"packet.sharp = {pkt.is_sharp}"]

@@ -234,6 +234,8 @@ class TestMainResult:
         for kind in ("x", "D"):
             with pytest.raises(ValueError, match="unknown Pryce kind"):
                 verify_main_result(fast_packet, kind)
+            with pytest.raises(ValueError, match="unknown Pryce kind"):
+                mass_center_offset(fast_packet, kind)
 
     def test_offsets_match_prediction(self, fast_packet):
         for kind in ("d", "e"):
@@ -324,15 +326,8 @@ class TestBilinearTable:
     def test_matches_dense_kernels_off_shell(self):
         # random spinors, not positive-energy: the null terms (odd, type c)
         # are no longer null, so every coefficient function is exercised
-        pkt = make_gaussian_packet((0.2, 0.5, -0.4), 0.03, (0, 0, 1),
-                                   grid_points=16)
-        rng = np.random.default_rng(5)
-        amps = (rng.normal(size=pkt.amplitudes.shape)
-                + 1j * rng.normal(size=pkt.amplitudes.shape))
-        amps /= np.sqrt(np.sum(np.abs(amps)**2) * pkt.cell_volume)
-        pkt = packets.MomentumWavePacket(
-            pkt.momenta, amps, pkt.cell_volume, pkt.center.copy(),
-            pkt.widths.copy(), pkt.spacings.copy(), pkt.mass)
+        pkt = _off_shell(make_gaussian_packet((0.2, 0.5, -0.4), 0.03,
+                                              (0, 0, 1), grid_points=16))
         dense = _dense_expectations(pkt)
         table = packets.fg_expectations(pkt)
         for kind in ("c", "d", "e"):
@@ -345,8 +340,7 @@ class TestBilinearTable:
     @pytest.mark.parametrize("translate", [False, True])
     @pytest.mark.parametrize("n", [5, 16, 17, 48])
     def test_slab_build_matches_dense_oracle(self, n, translate):
-        # the full-grid expressions that the slab loops replace; a 25-row
-        # slab may take another BLAS edge kernel and move a last bit
+        # the full-grid expressions that the slab loops replace
         p0, w, spin, m = (np.array([0.3, -0.2, 0.6]),
                           np.array([0.02, 0.03, 0.025]), (1, 0.5, -0.2), 1.3)
         pkt = make_gaussian_packet(p0, w, spin, m=m, grid_points=n)
@@ -356,28 +350,32 @@ class TestBilinearTable:
             p, packets.rest_spinor(spin), m)
         amps = amps / np.sqrt(np.einsum("pqra,pqra->", amps.conj(),
                                         amps).real * pkt.cell_volume)
-        pairs = [(pkt.amplitudes, amps)]
+        _assert_same_bits(pkt.amplitudes, amps, n, np.max(np.abs(amps)))
         if translate:   # generic phases
             pkt = pkt.translated((0.7, -1.1, 2.3))
-        a = pkt.amplitudes
-        outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
-        table = (outer.view(float) @ packets._CLIFFORD_COLUMNS).reshape(
-            pkt.bilinears.shape)
-        pairs.append((pkt.bilinears, table))
-        for got, want in pairs:
-            if n == 5:
-                assert (np.max(np.abs(got - want))
-                        <= 1e-15 * np.max(np.abs(want)))
-            else:
-                assert got.tobytes() == want.tobytes()
+        _assert_pass_matches_full_grid_forms(pkt, n)
 
-    def test_table_is_real_and_cached(self, fast_packet):
-        table = fast_packet.bilinears
-        assert table.shape == fast_packet.momenta.shape[:3] + (16,)
-        assert table.dtype == float
-        assert fast_packet.bilinears is table
-        with pytest.raises(ValueError):
-            table[0, 0, 0, 0] = 1.0
+    @pytest.mark.parametrize("n", [5, 16, 17, 48])
+    def test_pass_matches_full_grid_forms_off_shell(self, n):
+        pkt = _off_shell(make_gaussian_packet(
+            (0.3, -0.2, 0.6), (0.02, 0.03, 0.025), (1, 0.5, -0.2), m=1.3,
+            grid_points=n))
+        _assert_pass_matches_full_grid_forms(pkt, n)
+
+    def test_expectations_are_cached_and_read_only(self, fast_packet):
+        vals = fast_packet.expectations
+        assert fast_packet.expectations is vals
+        assert set(vals) == {"T", "T4", "O", "sigma", "ibeta_alpha",
+                             "p_cross_sigma", "odd", "c", "d", "e", "p",
+                             "norm"}
+        for key, value in vals.items():
+            if isinstance(value, np.ndarray):
+                assert value.shape == (3,), key
+                with pytest.raises(ValueError):
+                    value[0] = 1.0
+        assert isinstance(vals["T4"], complex)
+        assert isinstance(vals["norm"], float)
+        assert all(arr.shape[-1] != 16 for arr in _held_arrays(fast_packet))
 
     @pytest.mark.parametrize("name", ["mean_momentum", "velocity", "mean_t"])
     def test_moments_are_cached_and_read_only(self, fast_packet, name):
@@ -390,14 +388,12 @@ class TestBilinearTable:
     def test_mean_t_is_the_t_relations_lhs(self, fast_packet):
         assert (verify_fg_relations(fast_packet)["T_from_O"].lhs
                 is fast_packet.mean_t)
-        b, p = fast_packet.bilinears, fast_packet.momenta
-        density = (b[..., packets._BETA_SIGMA]
-                   - p * b[..., packets._GAMMA5, None] / fast_packet.mass)
-        direct = packets.grid_expectation(fast_packet, density)
-        assert np.array_equal(fast_packet.mean_t, direct)
+        assert np.array_equal(fast_packet.mean_t,
+                              _full_grid_forms(fast_packet)["T"])
 
     def test_hermitian_rule_on_table_route(self, fast_packet):
-        density = 1j * fast_packet.bilinears[..., 0]   # <i> = i
+        a = fast_packet.amplitudes
+        density = 1j * np.sum(a.conj() * a, axis=-1).real   # <i> = i
         with pytest.raises(ValueError, match="Hermitian"):
             packets.grid_expectation(fast_packet, density)
         val = packets.grid_expectation(fast_packet, density,
@@ -408,13 +404,85 @@ class TestBilinearTable:
             packets.grid_expectation(fast_packet, vector)
 
 
-# tracemalloc peak, above the held momenta, amplitudes and bilinear table
-# (24 + 64 + 128 B a point: 23.9 MB at 48^3), of building the default
-# verify-fg packet at 48^3, its seven relations and three mass-center
-# offsets.  With the table, the packet and every density built on the full
-# grid at once it read 28.3 MB; slab by slab, holding one density at a time,
-# 3.55 MB, most of it the <T4> density's temporaries (32 B a point).
-PACKET_PEAK_BYTES = 6_000_000
+def _off_shell(pkt, seed=5):
+    """`pkt`'s grid with random spinors in place of positive-energy ones."""
+    rng = np.random.default_rng(seed)
+    amps = (rng.normal(size=pkt.amplitudes.shape)
+            + 1j * rng.normal(size=pkt.amplitudes.shape))
+    amps /= np.sqrt(np.sum(np.abs(amps)**2) * pkt.cell_volume)
+    return packets.MomentumWavePacket(
+        pkt.momenta, amps, pkt.cell_volume, pkt.center.copy(),
+        pkt.widths.copy(), pkt.spacings.copy(), pkt.mass)
+
+
+def _full_grid_forms(pkt):
+    """Every value of `pkt.expectations` from full-grid forms: the whole
+    (n1, n2, n3, 16) bilinear table, each density built over the whole
+    grid, then `grid_expectation`."""
+    m, p, a = pkt.mass, pkt.momenta, pkt.amplitudes
+    outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
+    b = (outer.view(float) @ packets._CLIFFORD_COLUMNS).reshape(
+        a.shape[:3] + (16,))
+    b_sigma, b_iba = b[..., packets._SIGMA], b[..., packets._IBETA_ALPHA]
+    b_bs, b_g5 = b[..., packets._BETA_SIGMA], b[..., packets._GAMMA5, None]
+    e = algebra.energy(p, m)[..., None]
+    cross = np.cross(p, b_sigma)
+    odd = p * np.einsum("...j,...j->...", p, b_iba)[..., None]
+    p_beta_sigma = np.einsum("...j,...j->...", p, b_bs)
+    densities = {
+        "T": b_bs - p * b_g5 / m,
+        "O": (b_bs - p * b_g5 / e
+              - p * p_beta_sigma[..., None] / (e * (e + m))),
+        "sigma": b_sigma, "ibeta_alpha": b_iba, "p_cross_sigma": cross,
+        "odd": odd,
+    }
+    for kind in ("c", "d", "e"):
+        f1, f2, f3 = (np.asarray(f)[..., None] for f in algebra.pryce_factors(
+            kind, algebra.energy(p, m) / m)[:3])
+        densities[kind] = (f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
+                           + f3 * odd / (2.0 * m**3))
+    vals = {key: packets.grid_expectation(pkt, d)
+            for key, d in densities.items()}
+    vals["T4"] = packets.grid_expectation(
+        pkt, 1j * np.sum(p * b_sigma, axis=-1) / m, hermitian=False)
+    vals["p"] = np.einsum("pqr,pqri->i", b[..., 0], p) * pkt.cell_volume
+    vals["norm"] = float(b[..., 0].sum() * pkt.cell_volume)
+    return vals
+
+
+def _assert_same_bits(got, want, n, scale):
+    # on a 5^3 grid a 25-row slab may take another BLAS edge kernel than
+    # the 125-row grid and move a last bit of the bilinears
+    got, want = np.asarray(got), np.asarray(want)
+    if n == 5:
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def _assert_pass_matches_full_grid_forms(pkt, n):
+    want = _full_grid_forms(pkt)
+    got = pkt.expectations
+    assert got.keys() == want.keys()
+    # a null sum (odd, type c on shell) is roundoff; its last bits are
+    # measured against the packet's largest expectation
+    scale = max(np.max(np.abs(value)) for value in want.values())
+    for key in want:
+        _assert_same_bits(got[key], want[key], n, scale)
+
+
+def _held_arrays(pkt):
+    """Every array the packet holds, cached expectations included."""
+    values = list(vars(pkt).values()) + list(pkt.expectations.values())
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+# tracemalloc peak (held arrays included) of building the default verify-fg
+# packet at 48^3, its seven relations and three mass-center offsets.  It
+# reads 16.8 MB, the build's (the momenta, the amplitudes and the norm
+# sum's conjugate copy, 152 B a point); the one pass over the grid peaks at
+# 14.8 MB.  With a held (n1, n2, n3, 16) bilinear table it read 27.4 MB.
+PACKET_PEAK_BYTES = 18_500_000
 
 
 def test_packet_path_peak_memory_is_bounded():
@@ -430,6 +498,9 @@ def test_packet_path_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = pkt.momenta.nbytes + pkt.amplitudes.nbytes + pkt.bilinears.nbytes
-    assert held == 216 * 48**3
-    assert peak - held < PACKET_PEAK_BYTES
+    assert peak < PACKET_PEAK_BYTES
+    # the momenta and the amplitudes (24 + 64 B a point) and a few
+    # 3-vectors; no bilinear table
+    held = _held_arrays(pkt)
+    assert 0 <= sum(arr.nbytes for arr in held) - 88 * 48**3 < 1024
+    assert all(arr.shape[-1] != 16 for arr in held)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spindrift import dynamics, gallery, packets, runners
+from spindrift import config, dynamics, gallery, packets, runners
 from spindrift.config import ConfigError, ScenarioConfig, load_config
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -31,6 +31,15 @@ GALLERY_FD_TOLERANCES = {
 # numpy 2.4.6
 HEAVY_CROSSED_CSV_SHA256 = (
     "8f94bf0ca13f8af9a2c19c54cb080e02887eb32cc6efe3753757fc859275ece6")
+# sha256 of two verify-fg .kv files, recorded with Python 3.11.7 and numpy
+# 2.4.6: the default packet at 48^3, and golden_verify_fg.cfg (m = 1.3,
+# kinds d e)
+VERIFY_FG_KV_SHA256 = {
+    "default_48": (
+        "6cfb81633cf5362a458e59209a51965cf73b11429b50fecc5764bb34faf31d77"),
+    "golden": (
+        "db365c750c4681283c0b03acc1166333f07a2516263017ee8d9cf91e606cba0b"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +193,12 @@ def test_verify_fg_row_times(tmp_path):
                                                       "offset_ratio"))]
     centers = [r for r in report if r.name.startswith("mass_center")]
     assert len(fg) == 7 and len(centers) == 3
-    # the FG rows share one phase; each mass-center row reports its own
-    assert len({r.wall_time for r in fg}) == 1 and fg[0].wall_time > 0.0
-    for row in centers:
-        assert row.wall_time > 0.0, row.name
-    assert report["offset_ratio_d_e"].wall_time > 0.0
+    # the packet's one pass serves the FG and the mass-center rows: they
+    # share its phase; the ratio row reports its own work
+    assert len({r.wall_time for r in fg + centers}) == 1
+    assert fg[0].wall_time > 0.0
+    ratio = report["offset_ratio_d_e"].wall_time
+    assert 0.0 < ratio < fg[0].wall_time
 
 
 FG_RELATIONS = ("T_from_O", "T4_from_O", "O_from_T", "sigma_from_T",
@@ -246,6 +256,21 @@ def test_heavy_crossed_simulate(tmp_path):
     csv_bytes = (tmp_path / "heavy_crossed_trajectory.csv").read_bytes()
     assert (hashlib.sha256(csv_bytes).hexdigest()
             == HEAVY_CROSSED_CSV_SHA256)
+
+
+@pytest.mark.parametrize("which", sorted(VERIFY_FG_KV_SHA256))
+def test_verify_fg_kv_pinned(which, tmp_path):
+    # the packet path's bytes, not only their repeatability across reruns
+    if which == "golden":
+        cfg = load_config(DATA / "golden_verify_fg.cfg")
+    else:
+        cfg = config.override(ScenarioConfig(name="verify_fg",
+                                             mode="verify-fg"),
+                              {"packet.grid_points": "48"})
+    report, (_, kv_path) = runners.run_verify(cfg, tmp_path)
+    assert report.all_pass()
+    assert (hashlib.sha256(kv_path.read_bytes()).hexdigest()
+            == VERIFY_FG_KV_SHA256[which])
 
 
 # The trajectory writers before they formatted rows in blocks, verbatim
