@@ -4,8 +4,8 @@ The format is INI-style with `#` comments.  Unknown sections or keys are
 errors (no silent typo absorption), every value is validated, and
 `serialize_config` emits a canonical form that `parse_config` maps back to
 the identical configuration (serialize . parse is idempotent on canonical
-text).  A commented example lives in the package README and in the gallery
-configs.
+text).  A commented example lives in the package README; `spindrift gallery`
+writes the shipped configs in canonical form.
 """
 from __future__ import annotations
 
@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import PRYCE_KINDS
 from .dynamics import (MAX_STEP_ROTATION, ClassicalState, FieldConfig,
-                       max_rotation_rate)
+                       dilation, max_rotation_rate)
 from .packets import MAX_GRID_SPACING, MomentumWavePacket, make_gaussian_packet
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
@@ -58,7 +57,6 @@ class ScenarioConfig:
     dt: float = 0.1
     steps: int = 1000
     sample_every: int = 1
-    pryce_kinds: tuple = PRYCE_KINDS
     packet: PacketSpec = field(default_factory=PacketSpec)
     converge: ConvergeSpec = field(default_factory=ConvergeSpec)
     algebra_momenta: int = 100
@@ -113,18 +111,6 @@ def _parse_vec3(section, key, raw) -> tuple:
     return tuple(_parse_float(section, key, p) for p in parts)
 
 
-def _parse_kinds(section, key, raw) -> tuple:
-    kinds = tuple(raw.replace(",", " ").split())
-    if not kinds:
-        raise ConfigError(f"{section}.{key}: at least one kind required")
-    bad = [k for k in kinds if k not in PRYCE_KINDS]
-    if bad:
-        raise ConfigError(f"{section}.{key}: unknown kind(s) {bad}")
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError(f"{section}.{key}: duplicate kinds")
-    return kinds
-
-
 # (parser, formatter) per value type; parsers get (section, key, raw-string).
 # Every float is written as repr(float(v)), so an int-valued float such as
 # mass = 2 reads back as 2.0 and serializes to the same text again.
@@ -132,7 +118,6 @@ _STR = (_parse_str, str)
 _INT = (_parse_int, str)
 _FLOAT = (_parse_float, lambda v: repr(float(v)))
 _VEC3 = (_parse_vec3, lambda v: " ".join(repr(float(c)) for c in v))
-_KINDS = (_parse_kinds, " ".join)
 
 # (section, key, attribute, parser, formatter) in canonical order; a dotted
 # attribute names a field of the nested PacketSpec or ConvergeSpec
@@ -149,7 +134,6 @@ _FIELDS = (
     ("integration", "dt", "dt", *_FLOAT),
     ("integration", "steps", "steps", *_INT),
     ("integration", "sample_every", "sample_every", *_INT),
-    ("output", "pryce_kinds", "pryce_kinds", *_KINDS),
     ("packet", "p0", "packet.p0", *_VEC3),
     ("packet", "widths", "packet.widths", *_VEC3),
     ("packet", "spin", "packet.spin", *_VEC3),
@@ -168,20 +152,18 @@ VEC3_KEYS = {dotted for dotted, row in _ROWS.items() if row[3] is _parse_vec3}
 # mode -> (sections it requires, further sections it allows)
 _MODE_SECTIONS = {
     "simulate": ((), ("scenario", "constants", "fields", "initial",
-                      "integration", "output")),
-    "verify-fg": (("packet",), ("scenario", "constants", "output")),
+                      "integration")),
+    "verify-fg": (("packet",), ("scenario", "constants")),
     "verify-algebra": ((), ("scenario", "constants", "algebra")),
     "converge": (("converge",), ("scenario", "constants", "fields",
-                                 "initial", "integration", "output",
-                                 "packet")),
+                                 "initial", "integration", "packet")),
 }
 
 # mode -> {CLI flag: the config key it sets}, for the modes that also run
 # without --config; a flag takes the key's text, one word per vec3 component
 MODE_FLAGS = {
     "verify-fg": {"p0": "packet.p0", "widths": "packet.widths",
-                  "spin": "packet.spin", "kinds": "output.pryce_kinds",
-                  "grid-points": "packet.grid_points",
+                  "spin": "packet.spin", "grid-points": "packet.grid_points",
                   "grid-radius": "packet.grid_radius",
                   "mass": "constants.mass"},
     "verify-algebra": {"seed": "algebra.seed", "momenta": "algebra.momenta",
@@ -252,13 +234,15 @@ def _validate(cfg: ScenarioConfig):
     _check_mode(cfg.mode)
     if not cfg.name:
         raise ConfigError("scenario.name: must not be empty")
-    _parse_kinds("output", "pryce_kinds", " ".join(cfg.pryce_kinds))
     for section, key, attr, parse, _ in _FIELDS:
         if (parse in (_parse_float, _parse_vec3)
                 and not np.all(np.isfinite(getattr(*_owner(cfg, attr))))):
             raise ConfigError(f"{section}.{key}: must be finite")
-    if cfg.mass <= 0:
-        raise ConfigError("constants.mass: must be positive")
+    # the Pryce kernels divide by 2 m^3, so m^3 must be a normal float;
+    # m * m * m overflows to inf where a float's m**3 would raise
+    if not np.finfo(float).tiny <= cfg.mass * cfg.mass * cfg.mass < np.inf:
+        raise ConfigError("constants.mass: must be positive, with m^3 a "
+                          "normal float")
     if cfg.dt <= 0:
         raise ConfigError("integration.dt: must be positive")
     if cfg.steps < 1:
@@ -267,9 +251,10 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("integration.sample_every: must be >= 1")
     if not np.isfinite(cfg.dt * cfg.steps):
         raise ConfigError("integration: dt * steps must be finite")
-    vnorm = float(np.linalg.norm(cfg.v0))
-    if vnorm >= 1.0:
-        raise ConfigError(f"initial.v: |v| = {vnorm:.6g} must be < 1")
+    try:
+        dilation(cfg.v0)
+    except ValueError as exc:
+        raise ConfigError(f"initial.v: {exc}") from None
     if any(w <= 0 for w in cfg.packet.widths):
         raise ConfigError("packet.widths: must be positive")
     if cfg.packet.grid_radius <= 0:

@@ -37,6 +37,7 @@ CONSTANT_GAMMA_WARN = 1e-9
 CONSTANT_GAMMA_REFUSE = 1e-6
 FPRIME_TOLERANCE = 1e-10
 MAX_STEP_ROTATION = 0.1  # largest dt * max_rotation_rate a step may take
+MAX_SPEED = 1.0 - 1e-12  # a state's |v| must stay below it
 
 
 class ConstantGammaWarning(UserWarning):
@@ -62,12 +63,12 @@ def _dot(a, b) -> np.ndarray:
 
 
 def dilation(v) -> np.ndarray:
-    """gbar = 1/sqrt(1 - v^2) over (..., 3); rejects |v| >= 1 - 1e-12."""
+    """gbar = 1/sqrt(1 - v^2) over (..., 3); rejects |v| >= MAX_SPEED."""
     v = np.asarray(v, dtype=float)
     v2 = np.sum(v * v, axis=-1)
-    if np.any(v2 >= (1.0 - 1e-12) ** 2):
-        raise ValueError(
-            f"superluminal velocity |v| = {np.sqrt(np.max(v2)):.6g}")
+    if np.any(v2 >= MAX_SPEED ** 2):
+        raise ValueError(f"|v| = {float(np.sqrt(np.max(v2)))!r} must be "
+                         f"< {MAX_SPEED!r}")
     return 1.0 / np.sqrt(1.0 - v2)
 
 
@@ -100,7 +101,7 @@ class ClassicalState:
         self.x = _vec(self.x)
         self.v = _vec(self.v)
         self.s = _vec(self.s)
-        dilation(self.v)  # validates |v| < 1
+        dilation(self.v)  # validates |v| < MAX_SPEED
 
     @property
     def gamma(self) -> float:

@@ -33,12 +33,13 @@ FD_MAX_SAMPLE_ANGLE = 2.0
 _ROW_BLOCK = 64
 
 
-def trajectory_columns(traj: dynamics.Trajectory, kinds) -> list[tuple]:
+def trajectory_columns(traj: dynamics.Trajectory) -> list[tuple]:
     """(header, values) pairs in the canonical column order; a 3-vector
     series `label` gives the columns labelx, labely and labelz."""
     series = [("t", traj.t), ("", traj.x), ("v", traj.v), ("s", traj.s),
               ("S0", traj.S0), ("S", traj.S), ("dX", traj.delta_x)]
-    series += [(f"X{kind}_", traj.centers[kind]) for kind in kinds]
+    series += [(f"X{kind}_", traj.centers[kind])
+               for kind in algebra.PRYCE_KINDS]
     series += [("Vp_", traj.v_anomalous), ("energy", traj.energy)]
     cols = []
     for label, vals in series:
@@ -49,9 +50,9 @@ def trajectory_columns(traj: dynamics.Trajectory, kinds) -> list[tuple]:
     return cols
 
 
-def write_trajectory_csv(path, traj: dynamics.Trajectory, kinds):
+def write_trajectory_csv(path, traj: dynamics.Trajectory):
     """One CSV row per sample, every value as CSV_FMT, \\r\\n-terminated."""
-    cols = trajectory_columns(traj, kinds)
+    cols = trajectory_columns(traj)
     row = ",".join([CSV_FMT] * len(cols)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join([name for name, _ in cols]) + "\r\n")
@@ -141,7 +142,7 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
         # slack |s x (v.E) v| e / (2 m^2) is attained for s perpendicular
         # to v, and the drifting fP(gamma) contributes at the same scale
         shortcut = 2.0 * traj.max_ev * smax * vmax / (2.0 * cfg.mass**2)
-        for kind in cfg.pryce_kinds:
+        for kind in algebra.PRYCE_KINDS:
             fd = traj.finite_difference(traj.centers[kind])
             fp = traj.pryce_fp(kind)[interior]
             predicted = (traj.v[interior]
@@ -155,11 +156,11 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
         if (not any(cfg.B) and any(cfg.E)
                 and gamma_excursion < LOW_VELOCITY_GAMMA_LIMIT
                 and np.any(traj.s[0])):
-            _low_velocity_rows(report, traj, fields, cfg)
+            _low_velocity_rows(report, traj, fields)
 
     # written after the last row, so no row's time includes the writers
     csv_path = outdir / f"{cfg.name}_trajectory.csv"
-    write_trajectory_csv(csv_path, traj, cfg.pryce_kinds)
+    write_trajectory_csv(csv_path, traj)
     artifacts = [csv_path]
     if plot:
         artifacts += write_plot_files(outdir, cfg.name, csv_path)
@@ -170,31 +171,27 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
     return report, artifacts
 
 
-def _low_velocity_rows(report, traj, fields, cfg):
+def _low_velocity_rows(report, traj, fields):
     """The electric-only low-velocity mass-center velocity table.
 
     d-type: fd(X_d - x) matches e/(2m^2) s x E; e-type: half the d-type
     offset velocity; c-type: exactly zero.
     """
     interior = traj.interior_slice()
-    coeff = fields.charge / (2.0 * cfg.mass**2)
+    coeff = fields.charge / (2.0 * fields.mass**2)
     reference = coeff * np.cross(traj.s[interior],
                                  np.broadcast_to(fields.E, (3,)))
     ref_norm = np.linalg.norm(reference, axis=1)
     if not np.all(ref_norm > 0):
         return
     fd = {k: traj.finite_difference(traj.centers[k] - traj.x)
-          for k in cfg.pryce_kinds}
-    if "d" in fd:
-        rel = np.linalg.norm(fd["d"] - reference, axis=1) / ref_norm
-        report.add("low_velocity_table_d", float(np.max(rel)), 1e-6)
-    if "d" in fd and "e" in fd:
-        rel = (np.linalg.norm(fd["e"] - 0.5 * fd["d"], axis=1)
-               / (0.5 * np.linalg.norm(fd["d"], axis=1)))
-        report.add("low_velocity_table_e", float(np.max(rel)), 1e-3)
-    if "c" in fd:
-        report.add("low_velocity_table_c", float(np.max(np.abs(fd["c"]))),
-                   1e-15)
+          for k in algebra.PRYCE_KINDS}
+    rel = np.linalg.norm(fd["d"] - reference, axis=1) / ref_norm
+    report.add("low_velocity_table_d", float(np.max(rel)), 1e-6)
+    rel = (np.linalg.norm(fd["e"] - 0.5 * fd["d"], axis=1)
+           / (0.5 * np.linalg.norm(fd["d"], axis=1)))
+    report.add("low_velocity_table_e", float(np.max(rel)), 1e-3)
+    report.add("low_velocity_table_c", float(np.max(np.abs(fd["c"]))), 1e-15)
 
 
 def run_verify(cfg: ScenarioConfig, outdir):
@@ -202,7 +199,7 @@ def run_verify(cfg: ScenarioConfig, outdir):
 
     verify-fg builds the configured packet, grades every relation residual
     against its calibrated quadratic tolerance, and appends the mass-center
-    checks for the requested types; rows for packets outside the sharp
+    checks for every Pryce kind; rows for packets outside the sharp
     regime are downgraded to warn.  verify-algebra runs the identity suite.
     """
     outdir = pathlib.Path(outdir)
@@ -226,13 +223,12 @@ def run_verify(cfg: ScenarioConfig, outdir):
         # they share its phase; the ratio row times its own work
         fg = packets.verify_fg_relations(pkt)
         centers = {kind: packets.verify_main_result(pkt, kind)
-                   for kind in cfg.pryce_kinds}
+                   for kind in algebra.PRYCE_KINDS}
         phase = report.lap()
         for rel in [*fg.values(), *centers.values()]:
             grade(rel.name, rel.residual, phase)
         # with <T> x <p> = 0 both offsets are roundoff and so is their ratio
-        if ("d" in centers and "e" in centers
-                and np.linalg.norm(centers["e"].lhs) > packets.RESIDUAL_FLOOR):
+        if np.linalg.norm(centers["e"].lhs) > packets.RESIDUAL_FLOOR:
             g = pkt.gamma_bar
             ratio = (np.linalg.norm(centers["d"].lhs)
                      / np.linalg.norm(centers["e"].lhs))

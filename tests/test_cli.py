@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import re
 
 from pathlib import Path
 
@@ -194,12 +195,20 @@ def test_verify_fg_flags(tmp_path):
     out = tmp_path / "fg"
     rc = cli.main(["verify-fg", "--out", str(out),
                    "--widths", "0.02", "0.02", "0.02",
-                   "--grid-points", "16", "--kinds", "d,e"])
+                   "--grid-points", "16"])
     assert rc == 0
     text = (out / "verify_fg_report.txt").read_text()
-    assert "mass_center_offset_d" in text
-    assert "mass_center_offset_c" not in text
-    assert "offset_ratio_d_e" in text
+    for row in ("mass_center_offset_c", "mass_center_offset_d",
+                "mass_center_offset_e", "offset_ratio_d_e"):
+        assert row in text
+
+
+def test_kinds_flag_is_a_usage_error(tmp_path, capsys):
+    # every run grades all three kinds; there is no flag to pick some
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-fg", "--kinds", "d", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kinds d" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p0, graded", [
@@ -229,10 +238,11 @@ def test_verify_fg_wide_packet_warns(tmp_path):
     (["verify-fg", "--p0", "nan", "0", "0", "--grid-points", "8"],
      "packet.p0"),
     (["verify-fg", "--widths", "0.01", "0.01", "inf"], "packet.widths"),
-    (["verify-fg", "--kinds", "d x"], "output.pryce_kinds"),
+    (["verify-algebra", "--mass", "1e-300"],        # m^2 underflows
+     "error: constants.mass: must be positive"),
     (["verify-algebra", "--pmax", "nan"], "algebra.pmax"),
-    (["verify-fg", "--kinds", "", "--grid-points", "8"],
-     "output.pryce_kinds: at least one kind required"),
+    (["verify-fg", "--mass", "1e103"],              # m^3 overflows
+     "constants.mass: must be positive, with m^3 a normal float"),
     (["verify-fg", "--grid-points", "16.5"],
      "error: packet.grid_points: not an integer: '16.5'"),
     (["verify-algebra", "--momenta", "2.5"], "algebra.momenta"),
@@ -243,6 +253,21 @@ def test_verify_fg_wide_packet_warns(tmp_path):
 def test_flag_config_is_validated(argv, field, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["e_only_low_velocity", "converge_integrator",
+                                  "converge_anomalous_fd"])
+def test_speed_limit_is_config_error(name, tmp_path, capsys):
+    # |v| < 1 but at the integrator's speed limit, dynamics.MAX_SPEED
+    gallery.write_gallery(tmp_path)
+    path = tmp_path / f"{name}.cfg"
+    text = re.sub(r"(?m)^v = .*$", "v = 0.99999999999999 0.0 0.0",
+                  path.read_text(encoding="utf-8"))
+    path.write_text(text, encoding="utf-8")
+    mode = "simulate" if name == "e_only_low_velocity" else "converge"
+    assert cli.main([mode, "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: initial.v: ")
 
 
 @pytest.fixture
@@ -260,11 +285,10 @@ def captured_config(monkeypatch):
 def test_flags_override_config_file(captured_config, tmp_path):
     path = DATA / "golden_verify_fg.cfg"
     assert cli.main(["verify-fg", "--config", str(path), "--out",
-                     str(tmp_path), "--grid-points", "16", "--kinds", "e,d",
+                     str(tmp_path), "--grid-points", "16",
                      "--spin", "0", "0", "1", "--mass", "2"]) == 0
     want = load_config(path)
     want.packet.grid_points = 16
-    want.pryce_kinds = ("e", "d")
     want.packet.spin = (0.0, 0.0, 1.0)
     want.mass = 2.0
     assert captured_config == [want]
@@ -291,7 +315,7 @@ def test_flags_without_config_set_the_mode_default(captured_config,
 @pytest.mark.parametrize("command, flags", [
     ("verify-fg", [("--help", 0), ("--config", None), ("--out", None),
                    ("--p0", 3), ("--widths", 3), ("--spin", 3),
-                   ("--kinds", None), ("--grid-points", None),
+                   ("--grid-points", None),
                    ("--grid-radius", None), ("--mass", None)]),
     ("verify-algebra", [("--help", 0), ("--config", None), ("--out", None),
                         ("--seed", None), ("--momenta", None),
@@ -331,9 +355,10 @@ def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
 @pytest.mark.parametrize("flags, cause", [
     (["--widths", "1e-300", "1e-300", "1e-300"], "cell volume"),
     (["--p0", "1e200", "0", "0"], "gamma^3"),
-    (["--mass", "1e-200"], "gamma^3"),
-    (["--mass", "1e-150"], "gamma^3"),
-    (["--mass", "1e103"], "m^3"),
+    (["--mass", "1e-100", "--p0", "0", "0", "1e5"], "gamma^3"),
+    (["--mass", "1e-102", "--p0", "0", "0", "1e3"], "gamma^3"),
+    # m^3 and gamma^3 are each finite; their sum, which the guard takes, is not
+    (["--mass", "5.6e102", "--p0", "0", "0", "3e205"], "m^3"),
     (["--mass", "1e-90", "--p0", "0", "0", "0",
       "--widths", "1e-100", "1e-100", "1e-100", "--grid-points", "16"],
      "density sums overflow"),
@@ -341,7 +366,8 @@ def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
 def test_verify_fg_non_finite_packet_is_config_error(flags, cause, tmp_path,
                                                      capsys):
     # these graded NaN rows, or raised OverflowError at g**2 or m**3,
-    # before make_gaussian_packet checked its floats
+    # before make_gaussian_packet checked its floats; a mass whose cube is
+    # not a normal float is refused earlier, as constants.mass
     assert cli.main(["verify-fg", "--out", str(tmp_path)] + flags) == 2
     err = capsys.readouterr().err
     assert "error: packet: " in err and cause in err

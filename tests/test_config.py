@@ -26,7 +26,6 @@ def test_minimal_simulate_defaults():
     assert cfg.sample_every == 1
     assert cfg.E == (0.0, 0.0, 0.0)
     assert cfg.B == (0.0, 0.0, 0.02)
-    assert cfg.pryce_kinds == ("c", "d", "e")
 
 
 def test_comments_allowed():
@@ -124,21 +123,25 @@ def test_non_finite_rejected(name, mode, raw):
                      f"[{section}]\n{key} = {raw}\n")
 
 
-def test_duplicate_kinds_rejected():
-    with pytest.raises(ConfigError, match="pryce_kinds"):
-        parse_config(MINIMAL_SIMULATE + "\n[output]\npryce_kinds = c c\n")
+def test_output_section_rejected():
+    # every run writes and grades all three Pryce kinds
+    with pytest.raises(ConfigError, match=r"^unknown section \[output\]$"):
+        parse_config(MINIMAL_SIMULATE + "\n[output]\npryce_kinds = c d e\n")
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ConfigError, match="pryce_kinds"):
-        parse_config(MINIMAL_SIMULATE + "\n[output]\npryce_kinds = c q\n")
+# masses whose cube is not a normal float: the kernels divide by 2 m^3
+@pytest.mark.parametrize("mass", ["0", "-1", "1e-103", "1e-130", "1e-300",
+                                  "1e103"])
+def test_mass_cube_must_be_normal(mass):
+    with pytest.raises(ConfigError, match="^constants.mass: must be positive"):
+        parse_config(MINIMAL_SIMULATE + f"\n[constants]\nmass = {mass}\n")
 
 
-def test_kinds_may_be_comma_separated():
-    # the verify-fg --kinds flag is read by this parser too
-    cfg = parse_config(MINIMAL_SIMULATE + "\n[output]\npryce_kinds = e,d\n")
-    assert cfg.pryce_kinds == ("e", "d")
-    assert "pryce_kinds = e d\n" in serialize_config(cfg)
+@pytest.mark.parametrize("mass", ["1e-102", "1e102"])
+def test_mass_cube_at_the_normal_range_accepted(mass):
+    cfg = parse_config("[scenario]\nname = x\nmode = verify-algebra\n\n"
+                       f"[constants]\nmass = {mass}\n")
+    assert cfg.mass == float(mass)
 
 
 def test_golden_file_roundtrip():

@@ -32,13 +32,13 @@ GALLERY_FD_TOLERANCES = {
 HEAVY_CROSSED_CSV_SHA256 = (
     "8f94bf0ca13f8af9a2c19c54cb080e02887eb32cc6efe3753757fc859275ece6")
 # sha256 of two verify-fg .kv files, recorded with Python 3.11.7 and numpy
-# 2.4.6: the default packet at 48^3, and golden_verify_fg.cfg (m = 1.3,
-# kinds d e)
+# 2.4.6: the default packet at 48^3, and golden_verify_fg.cfg (m = 1.3;
+# rows for all three Pryce kinds)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
         "6cfb81633cf5362a458e59209a51965cf73b11429b50fecc5764bb34faf31d77"),
     "golden": (
-        "db365c750c4681283c0b03acc1166333f07a2516263017ee8d9cf91e606cba0b"),
+        "7dd4c176807a4af935f052a9440703eafbe8aaaab7cf6c2099c85f5a601f335a"),
 }
 
 
@@ -208,7 +208,6 @@ FG_RELATIONS = ("T_from_O", "T4_from_O", "O_from_T", "sigma_from_T",
 def _small_verify_fg():
     cfg = ScenarioConfig(name="t", mode="verify-fg")
     cfg.packet.grid_points = 16
-    assert cfg.pryce_kinds == ("c", "d", "e")
     return cfg
 
 
@@ -279,8 +278,8 @@ def _fmt(x: float) -> str:
     return runners.CSV_FMT % x
 
 
-def _oracle_trajectory_csv(path, traj, kinds):
-    cols = runners.trajectory_columns(traj, kinds)
+def _oracle_trajectory_csv(path, traj):
+    cols = runners.trajectory_columns(traj)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in cols])
@@ -289,10 +288,10 @@ def _oracle_trajectory_csv(path, traj, kinds):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _oracle_plot_files(outdir, name, traj, kinds):
+def _oracle_plot_files(outdir, name, traj):
     outdir = pathlib.Path(outdir)
     paths = []
-    for col, vals in runners.trajectory_columns(traj, kinds)[1:]:
+    for col, vals in runners.trajectory_columns(traj)[1:]:
         path = outdir / f"{name}_plot_{col}.dat"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# t  {col}\n")
@@ -310,11 +309,10 @@ def _trajectory(cfg):
                                   sample_every=cfg.sample_every)
 
 
-def _samples(n, kinds=("c", "d", "e")):
+def _samples(n):
     """A cyclotron trajectory of exactly n samples."""
     cfg = dataclasses.replace(gallery.gallery_configs()["cyclotron"],
-                              steps=2 * n - 1, sample_every=2,
-                              pryce_kinds=kinds)
+                              steps=2 * n - 1, sample_every=2)
     traj = _trajectory(cfg)
     assert len(traj.t) == n
     return cfg, traj
@@ -322,7 +320,7 @@ def _samples(n, kinds=("c", "d", "e")):
 
 def _extremes():
     """Three samples holding -0.0, the smallest subnormal and +-1e300."""
-    cfg, traj = _samples(3, kinds=("e", "c"))
+    cfg, traj = _samples(3)
     traj.t[:] = (-0.0, 5e-324, 1e300)
     traj.x[0] = (-0.0, 5e-324, -1e300)
     traj.S0[1] = -5e-324
@@ -343,7 +341,6 @@ WRITER_CASES = {
         load_config(DATA / "heavy_crossed.cfg")),
     **{f"samples_{n}": lambda n=n: _samples(n)
        for n in (1, 63, 64, 65, 127, 128, 129, 257)},
-    "samples_129_kind_d": lambda: _samples(129, kinds=("d",)),
     "extremes": _extremes,
 }
 
@@ -354,11 +351,11 @@ def test_writers_match_oracle_bytes(case, tmp_path):
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir()
     old.mkdir()
-    runners.write_trajectory_csv(new / "t.csv", traj, cfg.pryce_kinds)
-    _oracle_trajectory_csv(old / "t.csv", traj, cfg.pryce_kinds)
+    runners.write_trajectory_csv(new / "t.csv", traj)
+    _oracle_trajectory_csv(old / "t.csv", traj)
     assert (new / "t.csv").read_bytes() == (old / "t.csv").read_bytes()
     paths = runners.write_plot_files(new, cfg.name, new / "t.csv")
-    expected = _oracle_plot_files(old, cfg.name, traj, cfg.pryce_kinds)
+    expected = _oracle_plot_files(old, cfg.name, traj)
     assert [p.name for p in paths] == [p.name for p in expected]
     assert all(p.parent == new for p in paths)
     for path, oracle in zip(paths, expected):
@@ -378,7 +375,7 @@ def test_plot_files_read_back_to_trajectory_bits(tmp_path):
     expected = {"S0": traj.S0, "energy": traj.energy}
     series = [("", traj.x), ("v", traj.v), ("s", traj.s), ("S", traj.S),
               ("dX", traj.delta_x), ("Vp_", traj.v_anomalous)]
-    series += [(f"X{k}_", traj.centers[k]) for k in cfg.pryce_kinds]
+    series += [(f"X{k}_", traj.centers[k]) for k in "cde"]
     for label, arr in series:
         expected.update({f"{label}{ax}": arr[:, i]
                          for i, ax in enumerate("xyz")})
@@ -393,14 +390,15 @@ def test_plot_files_read_back_to_trajectory_bits(tmp_path):
 
 
 def test_plot_files_named_from_csv_header(tmp_path):
-    cfg, traj = _samples(65, kinds=("d",))
-    runners.write_trajectory_csv(tmp_path / "t.csv", traj, cfg.pryce_kinds)
+    cfg, traj = _samples(65)
+    runners.write_trajectory_csv(tmp_path / "t.csv", traj)
     header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
     paths = runners.write_plot_files(tmp_path, cfg.name, tmp_path / "t.csv")
     assert [p.name for p in paths] == [f"{cfg.name}_plot_{col}.dat"
                                        for col in header[1:]]
     centers = [p.name for p in paths if "_plot_X" in p.name]
-    assert centers == [f"{cfg.name}_plot_Xd_{ax}.dat" for ax in "xyz"]
+    assert centers == [f"{cfg.name}_plot_X{k}_{ax}.dat"
+                       for k in "cde" for ax in "xyz"]
     assert sorted(tmp_path.glob("*.dat")) == sorted(paths)
 
 
@@ -418,8 +416,7 @@ def test_writers_peak_memory_is_bounded(tmp_path):
     assert len(traj.t) == 10_001
     tracemalloc.start()
     try:
-        runners.write_trajectory_csv(tmp_path / "c.csv", traj,
-                                     cfg.pryce_kinds)
+        runners.write_trajectory_csv(tmp_path / "c.csv", traj)
         csv_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         runners.write_plot_files(tmp_path, cfg.name, tmp_path / "c.csv")
