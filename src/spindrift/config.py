@@ -18,7 +18,8 @@ import numpy as np
 
 from .dynamics import (MAX_STEP_ROTATION, ClassicalState, FieldConfig,
                        dilation, max_rotation_rate)
-from .packets import MAX_GRID_SPACING, MomentumWavePacket, make_gaussian_packet
+from .packets import (GRID_RADIUS, MAX_GRID_SPACING, MomentumWavePacket,
+                      make_gaussian_packet)
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
@@ -34,13 +35,11 @@ class PacketSpec:
     widths: tuple = (0.01, 0.01, 0.01)
     spin: tuple = (1.0, 0.0, 0.0)
     grid_points: int = 32
-    grid_radius: float = 5.0
 
 
 @dataclass
 class ConvergeSpec:
     target: str = "integrator"
-    rungs: int = 3
 
 
 @dataclass
@@ -79,8 +78,7 @@ class ScenarioConfig:
         try:
             return make_gaussian_packet(
                 spec.p0, spec.widths if widths is None else widths, spec.spin,
-                m=self.mass, grid_points=spec.grid_points,
-                grid_radius=spec.grid_radius)
+                m=self.mass, grid_points=spec.grid_points)
         except ValueError as exc:
             raise ConfigError(f"packet: {exc}") from None
 
@@ -138,9 +136,7 @@ _FIELDS = (
     ("packet", "widths", "packet.widths", *_VEC3),
     ("packet", "spin", "packet.spin", *_VEC3),
     ("packet", "grid_points", "packet.grid_points", *_INT),
-    ("packet", "grid_radius", "packet.grid_radius", *_FLOAT),
     ("converge", "target", "converge.target", *_STR),
-    ("converge", "rungs", "converge.rungs", *_INT),
     ("algebra", "momenta", "algebra_momenta", *_INT),
     ("algebra", "pmax", "algebra_pmax", *_FLOAT),
     ("algebra", "seed", "seed", *_INT),
@@ -164,7 +160,6 @@ _MODE_SECTIONS = {
 MODE_FLAGS = {
     "verify-fg": {"p0": "packet.p0", "widths": "packet.widths",
                   "spin": "packet.spin", "grid-points": "packet.grid_points",
-                  "grid-radius": "packet.grid_radius",
                   "mass": "constants.mass"},
     "verify-algebra": {"seed": "algebra.seed", "momenta": "algebra.momenta",
                        "pmax": "algebra.pmax", "mass": "constants.mass"},
@@ -257,10 +252,8 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError(f"initial.v: {exc}") from None
     if any(w <= 0 for w in cfg.packet.widths):
         raise ConfigError("packet.widths: must be positive")
-    if cfg.packet.grid_radius <= 0:
-        raise ConfigError("packet.grid_radius: must be positive")
     n = cfg.packet.grid_points
-    if n < 4 or 2 * cfg.packet.grid_radius / (n - 1) > MAX_GRID_SPACING:
+    if n < 4 or 2 * GRID_RADIUS / (n - 1) > MAX_GRID_SPACING:
         raise ConfigError(f"packet.grid_points: needs >= 4 points, at most "
                           f"{MAX_GRID_SPACING} widths apart")
     if float(np.linalg.norm(cfg.packet.spin)) == 0.0:
@@ -269,12 +262,20 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError(f"converge.target: unknown target "
                           f"{cfg.converge.target!r} (expected one of "
                           f"{CONVERGE_TARGETS})")
-    if cfg.mode == "converge" and cfg.converge.rungs < 3:
-        raise ConfigError("converge.rungs: ladder needs at least 3 rungs")
     if cfg.algebra_momenta < 1:
         raise ConfigError("algebra.momenta: must be >= 1")
     if cfg.algebra_pmax <= 0:
         raise ConfigError("algebra.pmax: must be positive")
+    # the identity suite's Pryce kernels form 2 E^2 (E + m) and gamma^2
+    # (gamma + 1) for E = m gamma, gamma up to hypot(1, pmax)
+    gamma = float(np.hypot(1.0, cfg.algebra_pmax))
+    e = cfg.mass * gamma
+    if cfg.mode == "verify-algebra" and not (
+            2.0 * e * e * (e + cfg.mass) + gamma * gamma * (gamma + 1.0)
+            < np.inf):
+        raise ConfigError(f"constants.mass: 2 E^2 (E + m) or gamma^2 (gamma "
+                          f"+ 1) overflows at E = m gamma, gamma = hypot(1, "
+                          f"pmax), algebra.pmax = {cfg.algebra_pmax!r}")
     # simulate and all ladders but fg integrate; dt is their largest step
     angle = cfg.dt * max_rotation_rate(cfg.field_config())
     if angle >= MAX_STEP_ROTATION and cfg.converge.target != "fg":

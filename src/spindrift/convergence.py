@@ -13,6 +13,9 @@ from . import dynamics, packets
 from .config import ConfigError, ScenarioConfig
 from .packets import RESIDUAL_FLOOR
 
+# Rungs per ladder; three give two pairwise orders
+RUNGS = 3
+
 
 @dataclass
 class Ladder:
@@ -105,7 +108,7 @@ def run_ladder(cfg: ScenarioConfig) -> Ladder:
     """Halve the resolution; an error at its floor is a ConfigError."""
     target = TARGETS[cfg.converge.target]
     rows = []
-    for k in range(cfg.converge.rungs):
+    for k in range(RUNGS):
         h, err, floor = target.rung(cfg, 2**k)
         if err <= floor:
             raise ConfigError(f"{target.key}: rung {k} error {err:.3g} is at "

@@ -9,12 +9,12 @@ is the same at every point.  The envelope is a product Gaussian
 
 (w_i is the amplitude scale; the probability density |g|^2 then has per-axis
 standard deviation w_i / sqrt(2)).  Expectation values are plain grid sums
-weighted by the cell volume; with the default 5-width truncation both the
-quadrature and truncation errors sit far below the physical packet-spread
-effects, which scale as (w/m)^2.  Packet-path operators are Clifford
-matrices times functions of p, summed against the bilinears a^dagger C_A a
-in one pass over the grid that holds one slab of them at a time;
-`expectation`, on dense (..., 4, 4) kernels, is the oracle for that route.
+weighted by the cell volume over `GRID_RADIUS` widths each way; quadrature
+and truncation errors sit far below the physical packet-spread effects,
+which scale as (w/m)^2.  Packet-path operators are Clifford matrices times
+functions of p, summed against the bilinears a^dagger C_A a in one pass
+over the grid that holds one slab of them at a time; `expectation`, on
+dense (..., 4, 4) kernels, is the oracle for that route.
 """
 from __future__ import annotations
 
@@ -49,9 +49,11 @@ FG_RESIDUAL_COEFF = {
 # Packets wider than this fraction of the mass are outside the sharp-spread
 # regime; verification rows for them are downgraded to WARN.
 SHARP_WIDTH_FRACTION = 0.05
-# Fraction of the continuum Gaussian mass a grid may cut off.
-MAX_TRUNCATED_MASS = 1e-6
-# Widest grid spacing in widths, 2 grid_radius / (grid_points - 1).  Over 82
+# Half-extent of the momentum grid, in widths.  It cuts off 1 - erf(5)^3 ~
+# 4.6e-12 of the continuum Gaussian mass |g|^2 ~ exp(-r^2/w^2), so no grid
+# truncates the packet.
+GRID_RADIUS = 5.0
+# Widest grid spacing in widths, 2 GRID_RADIUS / (grid_points - 1).  Over 82
 # packets (|p0| to 5m, m 0.5-3, anisotropic widths) the worst residual over
 # tolerance is ~0.45 on fine grids, 0.52 at 1.5, 0.85 at 2.0; rows fail at 2.2.
 MAX_GRID_SPACING = 1.5
@@ -126,27 +128,16 @@ class MomentumWavePacket:
         vals["norm"] = float(one.sum() * self.cell_volume)
         return vals
 
-    @property
-    def norm_squared(self) -> float:
-        return self.expectations["norm"]
-
-    @property
-    def mean_momentum(self) -> np.ndarray:
-        return self.expectations["p"]
-
     @functools.cached_property
     def gamma_bar(self) -> float:
         """Dilation factor of the packet, E(<p>)/m."""
-        return float(algebra.energy(self.mean_momentum, self.mass) / self.mass)
+        return float(algebra.energy(self.expectations["p"], self.mass)
+                     / self.mass)
 
     @functools.cached_property
     def velocity(self) -> np.ndarray:
-        return _read_only(self.mean_momentum / (self.gamma_bar * self.mass))
-
-    @property
-    def mean_t(self) -> np.ndarray:
-        """<T>, the space part of the little-group generator."""
-        return self.expectations["T"]
+        return _read_only(self.expectations["p"]
+                          / (self.gamma_bar * self.mass))
 
     @property
     def is_sharp(self) -> bool:
@@ -193,16 +184,13 @@ def positive_energy_spinor(p, chi, m: float) -> np.ndarray:
 
 
 def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
-                         grid_points: int = 32,
-                         grid_radius: float = 5.0) -> MomentumWavePacket:
+                         grid_points: int = 32) -> MomentumWavePacket:
     """Build a normalized sharp packet centred at p0.
 
-    `widths` sets the per-axis Gaussian amplitude scale, `grid_radius` the
-    half-extent of the lattice in units of the width.  Grids that cut off
-    more than 1e-6 of the continuum Gaussian mass are rejected, as are
-    non-positive widths and packets that floats cannot hold (a subnormal
-    cell volume, a zero or non-finite norm, gamma^3, m^3 or a density sum
-    overflowing).
+    `widths` sets the per-axis Gaussian amplitude scale; the lattice spans
+    `GRID_RADIUS` widths each way.  Non-positive widths are rejected, as are
+    packets that floats cannot hold (a subnormal cell volume, a zero or
+    non-finite norm, gamma^3, m^3 or a density sum overflowing).
     """
     p0 = np.asarray(p0, dtype=float)
     w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
@@ -210,22 +198,14 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
         raise ValueError("packet widths must be positive")
     if grid_points < 4:
         raise ValueError("grid needs at least 4 points per axis")
-    # mass of |g|^2 ~ exp(-r^2/w^2) outside +-R per axis is erfc(R/w)
-    retained = math.prod(math.erf(grid_radius) for _ in range(3))
-    if 1.0 - retained > MAX_TRUNCATED_MASS:
-        raise ValueError(
-            f"grid radius {grid_radius} widths truncates "
-            f"{1.0 - retained:.2e} of the Gaussian mass (limit "
-            f"{MAX_TRUNCATED_MASS:.0e})")
-
     # gamma at the grid corner farthest from p = 0 bounds gamma_bar; the
     # e-type Pryce factors take its cube, the mass-center offsets m^3
-    p_max = math.hypot(*(np.abs(p0) + grid_radius * w))
+    p_max = math.hypot(*(np.abs(p0) + GRID_RADIUS * w))
     gamma = math.hypot(m, p_max) / m
     if not math.isfinite(gamma * gamma * gamma + m * m * m):
         raise ValueError(f"gamma^3 or m^3 overflows (gamma = {gamma:.3g} at "
                          f"the grid edge, m = {m:.3g})")
-    axes = [p0[i] + np.linspace(-grid_radius * w[i], grid_radius * w[i],
+    axes = [p0[i] + np.linspace(-GRID_RADIUS * w[i], GRID_RADIUS * w[i],
                                 grid_points) for i in range(3)]
     spacings = np.array([ax[1] - ax[0] for ax in axes])
     cell = float(np.prod(spacings))
@@ -300,8 +280,6 @@ def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     the spinor itself carries momentum dependence.
     """
     a = packet.amplitudes
-    if min(a.shape[:3]) < 4:
-        raise ValueError("grid too coarse for differentiation stencil")
     out = np.empty(3)
     for axis in range(3):
         n = a.shape[axis]
@@ -345,16 +323,6 @@ def _densities(p, b, m) -> list:
     return dens
 
 
-def fg_expectations(packet: MomentumWavePacket) -> dict:
-    """All expectation values entering the little-group/mean-spin relations,
-    read from the packet's one pass (T4 = i p.b[Sigma] / m; see `_densities`
-    for the others)."""
-    keys = ("T", "T4", "O", "sigma", "ibeta_alpha", "p_cross_sigma", "odd",
-            "p")
-    vals = {key: packet.expectations[key] for key in keys}
-    return vals | {"gamma_bar": packet.gamma_bar, "v": packet.velocity}
-
-
 def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
     """Residuals of the expectation-value relations tying T, T4, O, sigma.
 
@@ -369,10 +337,8 @@ def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
     All residuals scale as (width/m)^2 for sharp packets.  Returns the
     relations by name in this order; the lhs of T_from_O is <T>.
     """
-    m = packet.mass
-    vals = fg_expectations(packet)
-    g, v, p = vals["gamma_bar"], vals["v"], vals["p"]
-    tbar, obar = vals["T"], vals["O"]
+    vals, m, g = packet.expectations, packet.mass, packet.gamma_bar
+    v, p, tbar, obar = packet.velocity, vals["p"], vals["T"], vals["O"]
     relations = [
         Relation("T_from_O", tbar,
                  obar + g**2 / (g + 1.0) * np.dot(v, obar) * v),
@@ -400,8 +366,8 @@ def verify_main_result(packet: MomentumWavePacket, kind) -> Relation:
     """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type."""
     m, g = packet.mass, packet.gamma_bar
     fp = algebra.pryce_factors(kind, g)[3]
-    predicted = (fp * np.cross(packet.mean_t, packet.mean_momentum)
-                 / (2.0 * m * m * g))
+    vals = packet.expectations
+    predicted = fp * np.cross(vals["T"], vals["p"]) / (2.0 * m * m * g)
     return Relation(f"mass_center_offset_{kind}",
                     mass_center_offset(packet, kind), predicted)
 

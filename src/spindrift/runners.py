@@ -84,8 +84,8 @@ def write_plot_files(outdir, name, csv_path):
     return paths
 
 
-def _fd_tolerance(series: np.ndarray, h: float, extra: float = 0.0,
-                  substeps: int = 1) -> float:
+def _fd_tolerance(series: np.ndarray, h: float, extra: float,
+                  substeps: int) -> float:
     """Self-calibrated bound on the central-difference error.
 
     The leading truncation error is h^2/6 f'''; the third derivative is
@@ -95,8 +95,6 @@ def _fd_tolerance(series: np.ndarray, h: float, extra: float = 0.0,
     """
     ulp = np.spacing(np.max(np.abs(series)))
     roundoff = float(np.sqrt(3.0) * (substeps + 1) * ulp / (2.0 * h))
-    if len(series) < 4:
-        return max(extra, 1e-12, roundoff)
     d3 = np.diff(series, n=3, axis=0)
     est = float(np.max(np.abs(d3))) / (3.0 * h)
     return max(est + extra, 1e-12, roundoff)

@@ -9,7 +9,7 @@ def reference_packet():
     """The standard verification packet: p0 = 0.6m zhat, transverse spin."""
     return packets.make_gaussian_packet(
         p0=(0.0, 0.0, 0.6), widths=0.01, spin_direction=(1.0, 0.0, 0.0),
-        m=1.0, grid_points=32, grid_radius=5.0)
+        m=1.0, grid_points=32)
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +17,7 @@ def fast_packet():
     """Smaller, wider packet for cheap relation checks."""
     return packets.make_gaussian_packet(
         p0=(0.0, 0.0, 0.6), widths=0.02, spin_direction=(1.0, 0.0, 0.0),
-        m=1.0, grid_points=24, grid_radius=5.0)
+        m=1.0, grid_points=24)
 
 
 def rotation_matrix(axis, angle):

@@ -37,8 +37,7 @@ def test_criterion_2_fg_relations(reference_packet):
     t0 = time.perf_counter()
     coarse = packets.verify_fg_relations(reference_packet)
     fine_packet = packets.make_gaussian_packet(
-        (0, 0, 0.6), 0.005, (1, 0, 0), m=1.0, grid_points=32,
-        grid_radius=5.0)
+        (0, 0, 0.6), 0.005, (1, 0, 0), m=1.0, grid_points=32)
     fine = packets.verify_fg_relations(fine_packet)
     elapsed = time.perf_counter() - t0
 

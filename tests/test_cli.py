@@ -211,6 +211,14 @@ def test_kinds_flag_is_a_usage_error(tmp_path, capsys):
     assert "unrecognized arguments: --kinds d" in capsys.readouterr().err
 
 
+def test_grid_radius_flag_is_a_usage_error(tmp_path, capsys):
+    # every grid spans packets.GRID_RADIUS widths; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-fg", "--grid-radius", "6", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-radius 6" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p0, graded", [
     (["0", "0", "0"], False),      # at rest: <T> x <p> = 0
     (["0.6", "0", "0"], False),    # p0 along the default spin x
@@ -249,6 +257,11 @@ def test_verify_fg_wide_packet_warns(tmp_path):
     (["verify-algebra", "--seed", "x"], "algebra.seed"),
     (["verify-fg", "--config", str(DATA / "golden_verify_fg.cfg"),
       "--p0", "nan", "0", "0", "--grid-points", "8"], "packet.p0"),
+    # the identity suite's kernels form 2 E^2 (E + m) and gamma^2 (gamma + 1)
+    (["verify-algebra", "--mass", "5e102"],
+     "error: constants.mass: 2 E^2 (E + m) or gamma^2 (gamma + 1) overflows"),
+    (["verify-algebra", "--mass", "1e-3", "--pmax", "1e103"],
+     "algebra.pmax = 1e+103"),
 ])
 def test_flag_config_is_validated(argv, field, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -315,8 +328,7 @@ def test_flags_without_config_set_the_mode_default(captured_config,
 @pytest.mark.parametrize("command, flags", [
     ("verify-fg", [("--help", 0), ("--config", None), ("--out", None),
                    ("--p0", 3), ("--widths", 3), ("--spin", 3),
-                   ("--grid-points", None),
-                   ("--grid-radius", None), ("--mass", None)]),
+                   ("--grid-points", None), ("--mass", None)]),
     ("verify-algebra", [("--help", 0), ("--config", None), ("--out", None),
                         ("--seed", None), ("--momenta", None),
                         ("--pmax", None), ("--mass", None)]),
@@ -332,16 +344,9 @@ def test_verify_flags_are_config_keys(command, flags):
     assert set(table.values()) <= keys
 
 
-def test_verify_fg_truncating_grid_is_config_error(tmp_path):
-    rc = cli.main(["verify-fg", "--out", str(tmp_path),
-                   "--grid-radius", "3.0"])
-    assert rc == 2
-
-
 @pytest.mark.parametrize("grid", [
     ["--grid-points", "4"],                         # 3.33 widths apart
     ["--grid-points", "7"],                         # 1.67
-    ["--grid-points", "12", "--grid-radius", "9"],  # 1.64
 ])
 def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
     # a 4-point grid fails eight relation rows of the default packet; the
@@ -372,16 +377,6 @@ def test_verify_fg_non_finite_packet_is_config_error(flags, cause, tmp_path,
     err = capsys.readouterr().err
     assert "error: packet: " in err and cause in err
     assert not (tmp_path / "verify_fg_report.txt").exists()
-
-
-def test_converge_fg_truncating_grid_is_config_error(tmp_path, capsys):
-    cfg = gallery.converge_configs()["converge_fg"]
-    cfg.packet.grid_radius = 3.0
-    path = tmp_path / "truncating.cfg"
-    path.write_text(serialize_config(cfg), encoding="utf-8")
-    assert cli.main(["converge", "--config", str(path),
-                     "--out", str(tmp_path)]) == 2
-    assert "error: packet: grid radius 3.0" in capsys.readouterr().err
 
 
 def test_converge_command(tmp_path):

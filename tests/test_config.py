@@ -1,10 +1,12 @@
 import pathlib
+import warnings
 
+import numpy as np
 import pytest
 
-from spindrift import gallery
-from spindrift.config import (ConfigError, ScenarioConfig, parse_config,
-                              serialize_config)
+from spindrift import algebra, gallery
+from spindrift.config import (ConfigError, ScenarioConfig, override,
+                              parse_config, serialize_config)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -84,9 +86,17 @@ def test_verify_fg_requires_packet_block():
 def test_converge_requires_block_and_rungs():
     with pytest.raises(ConfigError, match=r"\[converge\]"):
         parse_config("[scenario]\nname = x\nmode = converge\n")
-    with pytest.raises(ConfigError, match="rungs"):
+
+
+# keys with one value in use, now packets.GRID_RADIUS and convergence.RUNGS
+@pytest.mark.parametrize("key, extra", [
+    ("packet.grid_radius", "\n[packet]\ngrid_radius = 5.0\n"),
+    ("converge.rungs", "rungs = 3\n"),
+], ids=["packet.grid_radius", "converge.rungs"])
+def test_constant_keys_are_unknown(key, extra):
+    with pytest.raises(ConfigError, match=f"^{key}: unknown key$"):
         parse_config("[scenario]\nname = x\nmode = converge\n\n"
-                     "[converge]\ntarget = integrator\nrungs = 2\n")
+                     "[converge]\ntarget = fg\n" + extra)
 
 
 def test_bad_vector_rejected():
@@ -109,7 +119,6 @@ NON_FINITE = [
     ("packet.p0", "verify-fg", "nan 0 0.6"),
     ("packet.widths", "verify-fg", "0.01 0.01 inf"),
     ("packet.spin", "verify-fg", "1 0 nan"),
-    ("packet.grid_radius", "verify-fg", "inf"),
     ("algebra.pmax", "verify-algebra", "nan"),
 ]
 
@@ -139,9 +148,50 @@ def test_mass_cube_must_be_normal(mass):
 
 @pytest.mark.parametrize("mass", ["1e-102", "1e102"])
 def test_mass_cube_at_the_normal_range_accepted(mass):
-    cfg = parse_config("[scenario]\nname = x\nmode = verify-algebra\n\n"
+    # simulate with no fields: nothing but m^3 bounds the mass
+    cfg = parse_config("[scenario]\nname = x\nmode = simulate\n\n"
                        f"[constants]\nmass = {mass}\n")
     assert cfg.mass == float(mass)
+
+
+def _largest_admitted(admitted, lo, hi) -> float:
+    """The largest positive float in [lo, hi) that `admitted` accepts."""
+    lo, hi = (int(bits) for bits in np.array([lo, hi]).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(float(np.int64(mid).view(float))) \
+            else (lo, mid)
+    return float(np.int64(lo).view(float))
+
+
+# verify-algebra's kernels form 2 E^2 (E + m) and gamma^2 (gamma + 1) at
+# E = m gamma, gamma up to hypot(1, pmax); the suite overflowed above
+# m ~ 4.3e101 at the default pmax while m^3 stayed finite
+@pytest.mark.parametrize("vary, hi, fixed", [
+    ("constants.mass", 5e102, {"algebra.pmax": "10.0"}),
+    ("constants.mass", 5e102, {"algebra.pmax": "0.001"}),
+    ("algebra.pmax", 1e300, {"constants.mass": "0.001"}),
+], ids=["mass_at_pmax_10", "mass_at_pmax_1e-3", "pmax_at_mass_1e-3"])
+def test_verify_algebra_overflow_edge(vary, hi, fixed):
+    def config(value):
+        return override(ScenarioConfig(mode="verify-algebra"),
+                        {**fixed, vary: repr(value)})
+
+    def admitted(value):
+        try:
+            config(value)
+        except ConfigError as exc:
+            assert str(exc).startswith("constants.mass: 2 E^2 (E + m)")
+            assert "algebra.pmax = " in str(exc)
+            return False
+        return True
+
+    edge = config(_largest_admitted(admitted, 1.0, hi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = algebra.identity_report(pmax_over_m=edge.algebra_pmax,
+                                         m=edge.mass)
+    assert all(np.isfinite(row.residual) for row in report)
 
 
 def test_golden_file_roundtrip():
@@ -173,4 +223,3 @@ def test_parse_preserves_values():
     cfg = parse_config(serialize_config(cfg0))
     assert cfg.packet.widths == (0.01, 0.02, 0.03)
     assert cfg.packet.grid_points == 32
-    assert cfg.packet.grid_radius == 5.0

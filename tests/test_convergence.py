@@ -83,8 +83,7 @@ def test_integrator_ladder_ignores_initial_offset():
     # scaled with |x| rather than the excursion would refuse it
     base = gallery.converge_configs()["converge_integrator"]
     rate = dynamics.max_rotation_rate(base.field_config())
-    cfg = dataclasses.replace(base, dt=0.05 / rate, steps=32,
-                              converge=ConvergeSpec("integrator", rungs=5))
+    cfg = dataclasses.replace(base, dt=0.05 / rate / 4, steps=128)
     near = convergence.run_ladder(cfg)
     far = convergence.run_ladder(dataclasses.replace(cfg, x0=(1e3, 0.0, 0.0)))
     np.testing.assert_array_equal(far.errors, near.errors)

@@ -24,15 +24,11 @@ def brute_force_expectation(packet, kernel_at):
 
 class TestConstruction:
     def test_normalized(self, fast_packet):
-        assert abs(fast_packet.norm_squared - 1.0) < 1e-12
+        assert abs(fast_packet.expectations["norm"] - 1.0) < 1e-12
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             make_gaussian_packet((0, 0, 0), 0.0, (0, 0, 1))
-
-    def test_rejects_truncating_grid(self):
-        with pytest.raises(ValueError, match="truncates"):
-            make_gaussian_packet((0, 0, 0), 0.01, (0, 0, 1), grid_radius=3.0)
 
     @pytest.mark.parametrize("p0, widths, m, match", [
         ((0, 0, 0.6), 1e-300, 1.0, "cell volume"),    # spacings round to 0
@@ -68,8 +64,8 @@ class TestConstruction:
         norm = np.einsum("pqra,pqra->", rejected.conj(), rejected).real
         assert norm * fast_packet.cell_volume < 1e-12
 
-    def test_mean_momentum_matches_center(self, fast_packet):
-        assert np.allclose(fast_packet.mean_momentum, fast_packet.center,
+    def test_expected_momentum_matches_center(self, fast_packet):
+        assert np.allclose(fast_packet.expectations["p"], fast_packet.center,
                            atol=1e-12)
 
     def test_amplitudes_immutable(self, fast_packet):
@@ -114,13 +110,13 @@ class TestExpectation:
     def test_hamiltonian_vs_gamma_m(self):
         pkt = make_gaussian_packet((0, 0, 0.75), 0.01, (1, 0, 0),
                                    grid_points=24)
-        assert abs(pkt.norm_squared - 1.0) < 1e-12
+        assert abs(pkt.expectations["norm"] - 1.0) < 1e-12
         h_mean = expectation(
             pkt, lambda p: algebra.free_hamiltonian(p, pkt.mass))
         assert abs(h_mean - pkt.gamma_bar * pkt.mass) < 2.0 * 0.01**2
 
     def test_odd_kernel_null(self, fast_packet):
-        val = packets.fg_expectations(fast_packet)["odd"]
+        val = fast_packet.expectations["odd"]
         assert np.max(np.abs(val)) < 1e-14
 
     def test_anti_hermitian_kernel_flagged(self):
@@ -213,7 +209,7 @@ class TestRelations:
     def test_t4_pure_imaginary_comparison(self):
         pkt = make_gaussian_packet((0, 0, 0.6), 0.02, (0, 0, 1),
                                    grid_points=16)
-        vals = packets.fg_expectations(pkt)
+        vals = pkt.expectations
         assert abs(vals["T4"].real) < 1e-14
         assert vals["T4"].imag > 0.5  # ~ gbar v . s
 
@@ -264,12 +260,10 @@ class TestCovariance:
         rot = rotation_matrix([1.0, 2.0, 0.5], 0.83)
         p0 = np.array([0.0, 0.0, 0.6])
         spin = np.array([1.0, 0.0, 0.0])
-        base = make_gaussian_packet(p0, 0.01, spin, grid_points=24,
-                                    grid_radius=6.0)
+        base = make_gaussian_packet(p0, 0.01, spin, grid_points=24)
         turned = make_gaussian_packet(rot @ p0, 0.01, rot @ spin,
-                                      grid_points=24, grid_radius=6.0)
-        vals_b = packets.fg_expectations(base)
-        vals_t = packets.fg_expectations(turned)
+                                      grid_points=24)
+        vals_b, vals_t = base.expectations, turned.expectations
         for key in ("T", "O", "sigma", "ibeta_alpha", "p_cross_sigma", "p"):
             assert np.max(np.abs(rot @ vals_b[key] - vals_t[key])) < 1e-12, key
         for kind in ("d", "e"):
@@ -315,10 +309,7 @@ class TestBilinearTable:
         pkt = make_gaussian_packet(p0, (0.02, 0.03, 0.025), spin,
                                    m=1.3, grid_points=n)
         dense = _dense_expectations(pkt)
-        table = packets.fg_expectations(pkt)
-        table["norm"] = pkt.norm_squared
-        for kind in ("c", "d", "e"):
-            table[kind] = mass_center_offset(pkt, kind)
+        table = pkt.expectations
         assert isinstance(table["T4"], complex)
         for key, want in dense.items():
             assert np.max(np.abs(table[key] - want)) <= 1e-12, key
@@ -329,9 +320,7 @@ class TestBilinearTable:
         pkt = _off_shell(make_gaussian_packet((0.2, 0.5, -0.4), 0.03,
                                               (0, 0, 1), grid_points=16))
         dense = _dense_expectations(pkt)
-        table = packets.fg_expectations(pkt)
-        for kind in ("c", "d", "e"):
-            table[kind] = mass_center_offset(pkt, kind)
+        table = pkt.expectations
         assert np.max(np.abs(dense["odd"])) > 1e-4
         assert np.max(np.abs(dense["c"])) > 1e-3
         for key in table.keys() & dense.keys():
@@ -377,7 +366,7 @@ class TestBilinearTable:
         assert isinstance(vals["norm"], float)
         assert all(arr.shape[-1] != 16 for arr in _held_arrays(fast_packet))
 
-    @pytest.mark.parametrize("name", ["mean_momentum", "velocity", "mean_t"])
+    @pytest.mark.parametrize("name", ["velocity"])
     def test_moments_are_cached_and_read_only(self, fast_packet, name):
         value = getattr(fast_packet, name)
         assert value.shape == (3,)
@@ -387,8 +376,8 @@ class TestBilinearTable:
 
     def test_mean_t_is_the_t_relations_lhs(self, fast_packet):
         assert (verify_fg_relations(fast_packet)["T_from_O"].lhs
-                is fast_packet.mean_t)
-        assert np.array_equal(fast_packet.mean_t,
+                is fast_packet.expectations["T"])
+        assert np.array_equal(fast_packet.expectations["T"],
                               _full_grid_forms(fast_packet)["T"])
 
     def test_hermitian_rule_on_table_route(self, fast_packet):

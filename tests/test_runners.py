@@ -33,12 +33,12 @@ HEAVY_CROSSED_CSV_SHA256 = (
     "8f94bf0ca13f8af9a2c19c54cb080e02887eb32cc6efe3753757fc859275ece6")
 # sha256 of two verify-fg .kv files, recorded with Python 3.11.7 and numpy
 # 2.4.6: the default packet at 48^3, and golden_verify_fg.cfg (m = 1.3;
-# rows for all three Pryce kinds)
+# rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
         "6cfb81633cf5362a458e59209a51965cf73b11429b50fecc5764bb34faf31d77"),
     "golden": (
-        "7dd4c176807a4af935f052a9440703eafbe8aaaab7cf6c2099c85f5a601f335a"),
+        "e9f80ead5ac71ebda1836bb873b530da2099124d1ea4dbca5f551bfce2db9d52"),
 }
 
 
@@ -178,10 +178,10 @@ def test_fd_roundoff_term():
     h, substeps = 0.5, 9
     series = np.outer(np.linspace(0.0, 1e4, 50), [1.0, -1.0, 0.5])
     expected = np.sqrt(3.0) * 10 * np.spacing(1e4) / (2.0 * h)
-    assert runners._fd_tolerance(series, h, substeps=substeps) == \
+    assert runners._fd_tolerance(series, h, 0.0, substeps) == \
         pytest.approx(expected, rel=1e-12)
-    # short series and small positions keep the absolute floor
-    assert runners._fd_tolerance(series[:3] * 1e-6, h) == 1e-12
+    # small positions on a straight path keep the absolute floor
+    assert runners._fd_tolerance(series * 1e-6, h, 0.0, 1) == 1e-12
 
 
 def test_verify_fg_row_times(tmp_path):
