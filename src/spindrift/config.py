@@ -1,11 +1,12 @@
 """Scenario configuration: strict sectioned key-value files.
 
 The format is INI-style with `#` comments.  Unknown sections or keys are
-errors (no silent typo absorption), every value is validated, and
-`serialize_config` emits a canonical form that `parse_config` maps back to
-the identical configuration (serialize . parse is idempotent on canonical
-text).  A commented example lives in the package README; `spindrift gallery`
-writes the shipped configs in canonical form.
+errors (no silent typo absorption), and so is a key the config's run does
+not read.  Every value is validated, and `serialize_config` emits a
+canonical form that `parse_config` maps back to the identical
+configuration (serialize . parse is idempotent on canonical text).  A
+commented example lives in the package README; `spindrift gallery` writes
+the shipped configs in canonical form.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ from .packets import (GRID_RADIUS, MAX_GRID_SPACING, MomentumWavePacket,
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
+# what decides the keys a config may hold: its mode, or converge's target
+RUNS = ("simulate", "verify-fg", "verify-algebra", *CONVERGE_TARGETS)
 
 
 class ConfigError(ValueError):
@@ -61,6 +64,18 @@ class ScenarioConfig:
     algebra_momenta: int = 100
     algebra_pmax: float = 10.0
     seed: int = 0
+
+    @property
+    def run(self) -> str:
+        """The mode, or converge's target; an unknown one is a ConfigError."""
+        if self.mode not in MODES:
+            raise ConfigError(f"scenario.mode: unknown mode {self.mode!r} "
+                              f"(expected one of {MODES})")
+        target = self.converge.target
+        if self.mode == "converge" and target not in CONVERGE_TARGETS:
+            raise ConfigError(f"converge.target: unknown target {target!r} "
+                              f"(expected one of {CONVERGE_TARGETS})")
+        return target if self.mode == "converge" else self.mode
 
     def field_config(self) -> FieldConfig:
         """The scenario's fields, charge and mass."""
@@ -117,65 +132,55 @@ _INT = (_parse_int, str)
 _FLOAT = (_parse_float, lambda v: repr(float(v)))
 _VEC3 = (_parse_vec3, lambda v: " ".join(repr(float(c)) for c in v))
 
-# (section, key, attribute, parser, formatter) in canonical order; a dotted
-# attribute names a field of the nested PacketSpec or ConvergeSpec
+# (section, key, attribute, runs, parser, formatter) in canonical order: a
+# config may set a key only if its run is one of `runs`, the runs whose
+# output the key's value can change (_ORBIT integrate an orbit, _PACKET
+# build a packet); a dotted attribute names a field of the nested
+# PacketSpec or ConvergeSpec
+_ORBIT = ("simulate", "integrator", "anomalous-fd")
+_PACKET = ("verify-fg", "fg")
 _FIELDS = (
-    ("scenario", "name", "name", *_STR),
-    ("scenario", "mode", "mode", *_STR),
-    ("constants", "mass", "mass", *_FLOAT),
-    ("constants", "charge", "charge", *_FLOAT),
-    ("fields", "E", "E", *_VEC3),
-    ("fields", "B", "B", *_VEC3),
-    ("initial", "x", "x0", *_VEC3),
-    ("initial", "v", "v0", *_VEC3),
-    ("initial", "s", "s0", *_VEC3),
-    ("integration", "dt", "dt", *_FLOAT),
-    ("integration", "steps", "steps", *_INT),
-    ("integration", "sample_every", "sample_every", *_INT),
-    ("packet", "p0", "packet.p0", *_VEC3),
-    ("packet", "widths", "packet.widths", *_VEC3),
-    ("packet", "spin", "packet.spin", *_VEC3),
-    ("packet", "grid_points", "packet.grid_points", *_INT),
-    ("converge", "target", "converge.target", *_STR),
-    ("algebra", "momenta", "algebra_momenta", *_INT),
-    ("algebra", "pmax", "algebra_pmax", *_FLOAT),
-    ("algebra", "seed", "seed", *_INT),
+    ("scenario", "name", "name", RUNS, *_STR),
+    ("scenario", "mode", "mode", RUNS, *_STR),
+    ("constants", "mass", "mass", RUNS, *_FLOAT),
+    ("constants", "charge", "charge", _ORBIT, *_FLOAT),
+    ("fields", "E", "E", _ORBIT, *_VEC3),
+    ("fields", "B", "B", _ORBIT, *_VEC3),
+    ("initial", "x", "x0", ("simulate",), *_VEC3),
+    ("initial", "v", "v0", _ORBIT, *_VEC3),
+    ("initial", "s", "s0", ("simulate", "anomalous-fd"), *_VEC3),
+    ("integration", "dt", "dt", _ORBIT, *_FLOAT),
+    ("integration", "steps", "steps", _ORBIT, *_INT),
+    ("integration", "sample_every", "sample_every", ("simulate",), *_INT),
+    ("packet", "p0", "packet.p0", _PACKET, *_VEC3),
+    ("packet", "widths", "packet.widths", _PACKET, *_VEC3),
+    ("packet", "spin", "packet.spin", _PACKET, *_VEC3),
+    ("packet", "grid_points", "packet.grid_points", _PACKET, *_INT),
+    ("converge", "target", "converge.target", CONVERGE_TARGETS, *_STR),
+    ("algebra", "momenta", "algebra_momenta", ("verify-algebra",), *_INT),
+    ("algebra", "pmax", "algebra_pmax", ("verify-algebra",), *_FLOAT),
+    ("algebra", "seed", "seed", ("verify-algebra",), *_INT),
 )
 _ROWS = {f"{row[0]}.{row[1]}": row for row in _FIELDS}
 _SECTIONS = {row[0] for row in _FIELDS}
-VEC3_KEYS = {dotted for dotted, row in _ROWS.items() if row[3] is _parse_vec3}
-
-# mode -> (sections it requires, further sections it allows)
-_MODE_SECTIONS = {
-    "simulate": ((), ("scenario", "constants", "fields", "initial",
-                      "integration")),
-    "verify-fg": (("packet",), ("scenario", "constants")),
-    "verify-algebra": ((), ("scenario", "constants", "algebra")),
-    "converge": (("converge",), ("scenario", "constants", "fields",
-                                 "initial", "integration", "packet")),
-}
+_READERS = {dotted: row[3] for dotted, row in _ROWS.items()}
+VEC3_KEYS = {dotted for dotted, row in _ROWS.items() if row[4] is _parse_vec3}
+# the section each mode requires even where all its keys take defaults
+_REQUIRED = {"verify-fg": "packet", "converge": "converge"}
 
 # mode -> {CLI flag: the config key it sets}, for the modes that also run
-# without --config; a flag takes the key's text, one word per vec3 component
-MODE_FLAGS = {
-    "verify-fg": {"p0": "packet.p0", "widths": "packet.widths",
-                  "spin": "packet.spin", "grid-points": "packet.grid_points",
-                  "mass": "constants.mass"},
-    "verify-algebra": {"seed": "algebra.seed", "momenta": "algebra.momenta",
-                       "pmax": "algebra.pmax", "mass": "constants.mass"},
-}
+# without --config: each key the mode reads outside [scenario], `_` written
+# `-`; a flag takes the key's text, one word per vec3 component
+MODE_FLAGS = {mode: {key.replace("_", "-"): f"{section}.{key}"
+                     for section, key, _, runs, *_ in _FIELDS
+                     if mode in runs and section != "scenario"}
+              for mode in ("verify-fg", "verify-algebra")}
 
 
 def _owner(cfg: ScenarioConfig, attr: str):
     """The object that holds a (possibly dotted) attribute, and its name."""
     head, _, name = attr.rpartition(".")
     return (getattr(cfg, head) if head else cfg), name
-
-
-def _check_mode(mode: str):
-    if mode not in MODES:
-        raise ConfigError(f"scenario.mode: unknown mode {mode!r} "
-                          f"(expected one of {MODES})")
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -188,48 +193,42 @@ def parse_config(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    if not parser.has_section("scenario"):
-        raise ConfigError("missing [scenario] section")
-    mode = parser.get("scenario", "mode", fallback=None)
-    if mode is None:
+    if not parser.has_option("scenario", "mode"):
         raise ConfigError("scenario.mode: required")
-    _check_mode(mode)
-
-    required, optional = _MODE_SECTIONS[mode]
+    values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        if section not in required + optional:
-            raise ConfigError(f"section [{section}] is not valid in "
-                              f"{mode!r} mode")
         for key in parser[section]:
             if f"{section}.{key}" not in _ROWS:
                 raise ConfigError(f"{section}.{key}: unknown key")
-    for section in required:
-        if not parser.has_section(section):
-            raise ConfigError(f"mode {mode!r} requires a [{section}] section")
-
-    return override(ScenarioConfig(), {
-        f"{section}.{key}": parser.get(section, key)
-        for section, key, *_ in _FIELDS
-        if parser.has_section(section) and key in parser[section]})
+            values[f"{section}.{key}"] = parser.get(section, key)
+    required = _REQUIRED.get(values["scenario.mode"])
+    if required and not parser.has_section(required):
+        raise ConfigError(f"mode {values['scenario.mode']!r} requires a "
+                          f"[{required}] section")
+    return override(ScenarioConfig(), values)
 
 
 def override(cfg: ScenarioConfig, values: dict) -> ScenarioConfig:
-    """`cfg` with each "section.key" in `values` set from its raw text, read
-    as in a config file, then fully validated."""
+    """`cfg` with each "section.key" of `values`, which its run must read,
+    set from its raw text as in a config file, then fully validated."""
     for dotted, raw in values.items():
-        section, key, attr, parse, _ = _ROWS[dotted]
+        section, key, attr, _, parse, _ = _ROWS[dotted]
         setattr(*_owner(cfg, attr), parse(section, key, raw))
+    for dotted in values:
+        if cfg.run not in _READERS[dotted]:
+            ladder = "" if cfg.run == cfg.mode else f" by the {cfg.run} ladder"
+            raise ConfigError(f"{dotted}: not read in {cfg.mode} mode{ladder}")
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ScenarioConfig):
-    _check_mode(cfg.mode)
+    run = cfg.run
     if not cfg.name:
         raise ConfigError("scenario.name: must not be empty")
-    for section, key, attr, parse, _ in _FIELDS:
+    for section, key, attr, _, parse, _ in _FIELDS:
         if (parse in (_parse_float, _parse_vec3)
                 and not np.all(np.isfinite(getattr(*_owner(cfg, attr))))):
             raise ConfigError(f"{section}.{key}: must be finite")
@@ -244,6 +243,11 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("integration.steps: must be >= 1")
     if cfg.sample_every < 1:
         raise ConfigError("integration.sample_every: must be >= 1")
+    # a wider spacing stores the t = 0 sample alone and grades nothing
+    if (run in _READERS["integration.sample_every"]
+            and cfg.sample_every > cfg.steps):
+        raise ConfigError("integration.sample_every: must be <= "
+                          "integration.steps")
     if not np.isfinite(cfg.dt * cfg.steps):
         raise ConfigError("integration: dt * steps must be finite")
     try:
@@ -258,10 +262,6 @@ def _validate(cfg: ScenarioConfig):
                           f"{MAX_GRID_SPACING} widths apart")
     if float(np.linalg.norm(cfg.packet.spin)) == 0.0:
         raise ConfigError("packet.spin: must be nonzero")
-    if cfg.converge.target not in CONVERGE_TARGETS:
-        raise ConfigError(f"converge.target: unknown target "
-                          f"{cfg.converge.target!r} (expected one of "
-                          f"{CONVERGE_TARGETS})")
     if cfg.algebra_momenta < 1:
         raise ConfigError("algebra.momenta: must be >= 1")
     if cfg.algebra_pmax <= 0:
@@ -270,15 +270,15 @@ def _validate(cfg: ScenarioConfig):
     # (gamma + 1) for E = m gamma, gamma up to hypot(1, pmax)
     gamma = float(np.hypot(1.0, cfg.algebra_pmax))
     e = cfg.mass * gamma
-    if cfg.mode == "verify-algebra" and not (
+    if run in _READERS["algebra.pmax"] and not (
             2.0 * e * e * (e + cfg.mass) + gamma * gamma * (gamma + 1.0)
             < np.inf):
         raise ConfigError(f"constants.mass: 2 E^2 (E + m) or gamma^2 (gamma "
                           f"+ 1) overflows at E = m gamma, gamma = hypot(1, "
                           f"pmax), algebra.pmax = {cfg.algebra_pmax!r}")
-    # simulate and all ladders but fg integrate; dt is their largest step
+    # the runs that read dt integrate with it as their largest step
     angle = cfg.dt * max_rotation_rate(cfg.field_config())
-    if angle >= MAX_STEP_ROTATION and cfg.converge.target != "fg":
+    if angle >= MAX_STEP_ROTATION and run in _READERS["integration.dt"]:
         raise ConfigError(f"integration.dt: dt * max rotation rate = "
                           f"{angle:.3g} >= {MAX_STEP_ROTATION}")
 
@@ -286,12 +286,12 @@ def _validate(cfg: ScenarioConfig):
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text for a configuration (stable section and key order)."""
     _validate(cfg)
-    allowed = set().union(*_MODE_SECTIONS[cfg.mode])
     out = io.StringIO()
     for section, rows in itertools.groupby(_FIELDS, key=lambda row: row[0]):
-        if section in allowed:
+        rows = [row for row in rows if cfg.run in row[3]]
+        if rows:
             out.write(f"[{section}]\n")
-            for _, key, attr, _, fmt in rows:
+            for _, key, attr, _, _, fmt in rows:
                 out.write(f"{key} = {fmt(getattr(*_owner(cfg, attr)))}\n")
             out.write("\n")
     return out.getvalue()

@@ -70,6 +70,10 @@ def _anomalous_fd_rung(cfg: ScenarioConfig, n: int):
     the path, ~4 ulp per component (spin boost, p/E, two products, their
     difference), two samples over 2h and three components, 4*2*sqrt(3) < 14.
     """
+    if cfg.steps < 2:
+        raise ConfigError("integration.steps: the anomalous-fd target needs "
+                          ">= 2, for a central difference at an interior "
+                          "sample")
     fields = cfg.field_config()
     dt, steps = cfg.dt / n, cfg.steps * n
     traj = dynamics.integrate(cfg.initial_state(), fields, dt, steps)

@@ -57,7 +57,7 @@ def converge_configs() -> dict[str, ScenarioConfig]:
     integrator, anomalous = [ScenarioConfig(
         name=f"converge_{target.replace('-', '_')}", mode="converge",
         mass=1.0, charge=1.0, B=_ORBIT.B, v0=_ORBIT.v0, s0=(0.15, 0.0, 0.65),
-        dt=_PERIOD / 100.0, steps=100, sample_every=1,
+        dt=_PERIOD / 100.0, steps=100,
         converge=ConvergeSpec(target=target))
         for target in ("integrator", "anomalous-fd")]
     fg = ScenarioConfig(name="converge_fg", mode="converge",

@@ -249,6 +249,32 @@ def test_identity_report_clean():
     assert len(report) == len({r.name for r in report})
 
 
+# inputs with no defect that failed on roundoff under an absolute 1e-12
+@pytest.mark.parametrize("m, pmax", [(10.0, 10.0), (1e3, 10.0), (1.0, 100.0),
+                                     (1e-5, 10.0)])
+def test_identity_report_scales_with_its_operands(m, pmax):
+    assert algebra.identity_report(pmax_over_m=pmax, m=m).all_pass()
+
+
+def test_identity_tolerances_at_defaults():
+    assert max(r.tolerance for r in algebra.identity_report()) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1e-5, 1e-3, 0.1, 1.0, 10.0, 1e3])
+def test_identity_report_catches_a_flipped_kernel_term(m, monkeypatch):
+    good = algebra.pryce_kernel
+
+    def flipped(kind, p, mass):
+        # the d kernel with the sign of its i beta (alpha.p) p term flipped
+        _, odd = algebra._cross_and_odd(np.asarray(p, dtype=float))
+        e = algebra.energy(p, mass)[..., None, None, None]
+        return good(kind, p, mass) + (kind == "d") * odd / (mass * e**2)
+
+    monkeypatch.setattr(algebra, "pryce_kernel", flipped)
+    report = algebra.identity_report(n_momenta=20, m=m)
+    assert report["pryce_kernel_two_routes"].status == "fail"
+
+
 def test_clifford_basis_hermitian_orthogonal():
     basis = algebra.CLIFFORD
     assert basis.shape == (16, 4, 4)

@@ -137,11 +137,13 @@ def test_mode_mismatch_exit_code(command, tiny_config, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def _large_step_exits_2(tmp_path, capsys, mode, section=""):
+def _large_step_exits_2(tmp_path, capsys, mode, section="", drop=()):
     # dt * max rotation rate = 25 * 0.02 = 0.5: a ConfigError naming the
     # key, before anything is integrated
     text = (TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0")
             .replace("mode = simulate", f"mode = {mode}") + section)
+    for line in drop:
+        text = text.replace(line, "")
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert cli.main([mode, "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -157,16 +159,33 @@ def test_guard_violation_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("target", ["integrator", "anomalous-fd"])
 def test_integrating_ladder_large_step_is_config_error(target, tmp_path,
                                                        capsys):
+    # the integrator ladder reads no spin
+    drop = ["s = 0.1 0 0.4\n"] if target == "integrator" else []
     _large_step_exits_2(tmp_path, capsys, "converge",
-                        f"[converge]\ntarget = {target}\n")
+                        f"[converge]\ntarget = {target}\n", drop)
 
 
 def test_fg_ladder_ignores_the_step_guard():
-    # the fg target integrates nothing, so its dt is never checked
-    text = (TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0")
-            .replace("mode = simulate", "mode = converge")
-            + "[converge]\ntarget = fg\n[packet]\ngrid_points = 16\n")
-    assert parse_config(text).dt == 25.0
+    # the fg target integrates nothing: a config file cannot give it a dt,
+    # and one built in code is not checked against its fields
+    cfg = config.override(ScenarioConfig(
+        mode="converge", B=(0.0, 0.0, 0.02), dt=25.0,
+        converge=config.ConvergeSpec(target="fg")), {})
+    text = serialize_config(cfg)
+    assert "[integration]" not in text and "[fields]" not in text
+    assert parse_config(text).dt == ScenarioConfig().dt
+
+
+def test_anomalous_fd_single_step_is_config_error(tmp_path, capsys):
+    # rung 0 would hold two samples and no interior point to difference
+    gallery.write_gallery(tmp_path)
+    path = tmp_path / "converge_anomalous_fd.cfg"
+    path.write_text(re.sub(r"(?m)^steps = .*$", "steps = 1",
+                           path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    assert cli.main(["converge", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: integration.steps: ")
 
 
 def test_failing_check_exit_code(tmp_path):
@@ -325,13 +344,14 @@ def test_flags_without_config_set_the_mode_default(captured_config,
         ScenarioConfig(name="verify_algebra", mode="verify-algebra"), want]
 
 
+# each key the mode reads outside [scenario], in canonical order
 @pytest.mark.parametrize("command, flags", [
     ("verify-fg", [("--help", 0), ("--config", None), ("--out", None),
-                   ("--p0", 3), ("--widths", 3), ("--spin", 3),
-                   ("--grid-points", None), ("--mass", None)]),
+                   ("--mass", None), ("--p0", 3), ("--widths", 3),
+                   ("--spin", 3), ("--grid-points", None)]),
     ("verify-algebra", [("--help", 0), ("--config", None), ("--out", None),
-                        ("--seed", None), ("--momenta", None),
-                        ("--pmax", None), ("--mass", None)]),
+                        ("--mass", None), ("--momenta", None),
+                        ("--pmax", None), ("--seed", None)]),
 ])
 def test_verify_flags_are_config_keys(command, flags):
     sub = next(a for a in cli._build_parser()._actions

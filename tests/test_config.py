@@ -99,6 +99,22 @@ def test_constant_keys_are_unknown(key, extra):
                      "[converge]\ntarget = fg\n" + extra)
 
 
+def test_sample_every_above_steps_rejected():
+    # only the t = 0 sample would be stored, and no row graded
+    text = (MINIMAL_SIMULATE
+            + "\n[integration]\nsteps = 20\nsample_every = 21\n")
+    with pytest.raises(ConfigError, match="^integration.sample_every: "):
+        parse_config(text)
+    assert parse_config(text.replace("= 21", "= 20")).sample_every == 20
+
+
+def test_sample_every_unchecked_where_unread():
+    cfg = gallery.converge_configs()["converge_anomalous_fd"]
+    cfg.sample_every = cfg.steps + 1
+    assert override(cfg, {}).run == "anomalous-fd"
+    assert "sample_every" not in serialize_config(cfg)
+
+
 def test_bad_vector_rejected():
     with pytest.raises(ConfigError, match="fields.B"):
         parse_config("[scenario]\nname = x\nmode = simulate\n\n"
