@@ -1,6 +1,6 @@
 """Relativistic spinning-electron mass centers and anomalous velocity.
 
-Three layers:
+Four modules:
 
 * `algebra`  -- the Dirac matrix representation and momentum-dependent
   operator kernels (Hamiltonian, little-group generators, Foldy-Wouthuysen
@@ -11,6 +11,8 @@ Three layers:
 * `dynamics` -- classical Lorentz + spin-precession integration, spin
   boosts, position shift, Thomas precession, and the anomalous velocity of
   the mass center in its equivalent analytic forms.
+* `exact`    -- the exact classical motion in uniform fields, which
+  `simulate` samples and the integrator ladder checks RK4 against.
 
 The `spindrift` command line front end runs simulations, verification
 suites and convergence studies from plain-text scenario configs.

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-simulate        integrate a scenario config, write CSV trajectory + report
+simulate        sample a scenario's exact motion, write CSV trajectory + report
 verify-fg       wave-packet expectation-relation suite
 verify-algebra  matrix identity suite
 converge        refinement ladder for integrator / fg / anomalous-fd
@@ -25,7 +25,7 @@ from .config import (MODE_FLAGS, MODES, VEC3_KEYS, ConfigError,
                      ScenarioConfig, load_config, override)
 from .dynamics import IntegrationError
 
-_MODE_HELP = {"simulate": "integrate a scenario",
+_MODE_HELP = {"simulate": "sample a scenario's motion",
               "verify-fg": "wave-packet relation suite",
               "verify-algebra": "matrix identity suite",
               "converge": "refinement ladder"}

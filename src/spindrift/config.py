@@ -148,7 +148,7 @@ _FIELDS = (
     ("fields", "B", "B", _ORBIT, *_VEC3),
     ("initial", "x", "x0", ("simulate",), *_VEC3),
     ("initial", "v", "v0", _ORBIT, *_VEC3),
-    ("initial", "s", "s0", ("simulate", "anomalous-fd"), *_VEC3),
+    ("initial", "s", "s0", _ORBIT, *_VEC3),
     ("integration", "dt", "dt", _ORBIT, *_FLOAT),
     ("integration", "steps", "steps", _ORBIT, *_INT),
     ("integration", "sample_every", "sample_every", ("simulate",), *_INT),
@@ -225,11 +225,16 @@ def override(cfg: ScenarioConfig, values: dict) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig):
+    """Check the value of each key the config's run reads."""
     run = cfg.run
+
+    def reads(dotted: str) -> bool:
+        return run in _READERS[dotted]
+
     if not cfg.name:
         raise ConfigError("scenario.name: must not be empty")
-    for section, key, attr, _, parse, _ in _FIELDS:
-        if (parse in (_parse_float, _parse_vec3)
+    for section, key, attr, runs, parse, _ in _FIELDS:
+        if (run in runs and parse in (_parse_float, _parse_vec3)
                 and not np.all(np.isfinite(getattr(*_owner(cfg, attr))))):
             raise ConfigError(f"{section}.{key}: must be finite")
     # the Pryce kernels divide by 2 m^3, so m^3 must be a normal float;
@@ -237,50 +242,51 @@ def _validate(cfg: ScenarioConfig):
     if not np.finfo(float).tiny <= cfg.mass * cfg.mass * cfg.mass < np.inf:
         raise ConfigError("constants.mass: must be positive, with m^3 a "
                           "normal float")
-    if cfg.dt <= 0:
+    if reads("integration.dt") and cfg.dt <= 0:
         raise ConfigError("integration.dt: must be positive")
-    if cfg.steps < 1:
+    if reads("integration.steps") and cfg.steps < 1:
         raise ConfigError("integration.steps: must be >= 1")
-    if cfg.sample_every < 1:
-        raise ConfigError("integration.sample_every: must be >= 1")
-    # a wider spacing stores the t = 0 sample alone and grades nothing
-    if (run in _READERS["integration.sample_every"]
-            and cfg.sample_every > cfg.steps):
-        raise ConfigError("integration.sample_every: must be <= "
-                          "integration.steps")
-    if not np.isfinite(cfg.dt * cfg.steps):
+    # the samples end at steps * dt only if their spacing divides steps
+    if reads("integration.sample_every") and not (
+            1 <= cfg.sample_every and cfg.steps % cfg.sample_every == 0):
+        raise ConfigError("integration.sample_every: must be >= 1 and "
+                          "divide integration.steps")
+    if reads("integration.steps") and not np.isfinite(cfg.dt * cfg.steps):
         raise ConfigError("integration: dt * steps must be finite")
-    try:
-        dilation(cfg.v0)
-    except ValueError as exc:
-        raise ConfigError(f"initial.v: {exc}") from None
-    if any(w <= 0 for w in cfg.packet.widths):
+    if reads("initial.v"):
+        try:
+            dilation(cfg.v0)
+        except ValueError as exc:
+            raise ConfigError(f"initial.v: {exc}") from None
+    if reads("packet.widths") and any(w <= 0 for w in cfg.packet.widths):
         raise ConfigError("packet.widths: must be positive")
     n = cfg.packet.grid_points
-    if n < 4 or 2 * GRID_RADIUS / (n - 1) > MAX_GRID_SPACING:
+    if reads("packet.grid_points") and (
+            n < 4 or 2 * GRID_RADIUS / (n - 1) > MAX_GRID_SPACING):
         raise ConfigError(f"packet.grid_points: needs >= 4 points, at most "
                           f"{MAX_GRID_SPACING} widths apart")
-    if float(np.linalg.norm(cfg.packet.spin)) == 0.0:
+    if reads("packet.spin") and float(np.linalg.norm(cfg.packet.spin)) == 0:
         raise ConfigError("packet.spin: must be nonzero")
-    if cfg.algebra_momenta < 1:
+    if reads("algebra.momenta") and cfg.algebra_momenta < 1:
         raise ConfigError("algebra.momenta: must be >= 1")
-    if cfg.algebra_pmax <= 0:
+    if reads("algebra.pmax") and cfg.algebra_pmax <= 0:
         raise ConfigError("algebra.pmax: must be positive")
     # the identity suite's Pryce kernels form 2 E^2 (E + m) and gamma^2
     # (gamma + 1) for E = m gamma, gamma up to hypot(1, pmax)
     gamma = float(np.hypot(1.0, cfg.algebra_pmax))
     e = cfg.mass * gamma
-    if run in _READERS["algebra.pmax"] and not (
+    if reads("algebra.pmax") and not (
             2.0 * e * e * (e + cfg.mass) + gamma * gamma * (gamma + 1.0)
             < np.inf):
         raise ConfigError(f"constants.mass: 2 E^2 (E + m) or gamma^2 (gamma "
                           f"+ 1) overflows at E = m gamma, gamma = hypot(1, "
                           f"pmax), algebra.pmax = {cfg.algebra_pmax!r}")
     # the runs that read dt integrate with it as their largest step
-    angle = cfg.dt * max_rotation_rate(cfg.field_config())
-    if angle >= MAX_STEP_ROTATION and run in _READERS["integration.dt"]:
-        raise ConfigError(f"integration.dt: dt * max rotation rate = "
-                          f"{angle:.3g} >= {MAX_STEP_ROTATION}")
+    if reads("integration.dt"):
+        angle = cfg.dt * max_rotation_rate(cfg.field_config())
+        if angle >= MAX_STEP_ROTATION:
+            raise ConfigError(f"integration.dt: dt * max rotation rate = "
+                              f"{angle:.3g} >= {MAX_STEP_ROTATION}")
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import dynamics, packets
+from . import dynamics, exact, packets
 from .config import ConfigError, ScenarioConfig
 from .packets import RESIDUAL_FLOOR
 
@@ -39,27 +39,36 @@ class Ladder:
 
 
 def _integrator_rung(cfg: ScenarioConfig, n: int):
-    """Endpoint position error against the pure-B closed form at dt/n.
+    """RK4's endpoint error against the exact propagator at dt/n.
 
-    Uniform fields make the motion translation-invariant, so both start at
-    x = 0, not initial.x.  Floor: a step rounds three position components
-    by half an ulp of the largest excursion on the path, the same way every
-    step on a straight path (v || B): sqrt(3)/2 < 1 ulp per step.
+    The error is |dx|/T + |dv| + |ds|, with T = steps dt the duration every
+    rung shares.  Uniform fields make the motion translation-invariant, so
+    both start at x = 0, not initial.x.  Floor, in ulp of each quantity's
+    largest value on the exact path: a step rounds the three components of
+    x, p and s by half an ulp, sqrt(3)/2 per step, with |p| < m gbar, and
+    an error in p moves v by at most 1/E <= 1/(m min gbar) of it.  The
+    reference adds exact.reference_ulps, in ulp of x, gbar and s gbar^2.
     """
-    if any(cfg.E):
-        raise ConfigError("converge: the integrator target needs a pure "
-                          "magnetic field (closed-form reference)")
-    if not any(cfg.B):
-        raise ConfigError("converge: the integrator target needs a nonzero "
-                          "magnetic field")
     fields = cfg.field_config()
     state0 = dynamics.ClassicalState(0.0, (0.0, 0.0, 0.0), cfg.v0, cfg.s0)
     dt, steps = cfg.dt / n, cfg.steps * n
     traj = dynamics.integrate(state0, fields, dt, steps, sample_every=steps)
-    path, _ = dynamics.helix_reference(state0, fields,
-                                       dt * np.arange(steps + 1))
-    floor = steps * np.spacing(np.max(np.linalg.norm(path, axis=-1)))
-    return dt, float(np.linalg.norm(traj.x[-1] - path[-1])), float(floor)
+    x, v, s, gamma = exact.uniform_field_reference(
+        state0, fields, dt * np.arange(steps + 1))
+    duration = traj.t[-1]
+    err = (np.linalg.norm(traj.x[-1] - x[-1]) / duration
+           + np.linalg.norm(traj.v[-1] - v[-1])
+           + np.linalg.norm(traj.s[-1] - s[-1]))
+
+    def ulp(series):
+        return np.spacing(np.max(np.linalg.norm(series, axis=-1)))
+
+    ref = exact.reference_ulps(fields, duration)
+    g_max, g_min = np.max(gamma), np.min(gamma)
+    floor = ((steps + ref) * ulp(x) / duration
+             + (steps / g_min + ref) * np.spacing(g_max)
+             + (steps + ref * g_max ** 2) * ulp(s))
+    return dt, float(err), float(floor)
 
 
 def _anomalous_fd_rung(cfg: ScenarioConfig, n: int):

@@ -281,7 +281,7 @@ def anomalous_velocity_thomas_form(state, fields: FieldConfig) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Fixed-step samples of the integrated state plus derived quantities."""
+    """Samples of the state plus the quantities derived from them."""
 
     t: np.ndarray             # (n,)
     x: np.ndarray             # (n, 3)
@@ -290,13 +290,24 @@ class Trajectory:
     gamma: np.ndarray         # (n,)
     fields: FieldConfig
     dt: float                 # spacing between stored samples
-    # derived by `integrate` from the formulas above, with this as the state
+    # derived on construction from the formulas above, with this as the state
     S0: np.ndarray = field(init=False)           # (n,)
     S: np.ndarray = field(init=False)            # (n, 3)
     delta_x: np.ndarray = field(init=False)      # (n, 3)
     centers: dict = field(init=False)            # Pryce kind -> (n, 3)
     v_anomalous: np.ndarray = field(init=False)  # (n, 3) compact form
     max_ev: float = field(init=False)            # max |e E.v| along the run
+
+    def __post_init__(self):
+        m = self.fields.mass
+        lab = boost_spin(self)
+        self.S0, self.S = lab.S0, lab.S
+        self.delta_x = position_shift(lab.S, self.v, m)
+        self.centers = {kind: mass_center(self, kind, m)
+                        for kind in PRYCE_KINDS}
+        self.v_anomalous = anomalous_velocity(self, self.fields)
+        self.max_ev = float(np.max(
+            _constant_gamma_violation(self, self.fields)))
 
     @property
     def energy(self) -> np.ndarray:
@@ -407,50 +418,9 @@ def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
 
     p = ys[:, 3:6]
     e_on_shell = energy(p, m)
-    traj = Trajectory(t=ts, x=ys[:, 0:3], v=p / e_on_shell[:, None],
+    return Trajectory(t=ts, x=ys[:, 0:3], v=p / e_on_shell[:, None],
                       s=ys[:, 6:9], gamma=e_on_shell / m, fields=fields,
                       dt=dt * sample_every)
-    lab = boost_spin(traj)
-    traj.S0, traj.S = lab.S0, lab.S
-    traj.delta_x = position_shift(lab.S, traj.v, m)
-    traj.centers = {kind: mass_center(traj, kind, m) for kind in PRYCE_KINDS}
-    traj.v_anomalous = anomalous_velocity(traj, fields)
-    traj.max_ev = float(np.max(_constant_gamma_violation(traj, fields)))
-    return traj
-
-
-def helix_reference(state0: ClassicalState, fields: FieldConfig,
-                    t: np.ndarray):
-    """Closed-form trajectory in a uniform pure magnetic field.
-
-    Returns (x, v) sampled at the given times.  Gyration vector
-    w = -(e / gbar m) B; velocity rotates rigidly about B and the guiding
-    center advances with the parallel velocity.
-    """
-    if np.any(fields.E):
-        raise ValueError("closed form requires a pure magnetic field")
-    b_norm = float(np.linalg.norm(fields.B))
-    if b_norm == 0.0:
-        xs = state0.x + np.multiply.outer(np.asarray(t) - state0.t, state0.v)
-        return xs, np.broadcast_to(state0.v, xs.shape).copy()
-    g = state0.gamma
-    w_vec = -(fields.charge / (g * fields.mass)) * fields.B
-    w_norm = float(np.linalg.norm(w_vec))
-    axis = w_vec / w_norm
-    v0 = state0.v
-    v_par = float(v0 @ axis) * axis
-    v_perp = v0 - v_par
-    tau = np.asarray(t, dtype=float) - state0.t
-    ang = w_norm * tau
-    cos_a, sin_a = np.cos(ang), np.sin(ang)
-    axv = np.cross(axis, v_perp)
-    v_rot = (np.multiply.outer(cos_a, v_perp)
-             + np.multiply.outer(sin_a, axv) + v_par)
-    # integral of the rotating part
-    x_rot = (np.multiply.outer(sin_a, v_perp)
-             - np.multiply.outer(cos_a - 1.0, axv)) / w_norm
-    xs = state0.x + x_rot + np.multiply.outer(tau, v_par)
-    return xs, v_rot
 
 
 def cyclotron_radius(state0: ClassicalState, fields: FieldConfig) -> float:

@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from . import algebra, convergence, dynamics, packets
+from . import algebra, convergence, dynamics, exact, packets
 from .config import ConfigError, ScenarioConfig
 from .report import RunReport, relation_kv_lines
 
@@ -101,7 +101,7 @@ def _fd_tolerance(series: np.ndarray, h: float, extra: float,
 
 
 def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
-    """Integrate a scenario, write its CSV trajectory, grade the run.
+    """Sample a scenario's exact motion, write its CSV trajectory, grade it.
 
     Report rows: the frozen-energy monitor (warn-graded), finite-difference
     mass-center velocities against v + fP * V (self-calibrated tolerance),
@@ -121,8 +121,11 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
             f"finite differences would alias")
 
     report = RunReport()
-    traj = dynamics.integrate(state0, fields, cfg.dt, cfg.steps,
-                              sample_every=cfg.sample_every)
+    try:
+        traj = exact.propagate(state0, fields, cfg.dt, cfg.steps,
+                               sample_every=cfg.sample_every)
+    except dynamics.IntegrationError as exc:
+        raise ConfigError(f"integration.steps: {exc}") from None
     report.add("constant_gamma_max_ev", traj.max_ev,
                dynamics.CONSTANT_GAMMA_WARN * cfg.mass**2, warn_only=True)
 

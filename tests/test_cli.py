@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spindrift import cli, config, gallery, runners
+from spindrift import cli, config, dynamics, gallery, runners
 from spindrift.config import (ScenarioConfig, load_config, parse_config,
                               serialize_config)
 from spindrift.report import RunReport
@@ -137,13 +137,11 @@ def test_mode_mismatch_exit_code(command, tiny_config, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def _large_step_exits_2(tmp_path, capsys, mode, section="", drop=()):
+def _large_step_exits_2(tmp_path, capsys, mode, section=""):
     # dt * max rotation rate = 25 * 0.02 = 0.5: a ConfigError naming the
     # key, before anything is integrated
     text = (TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0")
             .replace("mode = simulate", f"mode = {mode}") + section)
-    for line in drop:
-        text = text.replace(line, "")
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert cli.main([mode, "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -159,10 +157,8 @@ def test_guard_violation_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("target", ["integrator", "anomalous-fd"])
 def test_integrating_ladder_large_step_is_config_error(target, tmp_path,
                                                        capsys):
-    # the integrator ladder reads no spin
-    drop = ["s = 0.1 0 0.4\n"] if target == "integrator" else []
     _large_step_exits_2(tmp_path, capsys, "converge",
-                        f"[converge]\ntarget = {target}\n", drop)
+                        f"[converge]\ntarget = {target}\n")
 
 
 def test_fg_ladder_ignores_the_step_guard():
@@ -174,6 +170,33 @@ def test_fg_ladder_ignores_the_step_guard():
     text = serialize_config(cfg)
     assert "[integration]" not in text and "[fields]" not in text
     assert parse_config(text).dt == ScenarioConfig().dt
+
+
+def test_speed_limit_within_steps_is_config_error(tmp_path, capsys):
+    # from rest in E, gbar ~ e E t/m: 1.8e7 at t = steps dt, where no state
+    # with |v| < dynamics.MAX_SPEED exists
+    cfg = ScenarioConfig(name="runaway", charge=1.0, E=(0.003, 0.0, 0.0),
+                         dt=30.0, steps=200_000_000, sample_every=100_000_000)
+    path = tmp_path / "runaway.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: integration.steps: |v| reaches")
+    assert not list(tmp_path.glob("runaway_*"))
+
+
+def test_crossed_field_integrator_ladder(tmp_path):
+    # the ladder checks RK4 against the exact propagator in any uniform
+    # field: crossed |E| < |B| at m = 1.7, e = -1.3
+    cfg = dataclasses.replace(
+        gallery.converge_configs()["converge_integrator"], name="crossed",
+        mass=1.7, charge=-1.3, E=(0.0, 0.006, 0.0), v0=(0.25, 0.05, 0.0))
+    cfg.dt = 0.05 / dynamics.max_rotation_rate(cfg.field_config())
+    path = tmp_path / "crossed.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["converge", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_anomalous_fd_single_step_is_config_error(tmp_path, capsys):
@@ -189,15 +212,16 @@ def test_anomalous_fd_single_step_is_config_error(tmp_path, capsys):
 
 
 def test_failing_check_exit_code(tmp_path):
-    # a guard-passing but badly under-resolved cyclotron genuinely fails
-    # the energy-conservation row
-    cfg = tmp_path / "coarse.cfg"
-    cfg.write_text(TINY_SIMULATE.replace("dt = 1.0", "dt = 4.9")
-                   .replace("steps = 40", "steps = 2000"), encoding="utf-8")
-    assert cli.main(["simulate", "--config", str(cfg),
+    # a guard-passing electric run whose speed, 3e-3, leaves the regime in
+    # which the low-velocity table holds to 1e-6 genuinely fails its d row
+    cfg = dataclasses.replace(gallery.gallery_configs()["e_only_low_velocity"],
+                              name="fast", E=(1e-3, 0.0, 0.0))
+    path = tmp_path / "fast.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path)]) == 1
-    text = (tmp_path / "tiny_report.txt").read_text()
-    assert "fail" in text
+    rows = (tmp_path / "fast_report.txt").read_text().splitlines()
+    assert ["low_velocity_table_d", "fail"] in [r.split()[:2] for r in rows]
 
 
 def test_verify_algebra_command(tmp_path):
@@ -453,11 +477,11 @@ def test_converge_anomalous_requires_frozen_energy(tmp_path):
 ])
 def test_converge_zero_error_ladder_is_config_error(tmp_path, capsys,
                                                     target, key, field):
-    # at rest, or without spin, every rung's error is exactly zero and no
-    # order can be fitted
+    # at rest with the spin along B, or without spin, every rung's error is
+    # exactly zero and no order can be fitted
     cfg = dataclasses.replace(
         gallery.converge_configs()["converge_integrator"],
-        name="zero", **{field: (0.0, 0.0, 0.0)})
+        name="zero", **{"s0": (0.0, 0.0, 0.65), field: (0.0, 0.0, 0.0)})
     cfg.converge.target = target
     path = tmp_path / "zero.cfg"
     path.write_text(serialize_config(cfg), encoding="utf-8")

@@ -108,6 +108,43 @@ def test_sample_every_above_steps_rejected():
     assert parse_config(text.replace("= 21", "= 20")).sample_every == 20
 
 
+def test_sample_every_must_divide_steps():
+    # steps = 40 at sample_every = 3 would stop the samples at t = 39 dt
+    text = (MINIMAL_SIMULATE
+            + "\n[integration]\nsteps = 40\nsample_every = 3\n")
+    with pytest.raises(ConfigError,
+                       match="^integration.sample_every: .* divide"):
+        parse_config(text)
+    assert parse_config(text.replace("= 3", "= 4")).sample_every == 4
+
+
+@pytest.mark.parametrize("mode, attr, value", [
+    ("verify-fg", "v0", (2.0, 0.0, 0.0)),
+    ("verify-fg", "dt", 25.0),
+    ("verify-algebra", "steps", 0),
+    ("verify-algebra", "B", (0.0, 0.0, 1e3)),
+    ("simulate", "algebra_pmax", -1.0),
+    ("simulate", "packet", None),
+])
+def test_values_unchecked_where_unread(mode, attr, value):
+    # a run checks the values of the keys it reads, and no others
+    cfg = ScenarioConfig(mode=mode)
+    if attr == "packet":
+        cfg.packet.widths, cfg.packet.grid_points = (0.0, 0.0, 0.0), 2
+    else:
+        setattr(cfg, attr, value)
+    assert override(cfg, {}).mode == mode
+
+
+def test_values_checked_where_read():
+    for attr, value, key in [("v0", (2.0, 0.0, 0.0), "initial.v"),
+                             ("dt", 25.0, "integration.dt")]:
+        cfg = ScenarioConfig(B=(0.0, 0.0, 0.02))
+        setattr(cfg, attr, value)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            override(cfg, {})
+
+
 def test_sample_every_unchecked_where_unread():
     cfg = gallery.converge_configs()["converge_anomalous_fd"]
     cfg.sample_every = cfg.steps + 1

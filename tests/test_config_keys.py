@@ -24,7 +24,7 @@ READS = {
                          "integration.sample_every"},
     "verify-fg": PACKET,
     "verify-algebra": {"algebra.momenta", "algebra.pmax", "algebra.seed"},
-    "integrator": ORBIT | {"converge.target"},
+    "integrator": ORBIT | {"initial.s", "converge.target"},
     "anomalous-fd": ORBIT | {"initial.s", "converge.target"},
     "fg": PACKET | {"converge.target"},
 }
@@ -149,7 +149,7 @@ def test_parse_accepts_exactly_the_keys_the_run_reads(run):
 
 def test_accepted_pairs():
     pairs = {(run, dotted) for run, keys in READS.items() for dotted in keys}
-    assert len(pairs) == 54
+    assert len(pairs) == 55
     assert {(run, f"{section}.{key}") for section, key, _, runs, *_
             in config._FIELDS for run in runs} == pairs
     assert set(config.RUNS) == set(READS)

@@ -35,9 +35,11 @@ def test_every_config_target_has_a_table_entry():
 def test_roundoff_only_ladder_is_config_error(tmp_path, capsys, ladder, key,
                                               field, value):
     # the physical error is zero and the computed one roundoff that grows
-    # with the step count, so a fitted order would be negative
+    # with the step count, so a fitted order would be negative; the
+    # integrator grades s too, which stands still along B
+    spin = {"s0": (0.0, 0.0, 0.65)} if ladder == "converge_integrator" else {}
     cfg = dataclasses.replace(gallery.converge_configs()[ladder],
-                              name="flat", **{field: value})
+                              name="flat", **{**spin, field: value})
     assert _converge(tmp_path, cfg) == 2
     assert f"error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "flat_convergence.csv").exists()
@@ -58,7 +60,7 @@ def test_fg_ladder_below_residual_floor_names_widths(tmp_path, capsys):
 def test_floor_separates_zero_signal_from_real_ladders(m, e, b, v):
     s = 0.6 * B_HAT + 0.3 * P_HAT
     ladders = [  # (target, v0, s0, whether the physical error is zero)
-        ("integrator", v * B_HAT, s, True),
+        ("integrator", v * B_HAT, 0.6 * B_HAT, True),
         ("integrator", v * P_HAT, s, False),
         ("anomalous-fd", v * P_HAT, 0.8 * P_HAT, True),
         ("anomalous-fd", v * P_HAT, s, False),
@@ -88,3 +90,18 @@ def test_integrator_ladder_ignores_initial_offset():
     far = convergence.run_ladder(dataclasses.replace(cfg, x0=(1e3, 0.0, 0.0)))
     np.testing.assert_array_equal(far.errors, near.errors)
     assert abs(far.fitted_order - 4.0) < 0.5
+
+
+@pytest.mark.parametrize("m, e, E, B", [
+    (1.7, -1.3, (0.0, 0.006, 0.0), (0.0, 0.0, 0.02)),     # crossed |E| < |B|
+    (1.7, -1.3, (0.0, 0.02, 0.0), (0.0, 0.0, 0.012)),     # crossed |E| > |B|
+    (1.0, 1.0, (0.001, 0.006, 0.002), (0.003, 0.0, 0.02)),  # E.B != 0
+    (1.3, 0.7, (0.0, 0.02, 0.0), (0.0, 0.0, 0.02)),       # null field
+], ids=["crossed_slow", "crossed_fast", "e_dot_b", "null"])
+def test_integrator_ladder_in_every_uniform_field(m, e, E, B):
+    cfg = ScenarioConfig(mode="converge", mass=m, charge=e, E=E, B=B,
+                         v0=(0.25, 0.05, 0.1), s0=(0.3, 0.2, 0.4), steps=32,
+                         converge=ConvergeSpec(target="integrator"))
+    cfg.dt = 0.08 / dynamics.max_rotation_rate(cfg.field_config())
+    ladder = convergence.run_ladder(cfg)
+    assert abs(ladder.fitted_order - 4.0) < 0.5, ladder.errors

@@ -1,15 +1,16 @@
 import dataclasses
 import pathlib
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from conftest import rotation_matrix
 from spindrift import dynamics as dyn
-from spindrift import gallery
+from spindrift import convergence, exact, gallery
 from spindrift.algebra import PRYCE_KINDS, pryce_factors
-from spindrift.config import load_config
+from spindrift.config import ScenarioConfig, load_config
 from spindrift.dynamics import (ClassicalState, ConstantGammaWarning,
                                 FieldConfig, IntegrationError)
 
@@ -362,7 +363,8 @@ class TestIntegration:
         state = ClassicalState(0.0, (0, 0, 0), (0.4, 0.0, 0.3),
                                (0.1, 0.2, 0.3))
         traj = dyn.integrate(state, fields, 0.5, 800)
-        x_ref, v_ref = dyn.helix_reference(state, fields, traj.t)
+        x_ref, v_ref, _, _ = exact.uniform_field_reference(state, fields,
+                                                         traj.t)
         assert np.max(np.abs(traj.x - x_ref)) < 1e-8
         assert np.max(np.abs(traj.v - v_ref)) < 1e-9
 
@@ -573,3 +575,214 @@ def test_derived_series_match_inline_reference_bitwise(name):
     assert sorted(traj.centers) == sorted(want["centers"])
     for kind, center in want["centers"].items():
         _assert_same_bits(traj.centers[kind], center)
+
+
+# ---------------------------------------------------------------------------
+# the exact uniform-field propagator
+
+SPIN = (0.3, 0.2, 0.4)
+# (fields, v0): the field types, m and e away from 1 on three of them
+FIELD_TYPES = {
+    "pure_b": (FieldConfig(B=(0.01, -0.02, 0.005), charge=-1.3, mass=1.7),
+               (0.3, 0.5, -0.2)),
+    "crossed_slow": (FieldConfig(E=(0, 0.006, 0), B=(0, 0, 0.02),
+                                 charge=-1.3, mass=1.7), (0.25, 0.05, 0.0)),
+    "crossed_fast": (FieldConfig(E=(0, 0.02, 0), B=(0, 0, 0.012),
+                                 charge=-1.3, mass=1.7), (0.25, 0.05, 0.0)),
+    "e_dot_b": (FieldConfig(E=(0.001, 0.006, 0.002), B=(0.003, 0, 0.02),
+                            charge=1.0), (0.3, 0.0, 0.1)),
+    "null": (FieldConfig(E=(0, 0.02, 0), B=(0, 0, 0.02), charge=1.0),
+             (0.1, 0.0, 0.2)),
+}
+# |E| = |B| (1 - 1e-5): (alpha^2 + beta^2) t^2 crosses SERIES_LIMIT near
+# t = 1.1e4, past which the spectral form's division magnifies rounding by
+# kappa ~ 1e5
+NEAR_NULL = (FieldConfig(E=(0, 0.02, 0), B=(0, 0, 0.0200002), charge=1.0),
+             (0.1, 0.0, 0.2))
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _expm(m):
+    """exp of a matrix of Decimals: Taylor series of m / 2^k, squared k
+    times."""
+    k = 0
+    while max(sum(abs(c) for c in row) for row in m) / 2**k > 0.5:
+        k += 1
+    scaled = [[c / 2**k for c in row] for row in m]
+    total = [[Decimal(int(i == j)) for j in range(len(m))]
+             for i in range(len(m))]
+    term = total
+    for j in range(1, 40):
+        term = [[c / j for c in row] for row in _matmul(term, scaled)]
+        total = [[a + b for a, b in zip(r, q)] for r, q in zip(total, term)]
+    for _ in range(k):
+        total = _matmul(total, total)
+    return total
+
+
+def _decimal_motion(state0, fields, times):
+    """(x, v, s, gbar) at lab times in 40-digit decimals, a route that shares
+    no code with the propagator: exp(tau [[A, u0], [0, 0]]) holds exp(tau A)
+    and the integral of its action on u0, and Newton on its time row finds
+    tau.  s = S - S0 u/(u0 + 1) inverts the spin boost without v."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        k = Decimal(fields.charge) / Decimal(fields.mass)
+        (ex, ey, ez), (bx, by, bz) = ([Decimal(c) for c in vec]
+                                      for vec in (fields.E, fields.B))
+        a = [[0, ex, ey, ez], [ex, 0, bz, -by], [ey, -bz, 0, bx],
+             [ez, by, -bx, 0]]
+        v = [Decimal(c) for c in state0.v]
+        s = [Decimal(c) for c in state0.s]
+        g = 1 / (1 - sum(c * c for c in v)).sqrt()
+        sv = sum(p * q for p, q in zip(s, v))
+        u0 = [g] + [g * c for c in v]
+        a0 = [g * sv] + [p + g * g / (g + 1) * sv * q for p, q in zip(s, v)]
+        gen = ([[k * c for c in row] + [u] for row, u in zip(a, u0)]
+               + [[Decimal(0)] * 5])
+        out, tau = [], Decimal(0)
+        for t in times:
+            t = Decimal(t) - Decimal(state0.t)
+            for _ in range(200):
+                lam = _expm([[tau * c for c in row] for row in gen])
+                step = (lam[0][4] - t) / sum(
+                    lam[0][j] * u0[j] for j in range(4))
+                tau -= step
+                if abs(step) <= Decimal(10) ** -32 * (1 + abs(tau)):
+                    break
+            lam = _expm([[tau * c for c in row] for row in gen])
+            u = [sum(lam[i][j] * u0[j] for j in range(4)) for i in range(4)]
+            sp = [sum(lam[i][j] * a0[j] for j in range(4)) for i in range(4)]
+            out.append(([Decimal(c) + lam[i + 1][4]
+                         for i, c in enumerate(state0.x)],
+                        [c / u[0] for c in u[1:]],
+                        [sp[i + 1] - sp[0] / (u[0] + 1) * u[i + 1]
+                         for i in range(3)], u[0]))
+    return [np.array(col, dtype=float) for col in zip(*out)]
+
+
+def _ulp_errors(state0, fields, times):
+    """The propagator's error against the decimal route, in ulp of the
+    largest |x| and gbar and of |s| gbar^2, over the samples."""
+    x, v, s, g = exact.uniform_field_reference(state0, fields, times)
+    rx, rv, rs, rg = _decimal_motion(state0, fields, times)
+
+    def ulps(err, scale):
+        return float(np.max(np.linalg.norm(err, axis=-1))
+                     / np.spacing(np.max(scale)))
+    return (ulps(x - rx, np.linalg.norm(rx, axis=-1)), ulps(v - rv, rg),
+            ulps(s - rs, np.linalg.norm(rs, axis=-1) * rg**2),
+            float(np.max(np.abs(g - rg) / rg)))
+
+
+class TestUniformFieldReference:
+    @pytest.mark.parametrize("name", [*FIELD_TYPES, "pure_e"])
+    def test_matches_decimal_route_within_its_floor(self, name):
+        fields, v0 = FIELD_TYPES.get(
+            name, (FieldConfig(E=(0.003, 0, 0), charge=1.0), (0, 0.2, 0)))
+        state0 = ClassicalState(0.5, (1.0, -2.0, 0.5), v0, SPIN)
+        times = 0.5 + np.array([740.0, 2000.0])
+        floor = exact.reference_ulps(fields, 2000.0)
+        ex, ev, es, eg = _ulp_errors(state0, fields, times)
+        assert max(ex, ev, es) <= floor, (ex, ev, es, floor)
+        assert eg < 1e-14
+
+    @pytest.mark.parametrize("t", [2e3, 1e4, 3e4])
+    def test_near_null_field_within_its_floor(self, t):
+        # series below SERIES_LIMIT, the spectral form with its kappa above
+        fields, v0 = NEAR_NULL
+        state0 = ClassicalState(0.0, (0, 0, 0), v0, SPIN)
+        _, _, r = exact._spectrum(fields)
+        floor = exact.reference_ulps(fields, t)
+        ex, ev, es, _ = _ulp_errors(state0, fields, [0.4 * t, t])
+        assert max(ex, ev, es) <= floor, (r * t * t, ex, ev, es, floor)
+        if r * t * t <= exact.SERIES_LIMIT:
+            assert max(ex, ev, es) <= 8.0  # no magnification
+
+    def test_series_avoids_the_cancellation(self, monkeypatch):
+        # the spectral form on a field the series serves misses by ~2e4 ulp
+        fields, v0 = NEAR_NULL
+        state0 = ClassicalState(0.0, (0, 0, 0), v0, SPIN)
+        series = _ulp_errors(state0, fields, [800.0, 2000.0])
+        monkeypatch.setattr(exact, "SERIES_LIMIT", 0.0)
+        spectral = _ulp_errors(state0, fields, [800.0, 2000.0])
+        assert max(series[:3]) <= 8.0
+        assert max(spectral[:3]) > 1e4
+
+    def test_pure_b_matches_helix(self):
+        # the helix the integrator ladder used before: rigid rotation of v
+        # about B at e B / gbar m, the guiding center at the parallel speed
+        fields, v0 = FIELD_TYPES["pure_b"]
+        state0 = ClassicalState(0.0, (1.0, 2.0, 3.0), v0, SPIN)
+        t = np.linspace(0.0, 4000.0, 2001)
+        x, v, _, g = exact.uniform_field_reference(state0, fields, t)
+        w = -(fields.charge / (state0.gamma * fields.mass)) * fields.B
+        rate = np.linalg.norm(w)
+        axis = w / rate
+        v_par = (state0.v @ axis) * axis
+        v_perp = state0.v - v_par
+        c, s = np.cos(rate * t)[:, None], np.sin(rate * t)[:, None]
+        axv = np.cross(axis, v_perp)
+        helix_v = c * v_perp + s * axv + v_par
+        helix_x = (state0.x + (s * v_perp - (c - 1.0) * axv) / rate
+                   + t[:, None] * v_par)
+        ulp = np.spacing(np.max(np.linalg.norm(x, axis=1)))
+        assert np.max(np.linalg.norm(x - helix_x, axis=1)) <= 8 * ulp
+        assert np.max(np.linalg.norm(v - helix_v, axis=1)) < 1e-14
+        assert np.max(np.abs(g - state0.gamma)) <= 2 * np.spacing(g[0])
+
+    @pytest.mark.parametrize("name", sorted(FIELD_TYPES))
+    def test_rk4_converges_at_order_four(self, name):
+        fields, v0 = FIELD_TYPES[name]
+        state0 = ClassicalState(0.0, (0, 0, 0), v0, SPIN)
+        rate = dyn.max_rotation_rate(fields)
+        errors = []
+        for n in (1, 2, 4):
+            dt, steps = 0.08 / rate / n, 40 * n
+            traj = dyn.integrate(state0, fields, dt, steps,
+                                 sample_every=steps)
+            ref = exact.uniform_field_reference(state0, fields, traj.t[-1:])
+            errors.append([np.linalg.norm(got[-1] - want[-1]) for got, want
+                           in zip((traj.x, traj.v, traj.s), ref)])
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(np.abs(orders - 4.0) < 0.3), orders
+
+    def test_sign_of_charge_in_the_generator_matters(self, monkeypatch):
+        fields, v0 = FIELD_TYPES["crossed_slow"]
+        cfg = ScenarioConfig(
+            mode="converge", mass=fields.mass, charge=fields.charge,
+            E=tuple(fields.E), B=tuple(fields.B), v0=v0, s0=SPIN,
+            dt=0.08 / dyn.max_rotation_rate(fields), steps=40)
+        _, err, _ = convergence.TARGETS["integrator"].rung(cfg, 1)
+        generator = exact._generator
+        monkeypatch.setattr(exact, "_generator", lambda f: -generator(f))
+        _, flipped, _ = convergence.TARGETS["integrator"].rung(cfg, 1)
+        assert err < 1e-6 < flipped
+
+    @pytest.mark.parametrize("name", ["pure_e", "crossed_fast", "e_dot_b"])
+    def test_speed_limit_is_integration_error(self, name):
+        # where alpha > 0 gbar grows like alpha t; past 1/sqrt(1 -
+        # MAX_SPEED^2) ~ 7e5 no state exists
+        fields, v0 = FIELD_TYPES.get(
+            name, (FieldConfig(E=(0.003, 0, 0), charge=1.0), (0, 0, 0)))
+        state0 = ClassicalState(0.0, (0, 0, 0), v0, SPIN)
+        t = np.array([0.0, 1e3, 1e6])
+        x, _, _, g = exact.uniform_field_reference(state0, fields, t)
+        assert np.isfinite(x).all() and g[-1] < 7e5
+        with pytest.raises(IntegrationError, match="reaches"):
+            exact.uniform_field_reference(state0, fields, [*t, 1e10])
+
+    def test_propagate_samples_integrate_grid(self):
+        state0, fields = pure_b_setup(s=(0.3, -0.2, 0.5))
+        closed = exact.propagate(state0, fields, 0.7, 120, sample_every=8)
+        rk4 = dyn.integrate(state0, fields, 0.7, 120, sample_every=8)
+        _assert_same_bits(closed.t, rk4.t)
+        assert closed.dt == rk4.dt
+        want = _inline_series(closed.x, closed.v, closed.s, closed.gamma,
+                              fields, PRYCE_KINDS)
+        for key in ("S0", "S", "delta_x", "v_anomalous", "max_ev"):
+            _assert_same_bits(getattr(closed, key), want[key])

@@ -9,28 +9,28 @@ import warnings
 import numpy as np
 import pytest
 
-from spindrift import config, dynamics, gallery, packets, runners
+from spindrift import config, dynamics, exact, gallery, packets, runners
 from spindrift.config import ConfigError, ScenarioConfig, load_config
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-# fd_mass_center_* tolerances of the gallery scenarios before the roundoff
-# term joined _fd_tolerance; that term must not bind on any of them
+# fd_mass_center_* tolerances of the gallery scenarios on the exact samples;
+# the roundoff term of _fd_tolerance must not bind on any of them
 GALLERY_FD_TOLERANCES = {
-    "e_only_low_velocity": (4.507311815852019e-12, 4.507311815852019e-12,
-                            4.507311815852019e-12),
-    "cyclotron": (7.895605603018395e-06, 7.936662765384293e-06,
-                  7.913853228726147e-06),
-    "crossed_drift": (1e-12, 1.0867702930599198e-07,
-                      5.3057576445296604e-08),
-    "fprime_zero": (1.0124922769494805e-05, 1.0177533408961136e-05,
-                    1.0149339449530661e-05),
+    "e_only_low_velocity": (4.507311454451277e-12, 4.507311454451277e-12,
+                            4.507311454451277e-12),
+    "cyclotron": (7.89560672481181e-06, 7.936663879756414e-06,
+                  7.91385434929446e-06),
+    "crossed_drift": (1e-12, 1.0867702957820976e-07,
+                      5.3057576578104064e-08),
+    "fprime_zero": (1.0124922761599885e-05, 1.0177533406329496e-05,
+                    1.0149339446899021e-05),
 }
 
 # sha256 of the heavy_crossed CSV, recorded with Python 3.11.7 and
 # numpy 2.4.6
 HEAVY_CROSSED_CSV_SHA256 = (
-    "8f94bf0ca13f8af9a2c19c54cb080e02887eb32cc6efe3753757fc859275ece6")
+    "57074d6381e42f9b08f92c0dc3a5ec17cff06c8642d0fdb3a756a04826ec8766")
 # sha256 of two verify-fg .kv files, recorded with Python 3.11.7 and numpy
 # 2.4.6: the default packet at 48^3, and golden_verify_fg.cfg (m = 1.3;
 # rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
@@ -139,7 +139,9 @@ def test_wider_sampling_would_fail_grading(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def long_drift():
-    """The 100 000-step crossed drift orbit and its trajectory."""
+    """The 100 000-step crossed drift orbit as RK4 integrates it, whose
+    roundoff in the centers' differences exceeds what the exact samples
+    carry: the fd rows must absorb either."""
     cfg = load_config(DATA / "orbit_crossed_seed0.cfg")
     traj = dynamics.integrate(cfg.initial_state(),
                               cfg.field_config(), cfg.dt, cfg.steps,
@@ -148,7 +150,7 @@ def long_drift():
 
 
 def _simulate(cfg, traj, outdir, monkeypatch):
-    monkeypatch.setattr(dynamics, "integrate", lambda *a, **k: traj)
+    monkeypatch.setattr(exact, "propagate", lambda *a, **k: traj)
     report, _ = runners.run_simulate(cfg, outdir)
     return {r.name: r for r in report if r.name.startswith("fd_")}
 
@@ -304,9 +306,9 @@ def _oracle_plot_files(outdir, name, traj):
 def _trajectory(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dynamics.ConstantGammaWarning)
-        return dynamics.integrate(cfg.initial_state(), cfg.field_config(),
-                                  cfg.dt, cfg.steps,
-                                  sample_every=cfg.sample_every)
+        return exact.propagate(cfg.initial_state(), cfg.field_config(),
+                               cfg.dt, cfg.steps,
+                               sample_every=cfg.sample_every)
 
 
 def _samples(n):
@@ -368,7 +370,7 @@ def _bits(values):
 
 def test_plot_files_read_back_to_trajectory_bits(tmp_path):
     # an independent route from the CSV: every .dat value parses back with
-    # float() to the integrated Trajectory's own column, bit for bit
+    # float() to the sampled Trajectory's own column, bit for bit
     cfg = load_config(DATA / "heavy_crossed.cfg")
     _, artifacts = runners.run_simulate(cfg, tmp_path, plot=True)
     traj = _trajectory(cfg)
