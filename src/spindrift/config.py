@@ -24,6 +24,12 @@ from .packets import (GRID_RADIUS, MAX_GRID_SPACING, MomentumWavePacket,
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
+# Rungs per ladder; three give two pairwise orders
+RUNGS = 3
+# Most samples a run may hold.  A sample costs ~400 B of traced memory
+# (simulate's derived series, the anomalous-fd ladder's finest rung), so
+# the cap admits ~0.4 GB.
+MAX_SAMPLES = 1_000_000
 # what decides the keys a config may hold: its mode, or converge's target
 RUNS = ("simulate", "verify-fg", "verify-algebra", *CONVERGE_TARGETS)
 
@@ -251,6 +257,13 @@ def _validate(cfg: ScenarioConfig):
             1 <= cfg.sample_every and cfg.steps % cfg.sample_every == 0):
         raise ConfigError("integration.sample_every: must be >= 1 and "
                           "divide integration.steps")
+    # simulate holds steps / sample_every + 1 samples, a ladder's finest
+    # rung 2^(RUNGS - 1) steps + 1
+    samples = (cfg.steps // cfg.sample_every if run == "simulate"
+               else 2 ** (RUNGS - 1) * cfg.steps) + 1
+    if reads("integration.steps") and samples > MAX_SAMPLES:
+        raise ConfigError(f"integration.steps: the run would hold {samples} "
+                          f"samples, above the cap of {MAX_SAMPLES}")
     if reads("integration.steps") and not np.isfinite(cfg.dt * cfg.steps):
         raise ConfigError("integration: dt * steps must be finite")
     if reads("initial.v"):

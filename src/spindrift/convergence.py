@@ -9,12 +9,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import dynamics, exact, packets
-from .config import ConfigError, ScenarioConfig
+from . import algebra, dynamics, exact, packets
+from .config import RUNGS, ConfigError, ScenarioConfig
 from .packets import RESIDUAL_FLOOR
-
-# Rungs per ladder; three give two pairwise orders
-RUNGS = 3
 
 
 @dataclass
@@ -98,9 +95,13 @@ def _anomalous_fd_rung(cfg: ScenarioConfig, n: int):
 
 
 def _fg_rung(cfg: ScenarioConfig, n: int):
-    """Worst Fradkin-Good relation residual at packet widths / n."""
+    """Worst residual over the Fradkin-Good relations and the three
+    mass-center offsets, every sum of the packet's pass, at widths / n."""
     w = np.array(cfg.packet.widths, dtype=float) / n
-    rels = packets.verify_fg_relations(cfg.wave_packet(w)).values()
+    pkt = cfg.wave_packet(w)
+    rels = [*packets.verify_fg_relations(pkt).values(),
+            *(packets.verify_main_result(pkt, kind)
+              for kind in algebra.PRYCE_KINDS)]
     return float(np.max(w)), max(r.residual for r in rels), RESIDUAL_FLOOR
 
 

@@ -66,9 +66,10 @@ _CLIFFORD_COLUMNS = np.stack([algebra.CLIFFORD.real, -algebra.CLIFFORD.imag],
                              axis=-1).reshape(16, 32).T
 _ONE, _GAMMA5 = 0, 2
 _SIGMA, _IBETA_ALPHA, _BETA_SIGMA = slice(7, 10), slice(10, 13), slice(13, 16)
-# The 3-vector expectations that the packet's pass sums, one row each
+# The 3-vector expectations that the packet's pass sums, one row each;
+# "p_sigma" holds <p_i Sigma_i> per component, whose sum is m <T4> / i
 _VECTOR_SUMS = ("T", "O", "sigma", "ibeta_alpha", "p_cross_sigma",
-                "odd") + algebra.PRYCE_KINDS
+                "odd") + algebra.PRYCE_KINDS + ("p", "p_sigma")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -99,33 +100,17 @@ class MomentumWavePacket:
 
         Each slab of the first grid axis builds its bilinears b[A] =
         a^dagger C_A a (C = algebra.CLIFFORD), evaluates every density of
-        `_VECTOR_SUMS` on them once and drops them.  A contiguous grid's sum
-        over its point axes adds the points one after another, so carrying
-        the running sums as row 0 above each slab's rows gives the full-grid
-        bits.  The pairwise sums (the norm, <T4>) and <p>'s einsum do not
-        run in that order; they keep their (n1, n2, n3) arrays.
+        `_VECTOR_SUMS` on them once, adds them to the running sums and
+        drops them.  <T4> = i sum_i <p_i Sigma_i> / m.
         """
-        m = self.mass
-        one = np.empty(self.amplitudes.shape[:3])
-        t4 = np.empty_like(one, dtype=complex)
         sums = np.zeros((len(_VECTOR_SUMS), 3))
-        for p, a, one_slab, t4_slab in zip(self.momenta, self.amplitudes,
-                                           one, t4):
+        for p, a in zip(self.momenta, self.amplitudes):
             outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
             b = (outer.view(float) @ _CLIFFORD_COLUMNS).reshape(
-                one_slab.shape + (16,))
-            one_slab[...] = b[..., _ONE]
-            t4_slab[...] = 1j * np.sum(p * b[..., _SIGMA], axis=-1) / m
-            rows = np.empty((1 + one_slab.size,) + sums.shape)
-            rows[0] = sums
-            np.stack(_densities(p, b, m), axis=-2,
-                     out=rows[1:].reshape(one_slab.shape + sums.shape))
-            sums = np.add.reduce(rows, axis=0)
+                p.shape[:-1] + (16,))
+            sums = _add_points(sums, _densities(p, b, self.mass))
         vals = dict(zip(_VECTOR_SUMS, _read_only(sums * self.cell_volume)))
-        vals["T4"] = grid_expectation(self, t4, hermitian=False)
-        vals["p"] = _read_only(np.einsum("pqr,pqri->i", one, self.momenta)
-                               * self.cell_volume)
-        vals["norm"] = float(one.sum() * self.cell_volume)
+        vals["T4"] = 1j * float(np.sum(vals.pop("p_sigma"))) / self.mass
         return vals
 
     @functools.cached_property
@@ -216,12 +201,12 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
 
     chi = rest_spinor(spin_direction)
     amplitudes = np.empty(momenta.shape[:3] + (4,), dtype=complex)
+    sums = np.zeros((1, 4))   # sum |a_alpha|^2 per spinor component
     for p, out in zip(momenta, amplitudes):
         envelope = np.exp(-np.sum((p - p0)**2 / (2.0 * w**2), axis=-1))
         out[...] = envelope[..., None] * positive_energy_spinor(p, chi, m)
-
-    norm = float(np.einsum("pqra,pqra->", amplitudes.conj(),
-                           amplitudes).real * cell)
+        sums = _add_points(sums, [out.real**2 + out.imag**2])
+    norm = float(np.sum(sums) * cell)
     # a non-finite amplitude makes the norm non-finite too
     if not 0.0 < norm < math.inf:
         raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
@@ -296,6 +281,18 @@ def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     return out
 
 
+def _add_points(sums: np.ndarray, densities: list) -> np.ndarray:
+    """`sums` (len(densities), k) plus a slab's densities (..., k), added
+    point after point as np.sum over a whole grid's point axes adds them:
+    np.add.reduce over the first axis of a contiguous array adds in order,
+    so the running sums ride as row 0 above the slab's points."""
+    shape = densities[0].shape[:-1] + sums.shape
+    rows = np.empty((1 + math.prod(shape[:-2]),) + sums.shape)
+    rows[0] = sums
+    np.stack(densities, axis=-2, out=rows[1:].reshape(shape))
+    return np.add.reduce(rows, axis=0)
+
+
 def _densities(p, b, m) -> list:
     """The per-point 3-vector densities of `_VECTOR_SUMS`, in its order, at
     momenta p (..., 3) from bilinears b[X] = a^dagger X a (..., 16).
@@ -306,6 +303,7 @@ def _densities(p, b, m) -> list:
     O_i = beta Sigma_i - p_i gamma5 / E - p_i p.beta Sigma / (E (E + m)).
     Each mass-center offset is the kernel's factor-table form
     f1 i beta alpha / 2m + f2 p x Sigma / 2m^2 + f3 i beta (alpha.p) p / 2m^3.
+    <p> is p b[1], and p_i b[Sigma_i] sums to m <T4> / i.
     """
     e = algebra.energy(p, m)[..., None]
     b_sigma, b_iba = b[..., _SIGMA], b[..., _IBETA_ALPHA]
@@ -320,7 +318,7 @@ def _densities(p, b, m) -> list:
         f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
         dens.append(f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
                     + f3 * odd / (2.0 * m**3))
-    return dens
+    return dens + [p * b[..., _ONE, None], p * b_sigma]
 
 
 def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:

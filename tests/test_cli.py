@@ -212,16 +212,32 @@ def test_anomalous_fd_single_step_is_config_error(tmp_path, capsys):
 
 
 def test_failing_check_exit_code(tmp_path):
-    # a guard-passing electric run whose speed, 3e-3, leaves the regime in
-    # which the low-velocity table holds to 1e-6 genuinely fails its d row
+    # packets as wide as twice the mass are far outside the sharp regime,
+    # where the residuals are not yet quadratic in the width: the fg
+    # ladder genuinely fails its order row
+    cfg = gallery.converge_configs()["converge_fg"]
+    cfg = dataclasses.replace(cfg, name="wide", packet=dataclasses.replace(
+        cfg.packet, widths=(2.0, 2.0, 2.0)))
+    path = tmp_path / "wide.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["converge", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "wide_convergence.txt").read_text().splitlines()
+    assert ["fg_order", "fail"] in [r.split()[:2] for r in rows]
+
+
+@pytest.mark.parametrize("field", [3e-4, 1e-3, 3e-3])
+def test_low_velocity_table_only_where_it_holds(tmp_path, field):
+    # gbar - 1 reaches 4e-7 .. 4e-5: the table's own 1 - gbar^-3 would
+    # exceed its 1e-6 tolerance, so the run grades it nowhere
     cfg = dataclasses.replace(gallery.gallery_configs()["e_only_low_velocity"],
-                              name="fast", E=(1e-3, 0.0, 0.0))
+                              name="fast", E=(field, 0.0, 0.0))
     path = tmp_path / "fast.cfg"
     path.write_text(serialize_config(cfg), encoding="utf-8")
     assert cli.main(["simulate", "--config", str(path),
-                     "--out", str(tmp_path)]) == 1
-    rows = (tmp_path / "fast_report.txt").read_text().splitlines()
-    assert ["low_velocity_table_d", "fail"] in [r.split()[:2] for r in rows]
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "fast_report.txt").read_text()
+    assert "fd_mass_center_d" in text and "low_velocity_table" not in text
 
 
 def test_verify_algebra_command(tmp_path):

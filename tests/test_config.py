@@ -1,10 +1,11 @@
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from spindrift import algebra, gallery
+from spindrift import algebra, config, gallery
 from spindrift.config import (ConfigError, ScenarioConfig, override,
                               parse_config, serialize_config)
 
@@ -88,7 +89,7 @@ def test_converge_requires_block_and_rungs():
         parse_config("[scenario]\nname = x\nmode = converge\n")
 
 
-# keys with one value in use, now packets.GRID_RADIUS and convergence.RUNGS
+# keys with one value in use, now packets.GRID_RADIUS and config.RUNGS
 @pytest.mark.parametrize("key, extra", [
     ("packet.grid_radius", "\n[packet]\ngrid_radius = 5.0\n"),
     ("converge.rungs", "rungs = 3\n"),
@@ -106,6 +107,33 @@ def test_sample_every_above_steps_rejected():
     with pytest.raises(ConfigError, match="^integration.sample_every: "):
         parse_config(text)
     assert parse_config(text.replace("= 21", "= 20")).sample_every == 20
+
+
+# (config, steps at the cap, sample_every): simulate holds steps /
+# sample_every + 1 samples, a ladder's finest rung 4 steps + 1
+@pytest.mark.parametrize("name, steps, every", [
+    ("cyclotron", config.MAX_SAMPLES - 1, 1),
+    ("cyclotron", 50 * (config.MAX_SAMPLES - 1), 50),
+    ("converge_integrator", (config.MAX_SAMPLES - 1) // 4, None),
+    ("converge_anomalous_fd", (config.MAX_SAMPLES - 1) // 4, None),
+])
+def test_sample_count_is_capped(name, steps, every):
+    # refused by the config, before any series is allocated
+    cfg = {**gallery.gallery_configs(), **gallery.converge_configs()}[name]
+    cap = {"integration.steps": str(steps)}
+    if every is not None:
+        cap["integration.sample_every"] = str(every)
+    assert override(cfg, cap).steps == steps
+    over = {**cap, "integration.steps": str(steps + (every or 1))}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^integration.steps: .* "
+                                              "samples, above the cap"):
+            override(cfg, over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_sample_every_must_divide_steps():

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spindrift import cli, convergence, dynamics, gallery
+from spindrift import cli, convergence, dynamics, gallery, packets, runners
 from spindrift.config import (CONVERGE_TARGETS, ConvergeSpec, ScenarioConfig,
                               serialize_config)
 
@@ -26,6 +26,22 @@ def _converge(tmp_path, cfg):
 
 def test_every_config_target_has_a_table_entry():
     assert tuple(convergence.TARGETS) == CONVERGE_TARGETS
+
+
+def test_fg_ladder_reads_the_mass_center_offsets(tmp_path, monkeypatch):
+    # a d-type offset twice its density breaks only the offset relation,
+    # whose residual then stops shrinking with the width
+    densities, d = packets._densities, packets._VECTOR_SUMS.index("d")
+
+    def doubled(p, b, m):
+        dens = densities(p, b, m)
+        dens[d] = 2.0 * dens[d]
+        return dens
+
+    monkeypatch.setattr(packets, "_densities", doubled)
+    report, _ = runners.run_converge(
+        gallery.converge_configs()["converge_fg"], tmp_path)
+    assert report["fg_order"].status == "fail"
 
 
 @pytest.mark.parametrize("ladder, key, field, value", [

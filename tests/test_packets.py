@@ -22,9 +22,15 @@ def brute_force_expectation(packet, kernel_at):
     return total * packet.cell_volume
 
 
+def dense_norm(packet):
+    """<1> through the dense-kernel oracle."""
+    shape = packet.momenta.shape[:3] + (4, 4)
+    return expectation(packet, np.broadcast_to(algebra.IDENTITY, shape))
+
+
 class TestConstruction:
     def test_normalized(self, fast_packet):
-        assert abs(fast_packet.expectations["norm"] - 1.0) < 1e-12
+        assert abs(dense_norm(fast_packet) - 1.0) < 1e-12
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -110,7 +116,7 @@ class TestExpectation:
     def test_hamiltonian_vs_gamma_m(self):
         pkt = make_gaussian_packet((0, 0, 0.75), 0.01, (1, 0, 0),
                                    grid_points=24)
-        assert abs(pkt.expectations["norm"] - 1.0) < 1e-12
+        assert abs(dense_norm(pkt) - 1.0) < 1e-12
         h_mean = expectation(
             pkt, lambda p: algebra.free_hamiltonian(p, pkt.mass))
         assert abs(h_mean - pkt.gamma_bar * pkt.mass) < 2.0 * 0.01**2
@@ -289,8 +295,6 @@ def _dense_expectations(pkt):
         "p_cross_sigma": expectation(pkt, cross),
         "odd": expectation(pkt, odd),
         "p": expectation(pkt, p[..., None, None] * algebra.IDENTITY),
-        "norm": expectation(pkt, np.broadcast_to(algebra.IDENTITY,
-                                                 grid + (4, 4))),
     }
     for kind in ("c", "d", "e"):
         vals[kind] = expectation(pkt, algebra.pryce_kernel(kind, p, m))
@@ -337,8 +341,9 @@ class TestBilinearTable:
         envelope = np.exp(-np.sum((p - p0)**2 / (2.0 * w**2), axis=-1))
         amps = envelope[..., None] * packets.positive_energy_spinor(
             p, packets.rest_spinor(spin), m)
-        amps = amps / np.sqrt(np.einsum("pqra,pqra->", amps.conj(),
-                                        amps).real * pkt.cell_volume)
+        # the norm sums |a_alpha|^2 over the points, then the components
+        norm = np.sum(np.sum(amps.real**2 + amps.imag**2, axis=(0, 1, 2)))
+        amps = amps / np.sqrt(norm * pkt.cell_volume)
         _assert_same_bits(pkt.amplitudes, amps, n, np.max(np.abs(amps)))
         if translate:   # generic phases
             pkt = pkt.translated((0.7, -1.1, 2.3))
@@ -355,15 +360,13 @@ class TestBilinearTable:
         vals = fast_packet.expectations
         assert fast_packet.expectations is vals
         assert set(vals) == {"T", "T4", "O", "sigma", "ibeta_alpha",
-                             "p_cross_sigma", "odd", "c", "d", "e", "p",
-                             "norm"}
+                             "p_cross_sigma", "odd", "c", "d", "e", "p"}
         for key, value in vals.items():
             if isinstance(value, np.ndarray):
                 assert value.shape == (3,), key
                 with pytest.raises(ValueError):
                     value[0] = 1.0
         assert isinstance(vals["T4"], complex)
-        assert isinstance(vals["norm"], float)
         assert all(arr.shape[-1] != 16 for arr in _held_arrays(fast_packet))
 
     @pytest.mark.parametrize("name", ["velocity"])
@@ -432,10 +435,10 @@ def _full_grid_forms(pkt):
                            + f3 * odd / (2.0 * m**3))
     vals = {key: packets.grid_expectation(pkt, d)
             for key, d in densities.items()}
-    vals["T4"] = packets.grid_expectation(
-        pkt, 1j * np.sum(p * b_sigma, axis=-1) / m, hermitian=False)
-    vals["p"] = np.einsum("pqr,pqri->i", b[..., 0], p) * pkt.cell_volume
-    vals["norm"] = float(b[..., 0].sum() * pkt.cell_volume)
+    # <T4> sums <p_i Sigma_i> over the points, then the components
+    vals["T4"] = 1j * float(np.sum(packets.grid_expectation(
+        pkt, p * b_sigma))) / m
+    vals["p"] = packets.grid_expectation(pkt, p * b[..., :1])
     return vals
 
 
@@ -468,10 +471,13 @@ def _held_arrays(pkt):
 
 # tracemalloc peak (held arrays included) of building the default verify-fg
 # packet at 48^3, its seven relations and three mass-center offsets.  It
-# reads 16.8 MB, the build's (the momenta, the amplitudes and the norm
-# sum's conjugate copy, 152 B a point); the one pass over the grid peaks at
-# 14.8 MB.  With a held (n1, n2, n3, 16) bilinear table it read 27.4 MB.
-PACKET_PEAK_BYTES = 18_500_000
+# reads 11.7 MB, the pass's: the held 88 B a point (9.7 MB) and one slab's
+# bilinears, densities and running-sum rows; the build peaks at 10.4 MB.
+# The bound is 1.1 times that: a full-grid temporary of 16 B a point (a
+# complex (n1, n2, n3) density) or more does not fit under it.
+# With the build's conjugate copy for the norm it read 16.8 MB, with a
+# held (n1, n2, n3, 16) bilinear table 27.4 MB.
+PACKET_PEAK_BYTES = 12_900_000
 
 
 def test_packet_path_peak_memory_is_bounded():

@@ -36,9 +36,9 @@ HEAVY_CROSSED_CSV_SHA256 = (
 # rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
-        "6cfb81633cf5362a458e59209a51965cf73b11429b50fecc5764bb34faf31d77"),
+        "bf1579e126abbe8770ac3adebb6cc2badbfbe8e0677efea2c7e84558201393b7"),
     "golden": (
-        "e9f80ead5ac71ebda1836bb873b530da2099124d1ea4dbca5f551bfce2db9d52"),
+        "88c4a5ee99b1532f7156bfc8f423c48411e67c6f803e89c4235d52b9cee9df79"),
 }
 
 
