@@ -294,8 +294,9 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError(f"constants.mass: 2 E^2 (E + m) or gamma^2 (gamma "
                           f"+ 1) overflows at E = m gamma, gamma = hypot(1, "
                           f"pmax), algebra.pmax = {cfg.algebra_pmax!r}")
-    # the runs that read dt integrate with it as their largest step
-    if reads("integration.dt"):
+    # the ladders step RK4 with dt as their largest step; simulate samples
+    # the exact motion, which takes any dt
+    if run in ("integrator", "anomalous-fd"):
         angle = cfg.dt * max_rotation_rate(cfg.field_config())
         if angle >= MAX_STEP_ROTATION:
             raise ConfigError(f"integration.dt: dt * max rotation rate = "

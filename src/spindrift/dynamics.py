@@ -170,10 +170,10 @@ def bmt_rhs(state, fields: FieldConfig) -> np.ndarray:
     return np.cross(state.s, omega(state, fields))
 
 
-def thomas_omega(dv_dt, v) -> np.ndarray:
+def thomas_omega(state, dv_dt) -> np.ndarray:
     """Thomas precession  gbar^2/(gbar+1) (dv/dt x v)."""
-    g = dilation(v)[..., None]
-    return g * g / (g + 1.0) * np.cross(dv_dt, v)
+    g = state.gamma[..., None]
+    return g * g / (g + 1.0) * np.cross(dv_dt, state.v)
 
 
 def position_shift(S, v, m: float) -> np.ndarray:
@@ -271,7 +271,7 @@ def anomalous_velocity_thomas_form(state, fields: FieldConfig) -> np.ndarray:
     _warn_if_not_constant_gamma(state, fields)
     m = fields.mass
     f = frozen_energy_force(state, fields)
-    wt = thomas_omega(f / m, state.v)
+    wt = thomas_omega(state, f / m)
     return (-_dot(state.s, state.v) * wt
             + np.cross(state.s, f) / m) / (2.0 * m)
 
@@ -312,13 +312,6 @@ class Trajectory:
     @property
     def energy(self) -> np.ndarray:
         return self.gamma * self.fields.mass
-
-    def interior_slice(self) -> slice:
-        return slice(1, len(self.t) - 1)
-
-    def finite_difference(self, series: np.ndarray) -> np.ndarray:
-        """Central differences of a sampled series at the interior samples."""
-        return (series[2:] - series[:-2]) / (2.0 * self.dt)
 
     def pryce_fp(self, kind) -> np.ndarray:
         return pryce_factors(kind, self.gamma)[3]

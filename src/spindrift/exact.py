@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import (MAX_SPEED, ClassicalState, FieldConfig,
                        IntegrationError, LabSpin, Trajectory, boost_spin,
-                       max_rotation_rate, unboost_spin)
+                       max_rotation_rate, position_shift, unboost_spin)
 
 EPS = np.finfo(float).eps
 # Fields with (alpha^2 + beta^2) tau^2 <= SERIES_LIMIT over the run take the
@@ -233,3 +233,19 @@ def propagate(state0: ClassicalState, fields: FieldConfig, dt: float,
     t = state0.t + np.arange(0, steps + 1, sample_every) * float(dt)
     return Trajectory(t, *uniform_field_reference(state0, fields, t),
                       fields=fields, dt=dt * sample_every)
+
+
+def shift_velocity(traj: Trajectory) -> np.ndarray:
+    """d(deltaX)/dt at every sample, deltaX = S x v / 2m, from the equations
+    of motion: u = gbar (1, v) and a = (S0, S) obey d/dtau = A, and d/dt =
+    gbar^-1 d/dtau.  So dS/dt = (A a)_S / gbar and dv/dt = d(u_v/u_0)/dt =
+    ((A u)_v - v (A u)_0) / gbar^2.  It reads A, not dynamics.omega or the
+    Lorentz force, so it shares no formula with the V it grades."""
+    A = _generator(traj.fields)
+    g = traj.gamma[:, None]
+    du = np.einsum("ij,nj->ni", A, np.hstack([g, g * traj.v]))
+    da = np.einsum("ij,nj->ni", A, np.hstack([traj.S0[:, None], traj.S]))
+    dv_dt = (du[:, 1:] - traj.v * du[:, :1]) / (g * g)
+    m = traj.fields.mass
+    return (position_shift(da[:, 1:] / g, traj.v, m)
+            + position_shift(traj.S, dv_dt, m))

@@ -19,19 +19,18 @@ from .config import ConfigError, ScenarioConfig
 from .report import RunReport, relation_kv_lines
 
 CSV_FMT = "%.17g"
-# The low-velocity table's d row compares d(X_d - x)/dt with its limit
-# e s x E / 2m^2.  From rest in E alone, v stays along E, so omega = 0,
-# S x v = s x v and dv/dt = e E / (m gbar^3): the row reads 1 - gbar^-3,
-# at most 3 (gbar - 1).  The table is graded where that is at most a
-# quarter of the row's tolerance.
+# The low-velocity table's d row compares fP_d d(deltaX)/dt, fP_d = 1, with
+# e s x E / 2m^2.  In E alone d(deltaX)/dt = V + g = (e/2m^2) [s x E / gbar
+# - (s.v) v x E / (1 + gbar) - (E.v) s x v / gbar], and v^2 <= 2 (gbar - 1):
+# the row reads at most (gbar - 1) (1 + 3 |s| |E| / |s x E|).  The two gates
+# hold that to half the row's tolerance, (1 + 3 / 0.6) / 12 = 1/2.  From rest
+# v stays along E and the row reads 1 - gbar^-3 <= 3 (gbar - 1).
 LOW_VELOCITY_TABLE_TOL = 1e-6
 LOW_VELOCITY_GAMMA_LIMIT = LOW_VELOCITY_TABLE_TOL / (4.0 * 3.0)
-# Widest sample spacing, as h * max_rotation_rate in radians, at which the
-# central differences of the centers are graded.  Measured: the worst
-# residual/tolerance ratio over pure-B, crossed and rotated orbits is 0.79
-# at 2.0 and first exceeds 1 near 2.9 (pure B at gamma ~ 1, where the rate
-# is the gyration frequency); aliased samples see no curvature at all.
-FD_MAX_SAMPLE_ANGLE = 2.0
+LOW_VELOCITY_MIN_SINE = 0.6
+# anomalous_velocity_eom's tolerance in eps R max|s| / 2m, R the
+# max_rotation_rate, from the operation count in _anomalous_velocity_rows
+EOM_ROUNDOFF = 0.5 * 25 * 14
 # Trajectory rows per write.  More rows gain no time and cost memory: the
 # plot writer's traced peak on the 10 001-row cyclotron is 0.75 MB at 64
 # rows and 1.02 MB at 128; the whole trajectory at once raised
@@ -90,46 +89,23 @@ def write_plot_files(outdir, name, csv_path):
     return paths
 
 
-def _fd_tolerance(series: np.ndarray, h: float, extra: float,
-                  substeps: int) -> float:
-    """Self-calibrated bound on the central-difference error.
-
-    The leading truncation error is h^2/6 f'''; the third derivative is
-    estimated from third differences of the series itself, with a factor-2
-    margin.  Roundoff of `substeps` integrator steps per sample spacing h
-    is bounded by sqrt(3) (substeps + 1) ulp(max|X|) / (2h).
-    """
-    ulp = np.spacing(np.max(np.abs(series)))
-    roundoff = float(np.sqrt(3.0) * (substeps + 1) * ulp / (2.0 * h))
-    d3 = np.diff(series, n=3, axis=0)
-    est = float(np.max(np.abs(d3))) / (3.0 * h)
-    return max(est + extra, 1e-12, roundoff)
-
-
 def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
     """Sample a scenario's exact motion, write its CSV trajectory, grade it.
 
-    Report rows: the frozen-energy monitor (warn-graded), finite-difference
-    mass-center velocities against v + fP * V (self-calibrated tolerance),
-    energy conservation for pure-B scenarios, and -- for low-velocity
-    electric-only scenarios -- the d/e/c anomalous-velocity table.
+    Report rows: the frozen-energy monitor (warn-graded), the anomalous
+    velocity against d(deltaX)/dt from the equations of motion at every
+    sample, energy conservation for pure-B scenarios, and -- for
+    low-velocity electric-only scenarios -- the d/e/c anomalous-velocity
+    table.
     """
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fields = cfg.field_config()
-    state0 = cfg.initial_state()
-    graded = cfg.steps // cfg.sample_every >= 3  # four samples or more
-    angle = cfg.dt * cfg.sample_every * dynamics.max_rotation_rate(fields)
-    if graded and angle > FD_MAX_SAMPLE_ANGLE:
-        raise ConfigError(
-            f"integration.sample_every: samples are {angle:.3g} rad apart at "
-            f"the fastest rotation rate, above {FD_MAX_SAMPLE_ANGLE}; their "
-            f"finite differences would alias")
 
     report = RunReport()
     try:
-        traj = exact.propagate(state0, fields, cfg.dt, cfg.steps,
-                               sample_every=cfg.sample_every)
+        traj = exact.propagate(cfg.initial_state(), fields, cfg.dt,
+                               cfg.steps, sample_every=cfg.sample_every)
     except dynamics.IntegrationError as exc:
         raise ConfigError(f"integration.steps: {exc}") from None
     report.add("constant_gamma_max_ev", traj.max_ev,
@@ -140,30 +116,7 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
                       / traj.energy[0])
         report.add("energy_drift_relative", drift, 1e-10)
 
-    if graded:
-        h = traj.dt
-        interior = traj.interior_slice()
-        smax = float(np.max(np.linalg.norm(traj.s, axis=1)))
-        vmax = float(np.max(np.linalg.norm(traj.v, axis=1)))
-        # compact form uses the frozen-energy Lorentz force; the worst-case
-        # slack |s x (v.E) v| e / (2 m^2) is attained for s perpendicular
-        # to v, and the drifting fP(gamma) contributes at the same scale
-        shortcut = 2.0 * traj.max_ev * smax * vmax / (2.0 * cfg.mass**2)
-        for kind in algebra.PRYCE_KINDS:
-            fd = traj.finite_difference(traj.centers[kind])
-            fp = traj.pryce_fp(kind)[interior]
-            predicted = (traj.v[interior]
-                         + fp[:, None] * traj.v_anomalous[interior])
-            residual = float(np.max(np.linalg.norm(fd - predicted, axis=1)))
-            tol = _fd_tolerance(traj.centers[kind], h, extra=shortcut,
-                                substeps=cfg.sample_every)
-            report.add(f"fd_mass_center_{kind}", residual, tol)
-
-        gamma_excursion = float(np.max(traj.gamma) - 1.0)
-        if (not any(cfg.B) and any(cfg.E)
-                and gamma_excursion < LOW_VELOCITY_GAMMA_LIMIT
-                and np.any(traj.s[0])):
-            _low_velocity_rows(report, traj, fields)
+    _anomalous_velocity_rows(report, traj, fields)
 
     # written after the last row, so no row's time includes the writers
     csv_path = outdir / f"{cfg.name}_trajectory.csv"
@@ -178,28 +131,63 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
     return report, artifacts
 
 
-def _low_velocity_rows(report, traj, fields):
-    """The electric-only low-velocity mass-center velocity table.
+def _anomalous_velocity_rows(report, traj, fields):
+    """anomalous_velocity_eom at every sample, then the low-velocity table.
 
-    d-type: fd(X_d - x) matches e/(2m^2) s x E; e-type: half the d-type
-    offset velocity; c-type: exactly zero.
+    V = d(deltaX)/dt at frozen energy.  The true dv/dt is F/m - e (E.v) v /
+    (m gbar), and every other d gbar/dt term of d(S x v/2m)/dt meets v x v:
+    dS/dt's along v, and S's along v against dv/dt's along v.  So
+    d(deltaX)/dt = V + g, g = s x (-e (E.v) v / (m gbar)) / 2m.
+
+    Tolerance: the identity holds at any state, on shell or not, so only its
+    evaluation rounds.  Each term is a monomial in the state, the fields, e
+    and m that passes at most 25 roundings of eps/2: boost_spin 9, gbar v 1,
+    A 2 and its 4-term rows 4, dv/dt's difference and gbar^2 4, a cross
+    product 2, the 1/2m 1 and two sums 2.  A row of A u sums terms of at
+    most R max(|u_0|, |u|), and u, a = (S0, S) are at most gbar, gbar |s|:
+    the terms of dS/dt x v and S x dv/dt sum to at most 2 rho and 4 rho,
+    rho = R |s| / 2m, those of V and g to 6 rho / gbar and 2 rho / gbar,
+    14 rho in all.
     """
-    interior = traj.interior_slice()
+    m = fields.mass
+    # d ln(gbar)/dt = e (E.v) / (m gbar)
+    log_gamma_rate = fields.charge / m * (traj.v @ fields.E) / traj.gamma
+    g = -log_gamma_rate[:, None] * dynamics.position_shift(traj.s, traj.v, m)
+    shift = exact.shift_velocity(traj)
+    residual = np.linalg.norm(shift - (traj.v_anomalous + g), axis=1)
+    rho = (dynamics.max_rotation_rate(fields)
+           * np.max(np.linalg.norm(traj.s, axis=1)) / (2.0 * m))
+    report.add("anomalous_velocity_eom", float(np.max(residual)),
+               EOM_ROUNDOFF * exact.EPS * rho)
+
+    if (not np.any(fields.B) and np.any(fields.E)
+            and float(np.max(traj.gamma)) - 1.0 < LOW_VELOCITY_GAMMA_LIMIT):
+        _low_velocity_rows(report, traj, fields, shift)
+
+
+def _low_velocity_rows(report, traj, fields, shift):
+    """The electric-only low-velocity mass-center velocity table from
+    `shift` = d(deltaX)/dt, graded where |s x E| stays above
+    LOW_VELOCITY_MIN_SINE |s| |E|.
+
+    dx[k] = fP_k d(deltaX)/dt = d(X_k - x)/dt at frozen energy.  d-type:
+    matches e/(2m^2) s x E; e-type: half the d-type; c-type: exactly zero.
+    """
     coeff = fields.charge / (2.0 * fields.mass**2)
-    reference = coeff * np.cross(traj.s[interior],
-                                 np.broadcast_to(fields.E, (3,)))
+    reference = coeff * np.cross(traj.s, fields.E)
     ref_norm = np.linalg.norm(reference, axis=1)
-    if not np.all(ref_norm > 0):
+    floor = (LOW_VELOCITY_MIN_SINE * abs(coeff) * np.linalg.norm(fields.E)
+             * np.linalg.norm(traj.s, axis=1))
+    if not np.all(ref_norm > floor):
         return
-    fd = {k: traj.finite_difference(traj.centers[k] - traj.x)
-          for k in algebra.PRYCE_KINDS}
-    rel = np.linalg.norm(fd["d"] - reference, axis=1) / ref_norm
+    dx = {k: traj.pryce_fp(k)[:, None] * shift for k in algebra.PRYCE_KINDS}
+    rel = np.linalg.norm(dx["d"] - reference, axis=1) / ref_norm
     report.add("low_velocity_table_d", float(np.max(rel)),
                LOW_VELOCITY_TABLE_TOL)
-    rel = (np.linalg.norm(fd["e"] - 0.5 * fd["d"], axis=1)
-           / (0.5 * np.linalg.norm(fd["d"], axis=1)))
+    rel = (np.linalg.norm(dx["e"] - 0.5 * dx["d"], axis=1)
+           / (0.5 * np.linalg.norm(dx["d"], axis=1)))
     report.add("low_velocity_table_e", float(np.max(rel)), 1e-3)
-    report.add("low_velocity_table_c", float(np.max(np.abs(fd["c"]))), 1e-15)
+    report.add("low_velocity_table_c", float(np.max(np.abs(dx["c"]))), 1e-15)
 
 
 def run_verify(cfg: ScenarioConfig, outdir):

@@ -150,8 +150,16 @@ def _large_step_exits_2(tmp_path, capsys, mode, section=""):
     assert not list(tmp_path.glob("tiny_*"))
 
 
-def test_guard_violation_exit_code(tmp_path, capsys):
-    _large_step_exits_2(tmp_path, capsys, "simulate")
+def test_guard_violation_exit_code(tmp_path):
+    # simulate samples the exact motion, so the ladders' RK4 step rule does
+    # not bind it: 0.5 rad per sample grades and passes
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0"),
+                   encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "tiny_report.txt").read_text().splitlines()
+    assert ["anomalous_velocity_eom", "pass"] in [r.split()[:2] for r in rows]
 
 
 @pytest.mark.parametrize("target", ["integrator", "anomalous-fd"])
@@ -237,7 +245,24 @@ def test_low_velocity_table_only_where_it_holds(tmp_path, field):
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path)]) == 0
     text = (tmp_path / "fast_report.txt").read_text()
-    assert "fd_mass_center_d" in text and "low_velocity_table" not in text
+    assert "anomalous_velocity_eom" in text
+    assert "low_velocity_table" not in text
+
+
+def test_low_velocity_table_skipped_with_spin_along_e(tmp_path):
+    # s x E is nonzero only through a slight precession: the table's limit
+    # is roundoff, so it is not graded, and nothing divides by it (the
+    # suite turns a RuntimeWarning into an error)
+    cfg = dataclasses.replace(gallery.gallery_configs()["e_only_low_velocity"],
+                              name="along", s0=(0.5, 0.0, 0.0),
+                              v0=(0.0, 0.0002, 0.0))
+    path = tmp_path / "along.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "along_report.txt").read_text()
+    assert "anomalous_velocity_eom" in text
+    assert "low_velocity_table" not in text
 
 
 def test_verify_algebra_command(tmp_path):

@@ -165,9 +165,10 @@ def test_values_unchecked_where_unread(mode, attr, value):
 
 
 def test_values_checked_where_read():
+    # the integrator ladder reads v and steps RK4 with dt
     for attr, value, key in [("v0", (2.0, 0.0, 0.0), "initial.v"),
                              ("dt", 25.0, "integration.dt")]:
-        cfg = ScenarioConfig(B=(0.0, 0.0, 0.02))
+        cfg = ScenarioConfig(mode="converge", B=(0.0, 0.0, 0.02))
         setattr(cfg, attr, value)
         with pytest.raises(ConfigError, match=f"^{key}: "):
             override(cfg, {})

@@ -17,6 +17,11 @@ from spindrift.dynamics import (ClassicalState, ConstantGammaWarning,
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def _central(traj, series):
+    """Central differences of a sampled series at the interior samples."""
+    return (series[2:] - series[:-2]) / (2.0 * traj.dt)
+
+
 def pure_b_setup(b0=0.02, v=0.6, s=(0.15, 0.0, 0.65), charge=1.0):
     fields = FieldConfig(E=(0, 0, 0), B=(0, 0, b0), charge=charge, mass=1.0)
     state = ClassicalState(0.0, (0, 0, 0), (v, 0, 0), s)
@@ -145,14 +150,15 @@ class TestSpinBoost:
 
 class TestThomas:
     def test_parallel_acceleration_vanishes(self):
-        assert np.array_equal(dyn.thomas_omega((0, 0, 2.0), (0, 0, 0.5)),
+        state = ClassicalState(0.0, (0, 0, 0), (0, 0, 0.5), (0, 0, 0))
+        assert np.array_equal(dyn.thomas_omega(state, (0, 0, 2.0)),
                               np.zeros(3))
 
     def test_low_velocity_half_factor(self):
         a = np.array([1.0, 0, 0])
-        v = np.array([0, 1e-4, 0])
-        wt = dyn.thomas_omega(a, v)
-        assert np.allclose(wt, 0.5 * np.cross(a, v), rtol=1e-7)
+        state = ClassicalState(0.0, (0, 0, 0), (0, 1e-4, 0), (0, 0, 0))
+        wt = dyn.thomas_omega(state, a)
+        assert np.allclose(wt, 0.5 * np.cross(a, state.v), rtol=1e-7)
 
     def test_cyclotron_antiparallel_oracle(self):
         # circular orbit: omega_T = -(gbar - 1) omega_gyration
@@ -160,7 +166,7 @@ class TestThomas:
         g = state.gamma
         w_gyr = -fields.charge / (g * fields.mass) * fields.B
         a = dyn.lorentz_force(state, fields) / fields.mass
-        wt = dyn.thomas_omega(a, state.v)
+        wt = dyn.thomas_omega(state, a)
         assert np.allclose(wt, -(g - 1.0) * w_gyr, rtol=1e-13)
 
 
@@ -232,7 +238,7 @@ class TestFprime:
             lhs = dyn.bmt_rhs(st, fields)
             a = dyn.lorentz_force(st, fields) / fields.mass
             rhs = (dyn.fprime(st, fields) / st.gamma
-                   + np.cross(dyn.thomas_omega(a, st.v), st.s))
+                   + np.cross(dyn.thomas_omega(st, a), st.s))
             worst = max(worst, np.max(np.abs(lhs - rhs)))
         assert worst < 1e-10
 
@@ -412,9 +418,9 @@ class TestIntegration:
         errs = []
         for k in (100, 200, 400):
             traj = dyn.integrate(state, fields, period / k, k)
-            fd = traj.finite_difference(traj.delta_x)
             err = np.max(np.linalg.norm(
-                fd - traj.v_anomalous[traj.interior_slice()], axis=1))
+                _central(traj, traj.delta_x) - traj.v_anomalous[1:-1],
+                axis=1))
             errs.append(err)
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
@@ -434,9 +440,9 @@ class TestIntegration:
         # frozen gamma: fd(X_d - x) = (1 + gbar) fd(X_e - x) pointwise
         state, fields = pure_b_setup(s=(0.3, -0.2, 0.5))
         traj = dyn.integrate(state, fields, 2.0, 200)
-        fd_d = traj.finite_difference(traj.centers["d"] - traj.x)
-        fd_e = traj.finite_difference(traj.centers["e"] - traj.x)
-        g = traj.gamma[traj.interior_slice()]
+        fd_d = _central(traj, traj.centers["d"] - traj.x)
+        fd_e = _central(traj, traj.centers["e"] - traj.x)
+        g = traj.gamma[1:-1]
         assert np.max(np.abs(fd_d - (1.0 + g)[:, None] * fd_e)) < 1e-12
 
     def test_rotational_covariance(self):
@@ -786,3 +792,20 @@ class TestUniformFieldReference:
                               fields, PRYCE_KINDS)
         for key in ("S0", "S", "delta_x", "v_anomalous", "max_ev"):
             _assert_same_bits(getattr(closed, key), want[key])
+
+    @pytest.mark.parametrize("name", sorted(FIELD_TYPES))
+    def test_shift_velocity_is_the_derivative_of_delta_x(self, name):
+        # central differences of deltaX on exact samples close in on
+        # exact.shift_velocity at order two, E.v != 0 and m != 1 included
+        fields, v0 = FIELD_TYPES[name]
+        state0 = ClassicalState(0.0, (0, 0, 0), v0, SPIN)
+        rate = dyn.max_rotation_rate(fields)
+        errors = []
+        for n in (1, 2, 4):
+            traj = exact.propagate(state0, fields, 0.05 / rate / n, 40 * n)
+            want = exact.shift_velocity(traj)[1:-1]
+            err = np.linalg.norm(_central(traj, traj.delta_x) - want, axis=1)
+            errors.append(np.max(err) / np.max(np.linalg.norm(want, axis=1)))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(np.abs(orders - 2.0) < 0.1), orders
+        assert errors[0] < 1e-3

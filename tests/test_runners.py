@@ -10,21 +10,17 @@ import numpy as np
 import pytest
 
 from spindrift import config, dynamics, exact, gallery, packets, runners
-from spindrift.config import ConfigError, ScenarioConfig, load_config
+from spindrift.config import ScenarioConfig, load_config
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-# fd_mass_center_* tolerances of the gallery scenarios on the exact samples;
-# the roundoff term of _fd_tolerance must not bind on any of them
-GALLERY_FD_TOLERANCES = {
-    "e_only_low_velocity": (4.507311454451277e-12, 4.507311454451277e-12,
-                            4.507311454451277e-12),
-    "cyclotron": (7.89560672481181e-06, 7.936663879756414e-06,
-                  7.91385434929446e-06),
-    "crossed_drift": (1e-12, 1.0867702957820976e-07,
-                      5.3057576578104064e-08),
-    "fprime_zero": (1.0124922761599885e-05, 1.0177533406329496e-05,
-                    1.0149339446899021e-05),
+# anomalous_velocity_eom's tolerance on the gallery scenarios,
+# EOM_ROUNDOFF eps R max|s| / 2m
+GALLERY_EOM_TOLERANCES = {
+    "e_only_low_velocity": 9.71445146547012e-19,
+    "cyclotron": 2.5921389603912423e-16,
+    "crossed_drift": 2.720323951928227e-16,
+    "fprime_zero": 2.331468351712829e-16,
 }
 
 # sha256 of the heavy_crossed CSV, recorded with Python 3.11.7 and
@@ -49,14 +45,15 @@ def gallery_reports(tmp_path_factory):
             for name, cfg in gallery.gallery_configs().items()}
 
 
-@pytest.mark.parametrize("name", sorted(GALLERY_FD_TOLERANCES))
+@pytest.mark.parametrize("name", sorted(GALLERY_EOM_TOLERANCES))
 def test_gallery_fd_tolerances_unchanged(name, gallery_reports):
-    report = gallery_reports[name]
-    got = tuple(report[f"fd_mass_center_{k}"].tolerance for k in "cde")
-    assert got == pytest.approx(GALLERY_FD_TOLERANCES[name], rel=1e-9)
+    row = gallery_reports[name]["anomalous_velocity_eom"]
+    assert row.tolerance == pytest.approx(GALLERY_EOM_TOLERANCES[name],
+                                          rel=1e-9)
+    assert row.status == "pass"
 
 
-@pytest.mark.parametrize("name", sorted(GALLERY_FD_TOLERANCES))
+@pytest.mark.parametrize("name", sorted(GALLERY_EOM_TOLERANCES))
 def test_simulate_row_times(name, gallery_reports):
     for row in gallery_reports[name]:
         assert row.wall_time > 0.0, row.name
@@ -98,92 +95,122 @@ def test_simulate_rows_exclude_writers(tmp_path, monkeypatch):
         monkeypatch.setattr(runners, name, slow(getattr(runners, name)))
     cfg = gallery.gallery_configs()["e_only_low_velocity"]
     report, _ = runners.run_simulate(cfg, tmp_path, plot=True)
-    assert len(report) == 7
+    assert len(report) == 5
     for row in report:
         assert row.wall_time < 0.2, row.name
 
 
-def _slow_cyclotron(angle):
-    """Pure B at gamma ~ 1, where max_rotation_rate is the gyration
-    frequency, sampled `angle` radians apart over 40 samples."""
-    cfg = dataclasses.replace(gallery.gallery_configs()["cyclotron"],
-                              v0=(0.05, 0.0, 0.0), steps=4000,
-                              sample_every=100)
-    rate = dynamics.max_rotation_rate(cfg.field_config())
-    return dataclasses.replace(cfg, dt=angle / (cfg.sample_every * rate))
-
-
-def test_aliased_sampling_refused(tmp_path):
-    # one sample per gyration: the third differences see no curvature
-    cfg = dataclasses.replace(gallery.gallery_configs()["cyclotron"],
-                              sample_every=1000)
-    with pytest.raises(ConfigError, match="integration.sample_every"):
-        runners.run_simulate(cfg, tmp_path)
-
-
-def test_sampling_at_threshold_grades_pass(tmp_path):
-    cfg = _slow_cyclotron(runners.FD_MAX_SAMPLE_ANGLE)
-    rate = dynamics.max_rotation_rate(cfg.field_config())
-    assert cfg.dt * cfg.sample_every * rate == runners.FD_MAX_SAMPLE_ANGLE
-    report, _ = runners.run_simulate(cfg, tmp_path)
-    assert [r.name for r in report if r.name.startswith("fd_")]
+@pytest.mark.parametrize("dt_factor, sample_every", [(1.0, 1000), (20.0, 1)],
+                         ids=["sample_every_1000", "dt_x20"])
+def test_coarse_sampling_grades_pass(dt_factor, sample_every, tmp_path):
+    # one sample per gyration, or 0.157 rad per step: the row reads the
+    # equations of motion at each sample, not the samples' spacing
+    cfg = gallery.gallery_configs()["cyclotron"]
+    cfg = dataclasses.replace(cfg, dt=cfg.dt * dt_factor,
+                              sample_every=sample_every)
+    report, _ = runners.run_simulate(config.override(cfg, {}), tmp_path)
+    assert report["anomalous_velocity_eom"].status == "pass"
     assert report.all_pass(), report.format_table()
 
 
-def test_wider_sampling_would_fail_grading(tmp_path, monkeypatch):
-    # past the threshold the fd rows fail for want of resolution alone
-    monkeypatch.setattr(runners, "FD_MAX_SAMPLE_ANGLE", np.inf)
-    report, _ = runners.run_simulate(_slow_cyclotron(3.0), tmp_path)
-    assert report["fd_mass_center_c"].status == "fail"
+def test_long_drift_passes_at_roundoff(tmp_path):
+    # positions grow to ~9e3 over 100 000 steps; the row grades each sample
+    # on its own, so its residual stays at the rounding of one evaluation
+    report, _ = runners.run_simulate(
+        load_config(DATA / "orbit_crossed_seed0.cfg"), tmp_path)
+    row = report["anomalous_velocity_eom"]
+    assert 0.0 < row.residual <= row.tolerance < 1e-15
+    assert report.all_pass(), report.format_table()
 
 
-@pytest.fixture(scope="module")
-def long_drift():
-    """The 100 000-step crossed drift orbit as RK4 integrates it, whose
-    roundoff in the centers' differences exceeds what the exact samples
-    carry: the fd rows must absorb either."""
-    cfg = load_config(DATA / "orbit_crossed_seed0.cfg")
-    traj = dynamics.integrate(cfg.initial_state(),
-                              cfg.field_config(), cfg.dt, cfg.steps,
-                              sample_every=cfg.sample_every)
-    return cfg, traj
+def test_long_drift_still_sees_anomalous_velocity(tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics, "anomalous_velocity",
+                        lambda state, fields: np.zeros_like(state.v))
+    report, _ = runners.run_simulate(
+        load_config(DATA / "orbit_crossed_seed0.cfg"), tmp_path)
+    assert report["anomalous_velocity_eom"].status == "fail"
 
 
-def _simulate(cfg, traj, outdir, monkeypatch):
-    monkeypatch.setattr(exact, "propagate", lambda *a, **k: traj)
-    report, _ = runners.run_simulate(cfg, outdir)
-    return {r.name: r for r in report if r.name.startswith("fd_")}
+def _omega_without_gamma_factor(state, fields):
+    """omega with gbar/(1 + gbar) set to 1."""
+    return (fields.charge / fields.mass) / state.gamma[..., None] * (
+        fields.B + np.cross(fields.E, state.v))
 
 
-def test_long_drift_passes_at_roundoff(long_drift, tmp_path, monkeypatch):
-    cfg, traj = long_drift
-    assert np.max(np.abs(traj.x)) > 8192.0  # ulp(X) is 1.8e-12
-    rows = _simulate(cfg, traj, tmp_path, monkeypatch)
-    assert rows["fd_mass_center_c"].residual > 1e-12
-    for row in rows.values():
-        assert row.status == "pass", (row.name, row.residual, row.tolerance)
+def _omega_flipped_e_term(state, fields):
+    """omega with the sign of its E x v term flipped."""
+    g = state.gamma[..., None]
+    return (fields.charge / fields.mass) / g * (
+        fields.B - g / (1.0 + g) * np.cross(fields.E, state.v))
 
 
-def test_long_drift_still_sees_anomalous_velocity(long_drift, tmp_path,
-                                                  monkeypatch):
-    # predicting the center velocities by v alone must fail wherever fP != 0
-    cfg, traj = long_drift
-    monkeypatch.setattr(dynamics.Trajectory, "pryce_fp",
-                        lambda self, kind: np.zeros_like(self.gamma))
-    rows = _simulate(cfg, traj, tmp_path, monkeypatch)
-    assert rows["fd_mass_center_c"].status == "pass"  # fP = 0 for type c
-    for kind in "de":
-        assert rows[f"fd_mass_center_{kind}"].status == "fail", kind
+def _scaled_anomalous_velocity(factor):
+    bare = dynamics.anomalous_velocity
+    return lambda state, fields: factor * bare(state, fields)
 
 
-def test_fd_roundoff_term():
-    h, substeps = 0.5, 9
-    series = np.outer(np.linspace(0.0, 1e4, 50), [1.0, -1.0, 0.5])
-    expected = np.sqrt(3.0) * 10 * np.spacing(1e4) / (2.0 * h)
-    assert runners._fd_tolerance(series, h, 0.0, substeps) == \
-        pytest.approx(expected, rel=1e-12)
-    # small positions on a straight path keep the absolute floor
-    assert runners._fd_tolerance(series * 1e-6, h, 0.0, 1) == 1e-12
+# (patched dynamics function, its mutant, the gallery scenarios whose
+# anomalous_velocity_eom row must fail); the others carry no E x v term
+MUTATIONS = {
+    "V_1e-4": ("anomalous_velocity", _scaled_anomalous_velocity(1.0 + 1e-4),
+               set(gallery.gallery_configs())),
+    "V_1e-6": ("anomalous_velocity", _scaled_anomalous_velocity(1.0 + 1e-6),
+               set(gallery.gallery_configs())),
+    "omega_gamma_factor": ("omega", _omega_without_gamma_factor,
+                           {"crossed_drift"}),
+    "omega_e_sign": ("omega", _omega_flipped_e_term, {"crossed_drift"}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutations_fail_the_eom_row(mutation, tmp_path, monkeypatch):
+    name, mutant, failing = MUTATIONS[mutation]
+    monkeypatch.setattr(dynamics, name, mutant)
+    for scenario, cfg in gallery.gallery_configs().items():
+        report, _ = runners.run_simulate(cfg, tmp_path)
+        status = report["anomalous_velocity_eom"].status
+        assert status == ("fail" if scenario in failing else "pass"), (
+            scenario, report.format_table())
+
+
+def _draw(rng, kind):
+    """A short simulate config of one field kind, with random mass, charge,
+    velocity (up to gbar ~ 7e3) and spin."""
+    b, e = (rng.normal(size=3) * rng.uniform(0.005, 0.05) for _ in range(2))
+    if kind == "pure_b":
+        e = 0.0 * e
+    elif kind == "pure_e":
+        b = 0.0 * b
+    elif kind in ("crossed_slow", "crossed_fast"):
+        e = np.cross(b, rng.normal(size=3))
+        e *= ((0.5 if kind == "crossed_slow" else 2.0)
+              * np.linalg.norm(b) / np.linalg.norm(e))
+    elif kind == "zero_fields":
+        e, b = 0.0 * e, 0.0 * b
+    speed = (rng.uniform(0.0, 0.9),
+             1.0 - 10.0 ** rng.uniform(-8.0, -1.0))[rng.integers(2)]
+    v = rng.normal(size=3)
+    s = rng.normal(size=3) * rng.uniform(0.1, 2.0) / np.sqrt(3.0)
+    cfg = ScenarioConfig(
+        name="draw", mass=rng.uniform(0.3, 3.0),
+        charge=rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0),
+        E=tuple(e), B=tuple(b), v0=tuple(speed * v / np.linalg.norm(v)),
+        s0=tuple(0.0 * s if kind == "zero_spin" else s), steps=8)
+    rate = dynamics.max_rotation_rate(cfg.field_config()) or 1.0
+    return dataclasses.replace(cfg, dt=rng.uniform(0.01, 5.0) / rate)
+
+
+# pure_e, e_dot_b and the crossed kinds have E.v != 0; e_dot_b is generic
+@pytest.mark.parametrize("seed, kind", enumerate([
+    "pure_b", "pure_e", "crossed_slow", "crossed_fast", "e_dot_b",
+    "zero_spin", "zero_fields"]))
+def test_eom_row_passes_on_random_states(seed, kind, tmp_path):
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        cfg = config.override(_draw(rng, kind), {})
+        report, _ = runners.run_simulate(cfg, tmp_path)
+        row = report["anomalous_velocity_eom"]
+        assert row.status == "pass", (cfg, row)
 
 
 def test_verify_fg_row_times(tmp_path):
@@ -251,9 +278,7 @@ def test_heavy_crossed_simulate(tmp_path):
     # mass and gamma are combined (with m = 1, |e| = 1 they round alike)
     report, artifacts = runners.run_simulate(
         load_config(DATA / "heavy_crossed.cfg"), tmp_path)
-    fd = {row.name: row.status for row in report
-          if row.name.startswith("fd_mass_center_")}
-    assert fd == {f"fd_mass_center_{k}": "pass" for k in "cde"}
+    assert report["anomalous_velocity_eom"].status == "pass"
     csv_bytes = (tmp_path / "heavy_crossed_trajectory.csv").read_bytes()
     assert (hashlib.sha256(csv_bytes).hexdigest()
             == HEAVY_CROSSED_CSV_SHA256)
