@@ -8,11 +8,12 @@ Four modules:
 * `packets`  -- sharp positive-energy Gaussian wave packets and the
   expectation-value relations linking spin, little-group and mass-center
   operators.
-* `dynamics` -- classical Lorentz + spin-precession integration, spin
-  boosts, position shift, Thomas precession, and the anomalous velocity of
-  the mass center in its equivalent analytic forms.
-* `exact`    -- the exact classical motion in uniform fields, which
-  `simulate` samples and the integrator ladder checks RK4 against.
+* `dynamics` -- the classical Lorentz + spin-precession equations of
+  motion, spin boosts, position shift, Thomas precession, and the
+  anomalous velocity of the mass center in its equivalent analytic forms.
+* `exact`    -- the exact classical motion in uniform fields, the one
+  source of sampled trajectories; the integrator ladder checks its private
+  RK4 stepper against it.
 
 The `spindrift` command line front end runs simulations, verification
 suites and convergence studies from plain-text scenario configs.

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (MAX_STEP_ROTATION, ClassicalState, FieldConfig,
-                       dilation, max_rotation_rate)
+from .dynamics import (ClassicalState, FieldConfig, dilation,
+                       max_rotation_rate)
 from .packets import (GRID_RADIUS, MAX_GRID_SPACING, MomentumWavePacket,
                       make_gaussian_packet)
 
@@ -26,6 +26,8 @@ MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
 # Rungs per ladder; three give two pairwise orders
 RUNGS = 3
+# largest dt * max_rotation_rate an RK4 step of the integrator ladder takes
+MAX_STEP_ROTATION = 0.1
 # Most samples a run may hold.  A sample costs ~400 B of traced memory
 # (simulate's derived series, the anomalous-fd ladder's finest rung), so
 # the cap admits ~0.4 GB.
@@ -140,7 +142,7 @@ _VEC3 = (_parse_vec3, lambda v: " ".join(repr(float(c)) for c in v))
 
 # (section, key, attribute, runs, parser, formatter) in canonical order: a
 # config may set a key only if its run is one of `runs`, the runs whose
-# output the key's value can change (_ORBIT integrate an orbit, _PACKET
+# output the key's value can change (_ORBIT follow an orbit, _PACKET
 # build a packet); a dotted attribute names a field of the nested
 # PacketSpec or ConvergeSpec
 _ORBIT = ("simulate", "integrator", "anomalous-fd")
@@ -294,9 +296,9 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError(f"constants.mass: 2 E^2 (E + m) or gamma^2 (gamma "
                           f"+ 1) overflows at E = m gamma, gamma = hypot(1, "
                           f"pmax), algebra.pmax = {cfg.algebra_pmax!r}")
-    # the ladders step RK4 with dt as their largest step; simulate samples
-    # the exact motion, which takes any dt
-    if run in ("integrator", "anomalous-fd"):
+    # the integrator ladder steps RK4 with dt as its largest step; every
+    # other run samples the exact motion, which takes any dt
+    if run == "integrator":
         angle = cfg.dt * max_rotation_rate(cfg.field_config())
         if angle >= MAX_STEP_ROTATION:
             raise ConfigError(f"integration.dt: dt * max rotation rate = "

@@ -7,8 +7,8 @@ electron; evolution couples the Lorentz force to spin precession
     dp/dt = e (E + v x B),       ds/dt = s x omega,
     omega = (e / m gbar) [B + gbar/(1+gbar) E x v],
 
-with the g factor fixed at 2.  Momentum, not velocity, is integrated, so the
-(v.E) dilation bookkeeping never enters the right-hand side.
+with the g factor fixed at 2.  Its exact solution in uniform fields is
+`exact.propagate`, the one producer of a sampled `Trajectory`.
 
 The mass-center layer attaches the lab-frame spin (S0, S), the position
 shift  deltaX = S x v / 2m, every kind's center  X = x + fP(gbar) deltaX,
@@ -20,13 +20,12 @@ cross-form comparisons refuse states far outside that regime.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import PRYCE_KINDS, energy, pryce_factors
+from .algebra import PRYCE_KINDS, pryce_factors
 
 G_FACTOR = 2.0
 
@@ -36,7 +35,6 @@ G_FACTOR = 2.0
 CONSTANT_GAMMA_WARN = 1e-9
 CONSTANT_GAMMA_REFUSE = 1e-6
 FPRIME_TOLERANCE = 1e-10
-MAX_STEP_ROTATION = 0.1  # largest dt * max_rotation_rate a step may take
 MAX_SPEED = 1.0 - 1e-12  # a state's |v| must stay below it
 
 
@@ -45,9 +43,7 @@ class ConstantGammaWarning(UserWarning):
 
 
 class IntegrationError(RuntimeError):
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """A motion that leaves the floats or reaches MAX_SPEED."""
 
 
 def _vec(x) -> np.ndarray:
@@ -131,10 +127,10 @@ def boost_spin(state) -> LabSpin:
                    S=state.s + g * g / (g + 1.0) * sv * state.v)
 
 
-def unboost_spin(lab: LabSpin, v) -> np.ndarray:
-    """Inverse of boost_spin: s = S - g/(g+1) (v.S) v."""
+def unboost_spin(lab: LabSpin, v, gamma) -> np.ndarray:
+    """Inverse of boost_spin: s = S - g/(g+1) (v.S) v, g = gamma."""
     v = np.asarray(v, dtype=float)
-    g = dilation(v)[..., None]
+    g = np.asarray(gamma, dtype=float)[..., None]
     return lab.S - g / (g + 1.0) * _dot(lab.S, v) * v
 
 
@@ -220,7 +216,7 @@ def anomalous_velocity(state, fields: FieldConfig) -> np.ndarray:
     """V = (1/2m) [(s.v) omega - (omega.v) s + s x F/m], F at frozen energy.
 
     The time derivative of the position shift.  The bare formula, with no
-    zero-spin shortcut and no frozen-energy check; `integrate` uses it.
+    zero-spin shortcut and no frozen-energy check; `Trajectory` uses it.
     """
     m = fields.mass
     s, v = state.s, state.v
@@ -277,11 +273,12 @@ def anomalous_velocity_thomas_form(state, fields: FieldConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# integration
+# sampled motion
 
 @dataclass
 class Trajectory:
-    """Samples of the state plus the quantities derived from them."""
+    """Samples of the state plus the quantities derived from them;
+    `exact.propagate` builds one."""
 
     t: np.ndarray             # (n,)
     x: np.ndarray             # (n, 3)
@@ -321,99 +318,6 @@ def max_rotation_rate(fields: FieldConfig) -> float:
     """(|e|/m)(|B| + |E|), a bound on every rotation rate of the motion."""
     return (abs(fields.charge) / fields.mass) * (np.linalg.norm(fields.B)
                                                  + np.linalg.norm(fields.E))
-
-
-def _make_deriv(fields: FieldConfig):
-    """d(x, p, s)/dt from (p, s); only + - * / **, so (n,) columns work too."""
-    ex, ey, ez = (float(c) for c in fields.E)
-    bx, by, bz = (float(c) for c in fields.B)
-    q = float(fields.charge)
-    m = float(fields.mass)
-    m2 = m * m
-
-    def deriv(px, py, pz, sx, sy, sz):
-        e_sh = (m2 + px * px + py * py + pz * pz) ** 0.5
-        vx, vy, vz = px / e_sh, py / e_sh, pz / e_sh
-        g = e_sh / m
-        dpx = q * (ex + vy * bz - vz * by)
-        dpy = q * (ey + vz * bx - vx * bz)
-        dpz = q * (ez + vx * by - vy * bx)
-        c1 = q / (m * g)
-        c2 = g / (1.0 + g)
-        wx = c1 * (bx + c2 * (ey * vz - ez * vy))
-        wy = c1 * (by + c2 * (ez * vx - ex * vz))
-        wz = c1 * (bz + c2 * (ex * vy - ey * vx))
-        return (vx, vy, vz, dpx, dpy, dpz,
-                sy * wz - sz * wy, sz * wx - sx * wz, sx * wy - sy * wx)
-
-    return deriv
-
-
-def integrate(state0: ClassicalState, fields: FieldConfig, dt: float,
-              steps: int, sample_every: int = 1) -> Trajectory:
-    """Classic fourth-order fixed-step integration of (x, p, s).
-
-    The momentum, not the velocity, is carried so the force equation keeps
-    its canonical form; v is recovered on-shell at every stage, and the
-    centers of all three Pryce kinds are derived.  Rejects steps that
-    under-resolve the fastest rotation; aborts if the state goes non-finite.
-    """
-    if dt <= 0 or steps < 1 or sample_every < 1:
-        raise ValueError("dt, steps and sample_every must be positive")
-    m = fields.mass
-    rate = max_rotation_rate(fields)
-    if dt * rate >= MAX_STEP_ROTATION:
-        raise IntegrationError(
-            f"dt * max rotation rate = {dt * rate:.3g} >= "
-            f"{MAX_STEP_ROTATION}; reduce the step or the fields")
-
-    y = np.concatenate((state0.x, state0.momentum(m), state0.s))
-    n_samples = steps // sample_every + 1
-    ys = np.empty((n_samples, 9))
-    ts = np.empty(n_samples)
-    ys[0], ts[0] = y, state0.t
-
-    # plain Python floats: numpy scalar arithmetic is ~5x slower per op
-    x0, x1, x2, p0, p1, p2, s0, s1, s2 = y.tolist()
-    dt = float(dt)
-    deriv = _make_deriv(fields)
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    row = 1
-    for k in range(1, steps + 1):
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(p0, p1, p2, s0, s1, s2)
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
-            p0 + half * a3, p1 + half * a4, p2 + half * a5,
-            s0 + half * a6, s1 + half * a7, s2 + half * a8)
-        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
-            p0 + half * b3, p1 + half * b4, p2 + half * b5,
-            s0 + half * b6, s1 + half * b7, s2 + half * b8)
-        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
-            p0 + dt * c3, p1 + dt * c4, p2 + dt * c5,
-            s0 + dt * c6, s1 + dt * c7, s2 + dt * c8)
-        x0 = x0 + sixth * (a0 + 2.0 * (b0 + c0) + d0)
-        x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-        x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-        p0 = p0 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-        p1 = p1 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-        p2 = p2 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-        s0 = s0 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-        s1 = s1 + sixth * (a7 + 2.0 * (b7 + c7) + d7)
-        s2 = s2 + sixth * (a8 + 2.0 * (b8 + c8) + d8)
-        if k % sample_every == 0:
-            y = (x0, x1, x2, p0, p1, p2, s0, s1, s2)
-            if not all(map(math.isfinite, y)):
-                raise IntegrationError(
-                    f"state became non-finite at step {k}", step=k)
-            ys[row] = y
-            ts[row] = state0.t + k * dt
-            row += 1
-
-    p = ys[:, 3:6]
-    e_on_shell = energy(p, m)
-    return Trajectory(t=ts, x=ys[:, 0:3], v=p / e_on_shell[:, None],
-                      s=ys[:, 6:9], gamma=e_on_shell / m, fields=fields,
-                      dt=dt * sample_every)
 
 
 def cyclotron_radius(state0: ClassicalState, fields: FieldConfig) -> float:

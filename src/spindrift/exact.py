@@ -4,8 +4,8 @@ At g = 2 the BMT equation for the lab spin 4-vector a = (S0, S) is the
 Lorentz force law for the 4-velocity u = gbar (1, v): both obey
 d/dtau = A = (e/m) F.  So one Lorentz transformation exp(tau A) carries
 both, and (t, x) is the integral of u over proper time.  `propagate` samples
-this on `dynamics.integrate`'s grid; RK4 stays the independent route that
-the integrator ladder checks against it.
+this on the grid t0 + k dt, and builds every `Trajectory`; the integrator
+ladder checks its private RK4 stepper against it.
 """
 from __future__ import annotations
 
@@ -59,13 +59,18 @@ def _trig(a: float, tau, cos, sin):
 
 
 def _spectrum(fields: FieldConfig) -> tuple:
-    """(alpha^2 - beta^2, alpha beta, alpha^2 + beta^2) of A, whose
-    eigenvalues are +-alpha and +-i beta: (e/m)^2 times E^2 - B^2, |E.B|
-    and their hypotenuse."""
-    k2 = (fields.charge / fields.mass) ** 2
-    sigma = k2 * float(fields.E @ fields.E - fields.B @ fields.B)
-    ab = k2 * abs(float(fields.E @ fields.B))
-    return sigma, ab, math.hypot(sigma, 2.0 * ab)
+    """(n, sigma, ab, r, norm2) of A / 2^n, whose eigenvalues are +-alpha and
+    +-i beta: (e/m)^2 times E^2 - B^2, |E.B|, their hypotenuse and E^2 + B^2.
+    2^n, near |e/m| times the largest field component, keeps every square in
+    range however weak or strong the fields, and dividing by it is exact."""
+    k, a = math.frexp(fields.charge / fields.mass)
+    b = math.frexp(float(np.max(np.abs([fields.E, fields.B]))))[1]
+    E, B = np.ldexp(fields.E, -b), np.ldexp(fields.B, -b)
+    k2 = k ** 2
+    sigma = k2 * float(E @ E - B @ B)
+    ab = k2 * abs(float(E @ B))
+    return (a + b, sigma, ab, math.hypot(sigma, 2.0 * ab),
+            k2 * float(E @ E + B @ B))
 
 
 def reference_ulps(fields: FieldConfig, duration: float) -> float:
@@ -79,11 +84,9 @@ def reference_ulps(fields: FieldConfig, duration: float) -> float:
     (E^2 + B^2) / (alpha^2 + beta^2) >= 1, which the series form avoids.
     Recovering s from the lab spin 4-vector magnifies its share by gbar^2.
     """
-    _, _, r = _spectrum(fields)
-    kappa = 1.0
-    if r * duration * duration > SERIES_LIMIT:
-        kappa = (fields.charge / fields.mass) ** 2 * float(
-            fields.E @ fields.E + fields.B @ fields.B) / r
+    n, _, _, r, norm2 = _spectrum(fields)
+    span = float(np.ldexp(duration, n))
+    kappa = norm2 / r if r * span * span > SERIES_LIMIT else 1.0
     return (8.0 + max_rotation_rate(fields) * duration) * kappa
 
 
@@ -97,26 +100,35 @@ def _propagator(fields: FieldConfig, U: np.ndarray, tau_max: float):
     exp(tau A) P_0 = P_0, with integral tau P_0.  Near the null field
     (alpha = beta = 0, where A^3 = 0) the division would cancel, so there W
     holds A^i U, i = 0..3, with coefficients summed as series in tau^2.
+    Both are built in _spectrum's units, A / 2^n and tau 2^n; the integral
+    over tau is 2^-n times the one over tau 2^n.
     """
-    A = _generator(fields)
-    sigma, ab, r = _spectrum(fields)
-    if r * tau_max * tau_max <= SERIES_LIMIT:
-        return _series(A, U, sigma, ab, r)
-    if sigma >= 0.0:
-        alpha = math.sqrt(0.5 * (r + sigma))
-        beta = ab / alpha
+    n, sigma, ab, r, _ = _spectrum(fields)
+    A = np.ldexp(_generator(fields), -n)
+    span = float(np.ldexp(tau_max, n))
+    if r * span * span <= SERIES_LIMIT:
+        W, scaled = _series(A, U, sigma, ab, r)
     else:
-        beta = math.sqrt(0.5 * (r - sigma))
-        alpha = ab / beta
-    Wa = (_combine(A, _combine(A, U)) + beta * beta * U) / r
-    Wb = U - Wa
-    W = np.stack([Wa, _combine(A, Wa) if alpha else 0.0 * Wa,
-                  Wb, _combine(A, Wb) if beta else 0.0 * Wb])
+        if sigma >= 0.0:
+            alpha = math.sqrt(0.5 * (r + sigma))
+            beta = ab / alpha
+        else:
+            beta = math.sqrt(0.5 * (r - sigma))
+            alpha = ab / beta
+        Wa = (_combine(A, _combine(A, U)) + beta * beta * U) / r
+        Wb = U - Wa
+        W = np.stack([Wa, _combine(A, Wa) if alpha else 0.0 * Wa,
+                      Wb, _combine(A, Wb) if beta else 0.0 * Wb])
+
+        def scaled(tau):
+            ch, sh, th = _trig(alpha, tau, np.cosh, np.sinh)
+            c, sn, tn = _trig(beta, tau, np.cos, np.sin)
+            return (np.stack([ch, sh, c, sn], -1),
+                    np.stack([sh, th, sn, tn], -1))
 
     def coefficients(tau):
-        ch, sh, th = _trig(alpha, tau, np.cosh, np.sinh)
-        c, sn, tn = _trig(beta, tau, np.cos, np.sin)
-        return np.stack([ch, sh, c, sn], -1), np.stack([sh, th, sn, tn], -1)
+        f, g = scaled(np.ldexp(tau, n))
+        return f, np.ldexp(g, -n)
 
     return W, coefficients
 
@@ -221,15 +233,16 @@ def uniform_field_reference(state0: ClassicalState, fields: FieldConfig,
                 f"at t = {state0.t + elapsed[block][fast][0]:.6g}")
         x[block] = state0.x + _combine(g, W[:, 1:, 0])
         v[block], gamma[block] = vb, u[:, 0, 0]
-        s[block] = unboost_spin(LabSpin(u[:, 0, 1], u[:, 1:, 1]), vb)
+        s[block] = unboost_spin(LabSpin(u[:, 0, 1], u[:, 1:, 1]), vb,
+                                u[:, 0, 0])
         start = (tau[-1], elapsed[block][-1], u[-1, 0, 0])
     return x, v, s, gamma
 
 
 def propagate(state0: ClassicalState, fields: FieldConfig, dt: float,
               steps: int, sample_every: int = 1) -> Trajectory:
-    """The exact motion sampled on integrate's grid, t0 + k dt for k = 0,
-    sample_every, ..., steps."""
+    """The exact motion sampled at t0 + k dt for k = 0, sample_every, ...,
+    steps."""
     t = state0.t + np.arange(0, steps + 1, sample_every) * float(dt)
     return Trajectory(t, *uniform_field_reference(state0, fields, t),
                       fields=fields, dt=dt * sample_every)
@@ -240,12 +253,17 @@ def shift_velocity(traj: Trajectory) -> np.ndarray:
     of motion: u = gbar (1, v) and a = (S0, S) obey d/dtau = A, and d/dt =
     gbar^-1 d/dtau.  So dS/dt = (A a)_S / gbar and dv/dt = d(u_v/u_0)/dt =
     ((A u)_v - v (A u)_0) / gbar^2.  It reads A, not dynamics.omega or the
-    Lorentz force, so it shares no formula with the V it grades."""
+    Lorentz force, so it shares no formula with the V it grades.  Evaluated
+    _BLOCK samples at a time, so no temporary grows with the run."""
     A = _generator(traj.fields)
-    g = traj.gamma[:, None]
-    du = np.einsum("ij,nj->ni", A, np.hstack([g, g * traj.v]))
-    da = np.einsum("ij,nj->ni", A, np.hstack([traj.S0[:, None], traj.S]))
-    dv_dt = (du[:, 1:] - traj.v * du[:, :1]) / (g * g)
     m = traj.fields.mass
-    return (position_shift(da[:, 1:] / g, traj.v, m)
-            + position_shift(traj.S, dv_dt, m))
+    out = np.empty_like(traj.v)
+    for lo in range(0, len(out), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        g, v, S = traj.gamma[block, None], traj.v[block], traj.S[block]
+        du = _combine(A, np.hstack([g, g * v]).T).T
+        da = _combine(A, np.hstack([traj.S0[block, None], S]).T).T
+        dv_dt = (du[:, 1:] - v * du[:, :1]) / (g * g)
+        out[block] = (position_shift(da[:, 1:] / g, v, m)
+                      + position_shift(S, dv_dt, m))
+    return out

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from spindrift import algebra, dynamics as dyn, gallery, packets, runners
+from spindrift import (algebra, dynamics as dyn, exact, gallery, packets,
+                       runners)
 from spindrift.convergence import run_ladder
 from spindrift.dynamics import ClassicalState
 from spindrift.packets import RESIDUAL_FLOOR
@@ -83,7 +84,7 @@ def test_criterion_4_cyclotron_oracle():
     dt = period / 1000.0
 
     t0 = time.perf_counter()
-    traj = dyn.integrate(state, fields, dt, 10000)  # ten periods
+    traj = exact.propagate(state, fields, dt, 10000)  # ten periods
     elapsed = time.perf_counter() - t0
 
     w_vec = -(fields.charge / (state.gamma * fields.mass)) * fields.B
@@ -113,7 +114,7 @@ def test_criterion_5_anomalous_velocity_triple_agreement():
     worst_pair = 0.0
     for name, cfg in GALLERY.items():
         fields, state = cfg.field_config(), cfg.initial_state()
-        traj = dyn.integrate(state, fields, cfg.dt, cfg.steps)
+        traj = exact.propagate(state, fields, cfg.dt, cfg.steps)
         admissible = np.abs(fields.charge * (traj.v @ fields.E)) \
             <= dyn.CONSTANT_GAMMA_REFUSE * cfg.mass**2
         idx = np.flatnonzero(admissible)[::25]
@@ -163,7 +164,7 @@ def test_criterion_7_low_velocity_table(tmp_path):
     assert row_c.residual == 0.0 and row_c.status == "pass"
     # gamma stays inside the stated low-velocity regime
     fields, state = cfg.field_config(), cfg.initial_state()
-    traj = dyn.integrate(state, fields, cfg.dt, cfg.steps)
+    traj = exact.propagate(state, fields, cfg.dt, cfg.steps)
     assert float(np.max(traj.gamma)) - 1.0 < runners.LOW_VELOCITY_GAMMA_LIMIT
     _announce(7, "low-velocity d/e/c table",
               f"d rel err {row_d.residual:.2e}, e-vs-d/2 rel err "

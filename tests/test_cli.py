@@ -151,8 +151,9 @@ def _large_step_exits_2(tmp_path, capsys, mode, section=""):
 
 
 def test_guard_violation_exit_code(tmp_path):
-    # simulate samples the exact motion, so the ladders' RK4 step rule does
-    # not bind it: 0.5 rad per sample grades and passes
+    # simulate and the anomalous-fd ladder sample the exact motion, so the
+    # integrator ladder's RK4 step rule does not bind them: 0.5 rad per
+    # sample grades and passes
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0"),
                    encoding="utf-8")
@@ -160,13 +161,30 @@ def test_guard_violation_exit_code(tmp_path):
                      "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "tiny_report.txt").read_text().splitlines()
     assert ["anomalous_velocity_eom", "pass"] in [r.split()[:2] for r in rows]
+    cfg.write_text(TINY_SIMULATE.replace("dt = 1.0", "dt = 25.0")
+                   .replace("mode = simulate", "mode = converge")
+                   + "[converge]\ntarget = anomalous-fd\n", encoding="utf-8")
+    assert cli.main(["converge", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
 
 
-@pytest.mark.parametrize("target", ["integrator", "anomalous-fd"])
+@pytest.mark.parametrize("target", ["integrator"])
 def test_integrating_ladder_large_step_is_config_error(target, tmp_path,
                                                        capsys):
     _large_step_exits_2(tmp_path, capsys, "converge",
                         f"[converge]\ntarget = {target}\n")
+
+
+def test_weak_fields_simulate_passes(tmp_path):
+    # (e/m)^2 (E^2 - B^2) ~ 1e-401 underflows unless the propagator works
+    # in units of max |A|: 0.013 rad of rotation over t = 1e198
+    cfg = dataclasses.replace(
+        gallery.gallery_configs()["crossed_drift"], E=(0.0, 3e-201, 0.0),
+        B=(0.0, 0.0, 1e-200), v0=(0.3, 0.1, 0.2), dt=1e197, steps=10)
+    path = tmp_path / "weak.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_fg_ladder_ignores_the_step_guard():

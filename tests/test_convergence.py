@@ -121,3 +121,16 @@ def test_integrator_ladder_in_every_uniform_field(m, e, E, B):
     cfg.dt = 0.08 / dynamics.max_rotation_rate(cfg.field_config())
     ladder = convergence.run_ladder(cfg)
     assert abs(ladder.fitted_order - 4.0) < 0.5, ladder.errors
+
+
+def test_only_the_integrator_ladder_steps_rk4(monkeypatch):
+    # the anomalous-fd ladder differences the exact motion
+    def refuse(*args):
+        raise AssertionError("RK4 stepped")
+
+    monkeypatch.setattr(convergence, "_rk4", refuse)
+    ladders = gallery.converge_configs()
+    ladder = convergence.run_ladder(ladders["converge_anomalous_fd"])
+    assert abs(ladder.fitted_order - 2.0) < 0.5
+    with pytest.raises(AssertionError, match="RK4 stepped"):
+        convergence.run_ladder(ladders["converge_integrator"])

@@ -26,7 +26,7 @@ GALLERY_EOM_TOLERANCES = {
 # sha256 of the heavy_crossed CSV, recorded with Python 3.11.7 and
 # numpy 2.4.6
 HEAVY_CROSSED_CSV_SHA256 = (
-    "57074d6381e42f9b08f92c0dc3a5ec17cff06c8642d0fdb3a756a04826ec8766")
+    "cedfa1d905b22160148c9b649026430a517fb72fc04faa17e7cb3a2a6666af13")
 # sha256 of two verify-fg .kv files, recorded with Python 3.11.7 and numpy
 # 2.4.6: the default packet at 48^3, and golden_verify_fg.cfg (m = 1.3;
 # rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
