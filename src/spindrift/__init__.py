@@ -12,8 +12,9 @@ Four modules:
   motion, spin boosts, position shift, Thomas precession, and the
   anomalous velocity of the mass center in its equivalent analytic forms.
 * `exact`    -- the exact classical motion in uniform fields, the one
-  source of sampled trajectories; the integrator ladder checks its private
-  RK4 stepper against it.
+  source of sampled trajectories, and the one generator A = (e/m) F; the
+  integrator ladder's private RK4 stepper steps that A and is checked
+  against its exponential.
 
 The `spindrift` command line front end runs simulations, verification
 suites and convergence studies from plain-text scenario configs.

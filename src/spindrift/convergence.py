@@ -4,6 +4,7 @@ Each converge target is one `TARGETS` entry; `run_ladder` halves any of them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,69 +36,51 @@ class Ladder:
                                 np.log(self.errors), 1)[0])
 
 
-def _make_deriv(fields):
-    """d(x, p, s)/dt from (p, s); only + - * / **, so (n,) columns work too.
-    Its omega and Lorentz force never read the generator `exact` uses."""
-    ex, ey, ez = (float(c) for c in fields.E)
-    bx, by, bz = (float(c) for c in fields.B)
-    q = float(fields.charge)
-    m = float(fields.mass)
-    m2 = m * m
-
-    def deriv(px, py, pz, sx, sy, sz):
-        e_sh = (m2 + px * px + py * py + pz * pz) ** 0.5
-        vx, vy, vz = px / e_sh, py / e_sh, pz / e_sh
-        g = e_sh / m
-        dpx = q * (ex + vy * bz - vz * by)
-        dpy = q * (ey + vz * bx - vx * bz)
-        dpz = q * (ez + vx * by - vy * bx)
-        c1 = q / (m * g)
-        c2 = g / (1.0 + g)
-        wx = c1 * (bx + c2 * (ey * vz - ez * vy))
-        wy = c1 * (by + c2 * (ez * vx - ex * vz))
-        wz = c1 * (bz + c2 * (ex * vy - ey * vx))
-        return (vx, vy, vz, dpx, dpy, dpz,
-                sy * wz - sz * wy, sz * wx - sx * wz, sx * wy - sy * wx)
-
-    return deriv
-
-
 def _rk4(state0, fields, dt: float, steps: int):
-    """The endpoint (x, v, s) of `steps` classic RK4 steps of (x, p, s), v
-    on shell; a non-finite one raises IntegrationError.  Nine Python floats
-    (~5x faster than numpy scalars) in a generic RK4 loop's order."""
-    m = fields.mass
-    x0, x1, x2, p0, p1, p2, s0, s1, s2 = np.concatenate(
-        (state0.x, state0.momentum(m), state0.s)).tolist()
+    """The endpoint (x, v, s) of `steps` classic RK4 steps in lab time of
+    y = (x, u, S), u = gbar v and S the lab spin, as nine Python floats.
+
+    u and the lab spin 4-vector a = (S0, S) obey d/dtau = A, the generator
+    `exact` exponentiates, and d/dt = u0^-1 d/dtau: dx/dt = u/u0, du/dt =
+    (A u)/u0 and dS/dt = (A a)/u0, with u0 = sqrt(1 + u^2) and S0 = u.S/u0
+    since a.u = 0.  A non-finite endpoint raises IntegrationError.
+    """
+    # A is symmetric in its time row and column, antisymmetric in space
+    A = exact._generator(fields).tolist()
+    (a01, a02, a03), (a12, a13), a23 = A[0][1:], A[1][2:], A[2][3]
+
+    def space_part(w0, w1, w2, w3):
+        """The space components of A w."""
+        return (a01 * w0 + a12 * w2 + a13 * w3,
+                a02 * w0 - a12 * w1 + a23 * w3,
+                a03 * w0 - a13 * w1 - a23 * w2)
+
+    def deriv(y):
+        _, _, _, u1, u2, u3, s1, s2, s3 = y
+        u0 = math.sqrt(1.0 + u1 * u1 + u2 * u2 + u3 * u3)
+        s0 = (u1 * s1 + u2 * s2 + u3 * s3) / u0
+        return [c / u0 for c in (u1, u2, u3, *space_part(u0, u1, u2, u3),
+                                 *space_part(s0, s1, s2, s3))]
+
+    y = np.concatenate((state0.x, state0.gamma * state0.v,
+                        dynamics.boost_spin(state0).S)).tolist()
     dt = float(dt)
-    deriv = _make_deriv(fields)
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    half, sixth = 0.5 * dt, dt / 6.0
     for _ in range(steps):
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = deriv(p0, p1, p2, s0, s1, s2)
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
-            p0 + half * a3, p1 + half * a4, p2 + half * a5,
-            s0 + half * a6, s1 + half * a7, s2 + half * a8)
-        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
-            p0 + half * b3, p1 + half * b4, p2 + half * b5,
-            s0 + half * b6, s1 + half * b7, s2 + half * b8)
-        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
-            p0 + dt * c3, p1 + dt * c4, p2 + dt * c5,
-            s0 + dt * c6, s1 + dt * c7, s2 + dt * c8)
-        x0 = x0 + sixth * (a0 + 2.0 * (b0 + c0) + d0)
-        x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-        x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-        p0 = p0 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-        p1 = p1 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-        p2 = p2 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-        s0 = s0 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-        s1 = s1 + sixth * (a7 + 2.0 * (b7 + c7) + d7)
-        s2 = s2 + sixth * (a8 + 2.0 * (b8 + c8) + d8)
-    x, p, s = y = np.array([[x0, x1, x2], [p0, p1, p2], [s0, s1, s2]])
+        k1 = deriv(y)
+        k2 = deriv([a + half * b for a, b in zip(y, k1)])
+        k3 = deriv([a + half * b for a, b in zip(y, k2)])
+        k4 = deriv([a + dt * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b + 2.0 * (c + d) + e)
+             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    x, u, S = y = np.reshape(y, (3, 3))
     if not np.isfinite(y).all():
         raise dynamics.IntegrationError(
             f"the RK4 state is non-finite after {steps} steps")
-    return x, p / algebra.energy(p, m), s
+    gamma = math.sqrt(1.0 + u @ u)
+    v = u / gamma
+    return x, v, dynamics.unboost_spin(
+        dynamics.LabSpin(u @ S / gamma, S), v, gamma)
 
 
 def _integrator_rung(cfg: ScenarioConfig, n: int):
@@ -106,30 +89,38 @@ def _integrator_rung(cfg: ScenarioConfig, n: int):
     The error is |dx|/T + |dv| + |ds|, with T = steps dt the duration every
     rung shares.  Uniform fields make the motion translation-invariant, so
     both start at x = 0, not initial.x.  Floor, in ulp of each quantity's
-    largest value on the exact path: a step rounds the three components of
-    x, p and s by half an ulp, sqrt(3)/2 per step, with |p| < m gbar, and
-    an error in p moves v by at most 1/E <= 1/(m min gbar) of it.  The
-    reference adds exact.reference_ulps, in ulp of x, gbar and s gbar^2.
+    largest value on the exact path: a step rounds each component of x, u
+    and S by half an ulp as it adds the increment, sqrt(3)/2 per vector.
+    |u| < gbar, and v = u/u0 moves by at most 1/u0 <= 1/min gbar of an
+    error in u.  |S|^2 = |s|^2 + S0^2, and unboost_spin scales S by 1/gbar
+    along v and by 1 across it, so s moves by at most the error in S.  The
+    increment's own roundings, some 25 of eps/2 on a term at most dt R <=
+    MAX_STEP_ROTATION of u's or S's scale, change sign from step to step
+    and are not counted.  The reference adds exact.reference_ulps, in ulp
+    of x, gbar and s gbar^2.
     """
     fields = cfg.field_config()
     state0 = dynamics.ClassicalState(0.0, (0.0, 0.0, 0.0), cfg.v0, cfg.s0)
     dt, steps = cfg.dt / n, cfg.steps * n
-    x_rk, v_rk, s_rk = _rk4(state0, fields, dt, steps)
-    x, v, s, gamma = exact.uniform_field_reference(
-        state0, fields, dt * np.arange(steps + 1))
+    try:
+        x_rk, v_rk, s_rk = _rk4(state0, fields, dt, steps)
+        x, v, s, gamma = exact.uniform_field_reference(
+            state0, fields, dt * np.arange(steps + 1))
+    except dynamics.IntegrationError as exc:
+        raise ConfigError(f"integration.steps: {exc}") from None
     duration = dt * steps
     err = (np.linalg.norm(x_rk - x[-1]) / duration
            + np.linalg.norm(v_rk - v[-1])
            + np.linalg.norm(s_rk - s[-1]))
-
-    def ulp(series):
-        return np.spacing(np.max(np.linalg.norm(series, axis=-1)))
-
+    x_max, s_max = (np.max(np.linalg.norm(a, axis=-1)) for a in (x, s))
+    S_max = np.max(np.hypot(np.linalg.norm(s, axis=-1),
+                            gamma * np.sum(s * v, axis=-1)))
     ref = exact.reference_ulps(fields, duration)
     g_max, g_min = np.max(gamma), np.min(gamma)
-    floor = ((steps + ref) * ulp(x) / duration
+    floor = ((steps + ref) * np.spacing(x_max) / duration
              + (steps / g_min + ref) * np.spacing(g_max)
-             + (steps + ref * g_max ** 2) * ulp(s))
+             + steps * np.spacing(S_max)
+             + ref * g_max ** 2 * np.spacing(s_max))
     return dt, float(err), float(floor)
 
 

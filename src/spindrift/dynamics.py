@@ -58,6 +58,12 @@ def _dot(a, b) -> np.ndarray:
     return np.sum(a * b, axis=-1, keepdims=True)
 
 
+def norm(a) -> np.ndarray:
+    """|a| over the last axis, with no square to underflow or overflow."""
+    a = np.asarray(a, dtype=float)
+    return np.hypot(np.hypot(a[..., 0], a[..., 1]), a[..., 2])
+
+
 def dilation(v) -> np.ndarray:
     """gbar = 1/sqrt(1 - v^2) over (..., 3); rejects |v| >= MAX_SPEED."""
     v = np.asarray(v, dtype=float)
@@ -316,8 +322,8 @@ class Trajectory:
 
 def max_rotation_rate(fields: FieldConfig) -> float:
     """(|e|/m)(|B| + |E|), a bound on every rotation rate of the motion."""
-    return (abs(fields.charge) / fields.mass) * (np.linalg.norm(fields.B)
-                                                 + np.linalg.norm(fields.E))
+    return (abs(fields.charge) / fields.mass) * (norm(fields.B)
+                                                 + norm(fields.E))
 
 
 def cyclotron_radius(state0: ClassicalState, fields: FieldConfig) -> float:

@@ -4,8 +4,10 @@ At g = 2 the BMT equation for the lab spin 4-vector a = (S0, S) is the
 Lorentz force law for the 4-velocity u = gbar (1, v): both obey
 d/dtau = A = (e/m) F.  So one Lorentz transformation exp(tau A) carries
 both, and (t, x) is the integral of u over proper time.  `propagate` samples
-this on the grid t0 + k dt, and builds every `Trajectory`; the integrator
-ladder checks its private RK4 stepper against it.
+this on the grid t0 + k dt, and builds every `Trajectory`.  The integrator
+ladder's private RK4 stepper steps the same A in lab time and is checked
+against its exponential; that A agrees with dynamics.omega and the Lorentz
+force is simulate's anomalous_velocity_eom row.
 """
 from __future__ import annotations
 
@@ -26,9 +28,10 @@ SERIES_TERMS = 12
 # Samples per evaluation block: the (n, 4, 2) temporaries of 5 001 samples
 # at once raised peak RSS by ~1 MiB.
 _BLOCK = 256
-# Newton iterations per block at most, a cap no solve reaches: each step at
-# least halves the one before or bisects the bracket, and ~60 halvings take
-# a bracket on a positive root to its ulp
+# Newton iterations per block at most: each step at least halves the one
+# before or bisects the bracket, and ~60 halvings take a bracket on a
+# positive root to its ulp, so a solve that reaches the cap has non-finite
+# coefficients and raises IntegrationError
 _NEWTON_LIMIT = 200
 
 
@@ -41,7 +44,8 @@ def _combine(c: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _generator(fields: FieldConfig) -> np.ndarray:
     """A = (e/m) F: du/dtau = A u for u = gbar (1, v), and at g = 2 the lab
-    spin 4-vector (S0, S) obeys the same law."""
+    spin 4-vector (S0, S) obeys the same law.  The one generator: the
+    propagator exponentiates it, convergence._rk4 steps it."""
     (ex, ey, ez), (bx, by, bz) = fields.E, fields.B
     return fields.charge / fields.mass * np.array(
         [[0.0, ex, ey, ez], [ex, 0.0, bz, -by],
@@ -101,10 +105,14 @@ def _propagator(fields: FieldConfig, U: np.ndarray, tau_max: float):
     (alpha = beta = 0, where A^3 = 0) the division would cancel, so there W
     holds A^i U, i = 0..3, with coefficients summed as series in tau^2.
     Both are built in _spectrum's units, A / 2^n and tau 2^n; the integral
-    over tau is 2^-n times the one over tau 2^n.
+    over tau is 2^-n times the one over tau 2^n.  With no field A = 0, so
+    W = U alone, with f = 1 and g = tau: no power of tau can overflow.
     """
     n, sigma, ab, r, _ = _spectrum(fields)
     A = np.ldexp(_generator(fields), -n)
+    if not np.any(A):
+        return U[None], lambda tau: (np.ones_like(tau)[:, None],
+                                     tau[:, None])
     span = float(np.ldexp(tau_max, n))
     if r * span * span <= SERIES_LIMIT:
         W, scaled = _series(A, U, sigma, ab, r)
@@ -176,7 +184,8 @@ def _lab_time_roots(coefficients, w0: np.ndarray, elapsed: np.ndarray,
     lies in [tau_a, tau_a + elapsed - elapsed_a], a bracket the iterates
     shrink; a step that leaves it, or does not halve the step before it,
     bisects it instead.  It stops at roundoff: each residual within 4 ulp
-    of its largest term, or each step within 4 ulp of tau.
+    of its largest term, or each step within 4 ulp of tau.  A solve still
+    short of roundoff after _NEWTON_LIMIT steps raises IntegrationError.
     """
     tau_a, elapsed_a, gamma_a = start
     below, above = np.full(len(elapsed), tau_a), tau_a + elapsed - elapsed_a
@@ -193,13 +202,15 @@ def _lab_time_roots(coefficients, w0: np.ndarray, elapsed: np.ndarray,
                                                           np.abs(w0)))
                     | (np.abs(newton) <= 4.0 * np.spacing(np.abs(tau))))
         if np.all(roundoff):
-            break
+            return tau, f, g
         new = tau - newton
         bisect = ~((below <= new) & (new <= above) & (
             roundoff | (np.abs(newton) <= 0.5 * np.abs(step))))
         new[bisect] = 0.5 * (below[bisect] + above[bisect])
         step, tau = new - tau, new
-    return tau, f, g
+    raise IntegrationError(
+        f"the lab time t(tau) is unsolved after {_NEWTON_LIMIT} Newton steps "
+        f"at t - t0 = {elapsed[~roundoff][0]:.6g}")
 
 
 def uniform_field_reference(state0: ClassicalState, fields: FieldConfig,

@@ -154,9 +154,9 @@ def _anomalous_velocity_rows(report, traj, fields):
     log_gamma_rate = fields.charge / m * (traj.v @ fields.E) / traj.gamma
     g = -log_gamma_rate[:, None] * dynamics.position_shift(traj.s, traj.v, m)
     shift = exact.shift_velocity(traj)
-    residual = np.linalg.norm(shift - (traj.v_anomalous + g), axis=1)
+    residual = dynamics.norm(shift - (traj.v_anomalous + g))
     rho = (dynamics.max_rotation_rate(fields)
-           * np.max(np.linalg.norm(traj.s, axis=1)) / (2.0 * m))
+           * np.max(dynamics.norm(traj.s)) / (2.0 * m))
     report.add("anomalous_velocity_eom", float(np.max(residual)),
                EOM_ROUNDOFF * exact.EPS * rho)
 
@@ -175,17 +175,17 @@ def _low_velocity_rows(report, traj, fields, shift):
     """
     coeff = fields.charge / (2.0 * fields.mass**2)
     reference = coeff * np.cross(traj.s, fields.E)
-    ref_norm = np.linalg.norm(reference, axis=1)
-    floor = (LOW_VELOCITY_MIN_SINE * abs(coeff) * np.linalg.norm(fields.E)
-             * np.linalg.norm(traj.s, axis=1))
+    ref_norm = dynamics.norm(reference)
+    floor = (LOW_VELOCITY_MIN_SINE * abs(coeff) * dynamics.norm(fields.E)
+             * dynamics.norm(traj.s))
     if not np.all(ref_norm > floor):
         return
     dx = {k: traj.pryce_fp(k)[:, None] * shift for k in algebra.PRYCE_KINDS}
-    rel = np.linalg.norm(dx["d"] - reference, axis=1) / ref_norm
+    rel = dynamics.norm(dx["d"] - reference) / ref_norm
     report.add("low_velocity_table_d", float(np.max(rel)),
                LOW_VELOCITY_TABLE_TOL)
-    rel = (np.linalg.norm(dx["e"] - 0.5 * dx["d"], axis=1)
-           / (0.5 * np.linalg.norm(dx["d"], axis=1)))
+    rel = (dynamics.norm(dx["e"] - 0.5 * dx["d"])
+           / (0.5 * dynamics.norm(dx["d"])))
     report.add("low_velocity_table_e", float(np.max(rel)), 1e-3)
     report.add("low_velocity_table_c", float(np.max(np.abs(dx["c"]))), 1e-15)
 

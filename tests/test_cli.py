@@ -5,9 +5,10 @@ import re
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spindrift import cli, config, dynamics, gallery, runners
+from spindrift import cli, config, dynamics, exact, gallery, runners
 from spindrift.config import (ScenarioConfig, load_config, parse_config,
                               serialize_config)
 from spindrift.report import RunReport
@@ -185,6 +186,51 @@ def test_weak_fields_simulate_passes(tmp_path):
     path.write_text(serialize_config(cfg), encoding="utf-8")
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path)]) == 0
+
+
+def test_free_particle_moves_on_a_straight_line(tmp_path):
+    # with no field exp(tau A) = 1: no power of tau is formed, so none
+    # overflows at t = 1e61, where tau^6 / 720 would
+    cfg = dataclasses.replace(gallery.gallery_configs()["cyclotron"],
+                              name="free", B=(0.0, 0.0, 0.0), dt=1e60,
+                              steps=10)
+    path = tmp_path / "free.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "free_trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 11
+    for row in rows:
+        t, x = float(row["t"]), float(row["x"])
+        assert abs(x - 0.6 * t) <= 4.0 * np.spacing(0.6 * t), (t, x)
+        assert float(row["y"]) == float(row["z"]) == 0.0
+        assert float(row["vx"]) == 0.6
+
+
+@pytest.mark.parametrize("mode, name", [
+    ("simulate", "cyclotron"), ("converge", "converge_integrator"),
+    ("converge", "converge_anomalous_fd")])
+def test_unsolved_lab_time_is_config_error(mode, name, tmp_path, capsys,
+                                           monkeypatch):
+    # coefficients gone non-finite, as 0 * inf made them in the series form,
+    # leave Newton's method short of roundoff at its step limit
+    propagator = exact._propagator
+
+    def non_finite(fields, U, tau_max):
+        W, coefficients = propagator(fields, U, tau_max)
+        return W, lambda tau: (coefficients(tau)[0],
+                               np.nan * coefficients(tau)[1])
+
+    monkeypatch.setattr(exact, "_propagator", non_finite)
+    gallery.write_gallery(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: integration.steps: the lab time t(tau) is unsolved after "
+        f"{exact._NEWTON_LIMIT} Newton steps")
+    assert not list(out.glob(f"{name}_*"))
 
 
 def test_fg_ladder_ignores_the_step_guard():

@@ -11,7 +11,7 @@ from conftest import rotation_matrix
 from spindrift import dynamics as dyn
 from spindrift import convergence, exact, gallery
 from spindrift.algebra import PRYCE_KINDS, pryce_factors
-from spindrift.config import ScenarioConfig, load_config
+from spindrift.config import load_config
 from spindrift.dynamics import (ClassicalState, ConstantGammaWarning,
                                 FieldConfig, IntegrationError)
 
@@ -473,44 +473,6 @@ class TestIntegration:
             convergence._rk4(state, fields, 1.0, 100)
 
 
-def _generic_rk4(state0, fields, dt, steps):
-    """Classic RK4 over 9-tuples of numpy scalars, stage by stage via zip;
-    the endpoint (x, v, s)."""
-    deriv = convergence._make_deriv(fields)
-
-    def rhs(y):
-        return deriv(*y[3:])
-
-    m = fields.mass
-    y = tuple(np.concatenate((state0.x, state0.momentum(m), state0.s)))
-    half, sixth = 0.5 * dt, dt / 6.0
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(tuple(a + half * b for a, b in zip(y, k1)))
-        k3 = rhs(tuple(a + half * b for a, b in zip(y, k2)))
-        k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))
-        y = tuple(a + sixth * (b + 2.0 * (c + d) + e)
-                  for a, b, c, d, e in zip(y, k1, k2, k3, k4))
-    y = np.array(y)
-    p = y[3:6]
-    return y[0:3], p / np.sqrt(m * m + np.sum(p * p)), y[6:9]
-
-
-ORACLE_SCENARIOS = {**gallery.gallery_configs(),
-                    "orbit_crossed_seed0":
-                        load_config(DATA / "orbit_crossed_seed0.cfg")}
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
-def test_unrolled_rk4_matches_generic_loop_bitwise(name):
-    cfg = dataclasses.replace(ORACLE_SCENARIOS[name], steps=2000)
-    state, fields = cfg.initial_state(), cfg.field_config()
-    got = convergence._rk4(state, fields, cfg.dt, cfg.steps)
-    want = _generic_rk4(state, fields, cfg.dt, cfg.steps)
-    for a, b in zip(got, want):
-        _assert_same_bits(a, b)
-
-
 def _inline_series(x, v, s, g, fields, kinds):
     """The derived series written out inline over (n, 3) columns, in the
     arithmetic order the broadcasting formulas must reproduce bit for bit."""
@@ -546,7 +508,8 @@ def _assert_same_bits(got, want):
 
 
 DERIVED_SCENARIOS = {
-    **ORACLE_SCENARIOS,
+    **gallery.gallery_configs(),
+    "orbit_crossed_seed0": load_config(DATA / "orbit_crossed_seed0.cfg"),
     "cyclotron_zero_spin": dataclasses.replace(
         gallery.gallery_configs()["cyclotron"], s0=(0.0, 0.0, 0.0)),
     # |e| and m away from 1, so that e/m, m gbar and 2m all round
@@ -745,18 +708,6 @@ class TestUniformFieldReference:
                            in zip(rk4, ref)])
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(np.abs(orders - 4.0) < 0.3), orders
-
-    def test_sign_of_charge_in_the_generator_matters(self, monkeypatch):
-        fields, v0 = FIELD_TYPES["crossed_slow"]
-        cfg = ScenarioConfig(
-            mode="converge", mass=fields.mass, charge=fields.charge,
-            E=tuple(fields.E), B=tuple(fields.B), v0=v0, s0=SPIN,
-            dt=0.08 / dyn.max_rotation_rate(fields), steps=40)
-        _, err, _ = convergence.TARGETS["integrator"].rung(cfg, 1)
-        generator = exact._generator
-        monkeypatch.setattr(exact, "_generator", lambda f: -generator(f))
-        _, flipped, _ = convergence.TARGETS["integrator"].rung(cfg, 1)
-        assert err < 1e-6 < flipped
 
     @pytest.mark.parametrize("k", [660, -400])
     def test_power_of_two_field_scaling_is_exact(self, k):

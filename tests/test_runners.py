@@ -149,28 +149,54 @@ def _scaled_anomalous_velocity(factor):
     return lambda state, fields: factor * bare(state, fields)
 
 
-# (patched dynamics function, its mutant, the gallery scenarios whose
-# anomalous_velocity_eom row must fail); the others carry no E x v term
+def _negated_generator(fields, generator=exact._generator):
+    """exact._generator with the sign of A flipped."""
+    return -generator(fields)
+
+
+# (patched module, its function, the mutant, the gallery scenarios whose
+# anomalous_velocity_eom row must fail); the others carry no E x v term.
+# A negated A moves the orbit, spin and shift_velocity together, while V
+# still reads dynamics.omega and the Lorentz force with the true charge
 MUTATIONS = {
-    "V_1e-4": ("anomalous_velocity", _scaled_anomalous_velocity(1.0 + 1e-4),
+    "V_1e-4": (dynamics, "anomalous_velocity",
+               _scaled_anomalous_velocity(1.0 + 1e-4),
                set(gallery.gallery_configs())),
-    "V_1e-6": ("anomalous_velocity", _scaled_anomalous_velocity(1.0 + 1e-6),
+    "V_1e-6": (dynamics, "anomalous_velocity",
+               _scaled_anomalous_velocity(1.0 + 1e-6),
                set(gallery.gallery_configs())),
-    "omega_gamma_factor": ("omega", _omega_without_gamma_factor,
+    "omega_gamma_factor": (dynamics, "omega", _omega_without_gamma_factor,
                            {"crossed_drift"}),
-    "omega_e_sign": ("omega", _omega_flipped_e_term, {"crossed_drift"}),
+    "omega_e_sign": (dynamics, "omega", _omega_flipped_e_term,
+                     {"crossed_drift"}),
+    "generator_sign": (exact, "_generator", _negated_generator,
+                       set(gallery.gallery_configs())),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_mutations_fail_the_eom_row(mutation, tmp_path, monkeypatch):
-    name, mutant, failing = MUTATIONS[mutation]
-    monkeypatch.setattr(dynamics, name, mutant)
+    module, name, mutant, failing = MUTATIONS[mutation]
+    monkeypatch.setattr(module, name, mutant)
     for scenario, cfg in gallery.gallery_configs().items():
         report, _ = runners.run_simulate(cfg, tmp_path)
         status = report["anomalous_velocity_eom"].status
         assert status == ("fail" if scenario in failing else "pass"), (
             scenario, report.format_table())
+
+
+def test_weak_fields_grade_the_eom_row(tmp_path, monkeypatch):
+    # at |B| = 1e-200, V ~ 1e-204: its squared components underflow, so
+    # the residual and the rotation rate must be norms that square nothing
+    cfg = dataclasses.replace(
+        gallery.gallery_configs()["crossed_drift"], E=(0.0, 3e-201, 0.0),
+        B=(0.0, 0.0, 1e-200), v0=(0.3, 0.1, 0.2), dt=1e197, steps=10)
+    row = runners.run_simulate(cfg, tmp_path)[0]["anomalous_velocity_eom"]
+    assert row.status == "pass" and row.tolerance > 0.0
+    monkeypatch.setattr(dynamics, "anomalous_velocity",
+                        _scaled_anomalous_velocity(1.01))
+    row = runners.run_simulate(cfg, tmp_path)[0]["anomalous_velocity_eom"]
+    assert row.status == "fail"
 
 
 def _draw(rng, kind):
