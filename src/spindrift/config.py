@@ -32,6 +32,12 @@ MAX_STEP_ROTATION = 0.1
 # (simulate's derived series, the anomalous-fd ladder's finest rung), so
 # the cap admits ~0.4 GB.
 MAX_SAMPLES = 1_000_000
+# Most bytes one slab of a packet's pass may hold.  The pass holds one
+# (n, n) slab at a time, and its traced peak grows by ~680 B per slab point
+# (tracemalloc, 64^3 to 128^3: momenta, amplitudes, bilinears, one density
+# at a time and the running-sum rows), so the cap admits grids up to n = 619.
+SLAB_BYTES_PER_POINT = 700
+MAX_SLAB_BYTES = 256 * 2**20
 # what decides the keys a config may hold: its mode, or converge's target
 RUNS = ("simulate", "verify-fg", "verify-algebra", *CONVERGE_TARGETS)
 
@@ -280,6 +286,11 @@ def _validate(cfg: ScenarioConfig):
             n < 4 or 2 * GRID_RADIUS / (n - 1) > MAX_GRID_SPACING):
         raise ConfigError(f"packet.grid_points: needs >= 4 points, at most "
                           f"{MAX_GRID_SPACING} widths apart")
+    if reads("packet.grid_points") and (
+            n * n * SLAB_BYTES_PER_POINT > MAX_SLAB_BYTES):
+        raise ConfigError(f"packet.grid_points: a slab of {n}^2 points would "
+                          f"hold ~{n * n * SLAB_BYTES_PER_POINT:.3g} B, above "
+                          f"the cap of {MAX_SLAB_BYTES} B")
     if reads("packet.spin") and float(np.linalg.norm(cfg.packet.spin)) == 0:
         raise ConfigError("packet.spin: must be nonzero")
     if reads("algebra.momenta") and cfg.algebra_momenta < 1:

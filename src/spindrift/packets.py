@@ -1,6 +1,6 @@
 """Positive-energy Gaussian wave packets on a momentum grid.
 
-A packet stores one 4-spinor amplitude per grid point.  The spinor at grid
+A packet carries one 4-spinor amplitude per grid point.  The spinor at grid
 momentum p is the positive-energy eigenspinor of H(p) whose Foldy-Wouthuysen
 image carries a fixed 2-spinor polarization, so the rest-frame spin direction
 is the same at every point.  The envelope is a product Gaussian
@@ -12,15 +12,17 @@ standard deviation w_i / sqrt(2)).  Expectation values are plain grid sums
 weighted by the cell volume over `GRID_RADIUS` widths each way; quadrature
 and truncation errors sit far below the physical packet-spread effects,
 which scale as (w/m)^2.  Packet-path operators are Clifford matrices times
-functions of p, summed against the bilinears a^dagger C_A a in one pass
-over the grid that holds one slab of them at a time; `expectation`, on
-dense (..., 4, 4) kernels, is the oracle for that route.
+functions of p, summed against the bilinears a^dagger C_A a.  A packet holds
+its spec, not its grid: building it is one pass over the first-axis slabs
+that adds each slab's norm and densities to running sums and drops it.
+`momenta` and `amplitudes` regenerate the grid from the same slabs for
+`expectation`, the dense (..., 4, 4) kernel oracle, and `expectation_position`.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,41 +79,100 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclasses.dataclass
 class MomentumWavePacket:
-    """Sharp positive-energy packet sampled on a regular momentum lattice."""
+    """Sharp positive-energy packet on a regular momentum lattice, held as
+    its spec; its construction is its one pass over the grid, which sets the
+    norm and `expectations` and refuses what floats cannot hold."""
 
-    momenta: np.ndarray      # (n1, n2, n3, 3)
-    amplitudes: np.ndarray   # (n1, n2, n3, 4) complex
-    cell_volume: float
-    center: np.ndarray       # (3,)
+    axes: tuple              # three 1-D momentum axes
+    center: np.ndarray       # (3,) envelope centre p0
     widths: np.ndarray       # (3,)
-    spacings: np.ndarray     # (3,)
+    chi: np.ndarray          # (2,) rest-frame spinor
     mass: float
+    shift: tuple = (0.0, 0.0, 0.0)   # translation a in position space
+    spacings: np.ndarray = dataclasses.field(init=False)
+    cell_volume: float = dataclasses.field(init=False)
+    norm: float = dataclasses.field(init=False)
+    expectations: dict = dataclasses.field(init=False)
 
     def __post_init__(self):
-        for arr in (self.momenta, self.amplitudes, self.center,
-                    self.widths, self.spacings):
+        self.shift = np.asarray(self.shift, dtype=float)
+        for arr in (*self.axes, self.center, self.widths, self.chi,
+                    self.shift):
             arr.flags.writeable = False
+        m = self.mass
+        # gamma at the grid corner farthest from p = 0 bounds gamma_bar; the
+        # e-type Pryce factors take its cube, the mass-center offsets m^3
+        p_max = math.hypot(*(float(np.max(np.abs(ax))) for ax in self.axes))
+        gamma = math.hypot(m, p_max) / m
+        if not math.isfinite(gamma * gamma * gamma + m * m * m):
+            raise ValueError(f"gamma^3 or m^3 overflows (gamma = {gamma:.3g} "
+                             f"at the grid edge, m = {m:.3g})")
+        self.spacings = _read_only(np.array([ax[1] - ax[0]
+                                             for ax in self.axes]))
+        cell = self.cell_volume = float(np.prod(self.spacings))
+        if not cell >= np.finfo(float).tiny:
+            raise ValueError(f"grid spacings {self.spacings.tolist()} give a "
+                             f"cell volume {cell:.3g} below the smallest "
+                             f"normal float")
+        # each slab's bilinears b[A] = a^dagger C_A a (C = algebra.CLIFFORD)
+        # feed every density of `_VECTOR_SUMS` once, and no name holds the
+        # outer product while they are formed; the norm sums |a_alpha|^2 per
+        # spinor component
+        norm_sums, sums = np.zeros((1, 4)), np.zeros((len(_VECTOR_SUMS), 3))
+        for p, a in self._slabs():
+            norm_sums = _add_points(norm_sums, [a.real**2 + a.imag**2])
+            b = ((a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
+                 .view(float) @ _CLIFFORD_COLUMNS).reshape(p.shape[:-1] + (16,))
+            sums = _add_points(sums, _densities(p, b, m))
+        norm = self.norm = float(np.sum(norm_sums) * cell)
+        # a non-finite amplitude makes the norm non-finite too
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
+        # The slabs' |a|^2 <= 1 (envelopes <= 1, unit spinors) bounds each
+        # bilinear of a unitary Clifford element, and with q = p_max / m each
+        # density is at most K |a|^2, K = 4 (1 + q)^2 max(1, m^2, 1/m) (T, O:
+        # 4 (1 + q); p x Sigma, p: 2 q m; odd: sqrt(3) q^2 m^2; offsets, |f_k|
+        # <= 1: (1 + q)^2 / m).  The pass's sums are at most N K; the
+        # a / sqrt(norm) of `amplitudes` give dense-oracle sums to N K / norm.
+        n_points = math.prod(ax.size for ax in self.axes)
+        bound = (n_points * 4.0 * (1.0 + p_max / m) * (1.0 + p_max / m)
+                 * max(1.0, m * m, 1.0 / m) * (1.0 + 1.0 / norm))
+        if not bound < math.inf:
+            raise ValueError(f"density sums overflow (bound {bound:.3g})")
+        # <T4> = i sum_i <p_i Sigma_i> / m
+        vals = dict(zip(_VECTOR_SUMS, _read_only(sums * (cell / norm))))
+        vals["T4"] = 1j * float(np.sum(vals.pop("p_sigma"))) / m
+        self.expectations = vals
+
+    def _slabs(self):
+        """Each first-axis slab's momenta (n2, n3, 3), broadcast from the
+        axes, and un-normalised amplitudes (n2, n3, 4): envelope times u(p),
+        times exp(-i p.a) for a translation a."""
+        ax1, ax2, ax3 = self.axes
+        tail = np.stack(np.meshgrid(ax2, ax3, indexing="ij"), axis=-1)
+        for p1 in ax1:
+            p = np.empty(tail.shape[:2] + (3,))
+            p[..., 0], p[..., 1:] = p1, tail
+            envelope = np.exp(-np.sum((p - self.center)**2
+                                      / (2.0 * self.widths**2), axis=-1))
+            a = envelope[..., None] * positive_energy_spinor(p, self.chi,
+                                                             self.mass)
+            if self.shift.any():
+                a = a * np.exp(-1j * (p @ self.shift))[..., None]
+            yield p, a
 
     @functools.cached_property
-    def expectations(self) -> dict:
-        """Every packet-path expectation by name, from one pass over the grid.
+    def momenta(self) -> np.ndarray:
+        """The (n1, n2, n3, 3) grid momenta."""
+        return _read_only(np.stack([p for p, _ in self._slabs()]))
 
-        Each slab of the first grid axis builds its bilinears b[A] =
-        a^dagger C_A a (C = algebra.CLIFFORD), evaluates every density of
-        `_VECTOR_SUMS` on them once, adds them to the running sums and
-        drops them.  <T4> = i sum_i <p_i Sigma_i> / m.
-        """
-        sums = np.zeros((len(_VECTOR_SUMS), 3))
-        for p, a in zip(self.momenta, self.amplitudes):
-            outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
-            b = (outer.view(float) @ _CLIFFORD_COLUMNS).reshape(
-                p.shape[:-1] + (16,))
-            sums = _add_points(sums, _densities(p, b, self.mass))
-        vals = dict(zip(_VECTOR_SUMS, _read_only(sums * self.cell_volume)))
-        vals["T4"] = 1j * float(np.sum(vals.pop("p_sigma"))) / self.mass
-        return vals
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The (n1, n2, n3, 4) normalised amplitudes."""
+        scale = np.sqrt(self.norm)
+        return _read_only(np.stack([a / scale for _, a in self._slabs()]))
 
     @functools.cached_property
     def gamma_bar(self) -> float:
@@ -130,13 +191,8 @@ class MomentumWavePacket:
 
     def translated(self, a) -> "MomentumWavePacket":
         """Packet shifted in position space by `a` (phase twist exp(-i p.a))."""
-        a = np.asarray(a, dtype=float)
-        phase = np.exp(-1j * np.einsum("...i,i->...", self.momenta, a))
-        return MomentumWavePacket(self.momenta,
-                                  self.amplitudes * phase[..., None],
-                                  self.cell_volume, self.center.copy(),
-                                  self.widths.copy(), self.spacings.copy(),
-                                  self.mass)
+        return dataclasses.replace(
+            self, shift=self.shift + np.asarray(a, dtype=float))
 
 
 def rest_spinor(direction) -> np.ndarray:
@@ -183,40 +239,9 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
         raise ValueError("packet widths must be positive")
     if grid_points < 4:
         raise ValueError("grid needs at least 4 points per axis")
-    # gamma at the grid corner farthest from p = 0 bounds gamma_bar; the
-    # e-type Pryce factors take its cube, the mass-center offsets m^3
-    p_max = math.hypot(*(np.abs(p0) + GRID_RADIUS * w))
-    gamma = math.hypot(m, p_max) / m
-    if not math.isfinite(gamma * gamma * gamma + m * m * m):
-        raise ValueError(f"gamma^3 or m^3 overflows (gamma = {gamma:.3g} at "
-                         f"the grid edge, m = {m:.3g})")
-    axes = [p0[i] + np.linspace(-GRID_RADIUS * w[i], GRID_RADIUS * w[i],
-                                grid_points) for i in range(3)]
-    spacings = np.array([ax[1] - ax[0] for ax in axes])
-    cell = float(np.prod(spacings))
-    if not cell >= np.finfo(float).tiny:
-        raise ValueError(f"grid spacings {spacings.tolist()} give a cell "
-                         f"volume {cell:.3g} below the smallest normal float")
-    momenta = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-    chi = rest_spinor(spin_direction)
-    amplitudes = np.empty(momenta.shape[:3] + (4,), dtype=complex)
-    sums = np.zeros((1, 4))   # sum |a_alpha|^2 per spinor component
-    for p, out in zip(momenta, amplitudes):
-        envelope = np.exp(-np.sum((p - p0)**2 / (2.0 * w**2), axis=-1))
-        out[...] = envelope[..., None] * positive_energy_spinor(p, chi, m)
-        sums = _add_points(sums, [out.real**2 + out.imag**2])
-    norm = float(np.sum(sums) * cell)
-    # a non-finite amplitude makes the norm non-finite too
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
-    # no density sum exceeds N max|a|^2 (1 + p_max/m)^2 / m, and max|a|^2 <=
-    # 1/norm once normalised (envelopes <= 1, unit spinors)
-    bound = grid_points**3 / norm * (1.0 + p_max / m)**2 / m
-    if not bound < math.inf:
-        raise ValueError(f"density sums overflow (bound {bound:.3g})")
-    amplitudes /= np.sqrt(norm)
-    return MomentumWavePacket(momenta, amplitudes, cell, p0, w, spacings, m)
+    axes = tuple(p0[i] + np.linspace(-GRID_RADIUS * w[i], GRID_RADIUS * w[i],
+                                     grid_points) for i in range(3))
+    return MomentumWavePacket(axes, p0, w, rest_spinor(spin_direction), m)
 
 
 def expectation(packet: MomentumWavePacket, kernel, hermitian: bool = True):
@@ -281,19 +306,23 @@ def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     return out
 
 
-def _add_points(sums: np.ndarray, densities: list) -> np.ndarray:
-    """`sums` (len(densities), k) plus a slab's densities (..., k), added
-    point after point as np.sum over a whole grid's point axes adds them:
-    np.add.reduce over the first axis of a contiguous array adds in order,
-    so the running sums ride as row 0 above the slab's points."""
-    shape = densities[0].shape[:-1] + sums.shape
-    rows = np.empty((1 + math.prod(shape[:-2]),) + sums.shape)
-    rows[0] = sums
-    np.stack(densities, axis=-2, out=rows[1:].reshape(shape))
-    return np.add.reduce(rows, axis=0)
+def _add_points(sums: np.ndarray, densities) -> np.ndarray:
+    """`sums` (r, k) plus a slab's r densities (..., k), added point after
+    point as np.sum over a whole grid's point axes adds them: np.add.reduce
+    over the first axis of a contiguous array adds in order, so the running
+    sums ride as row 0 above the slab's points.  Each density is copied in
+    as it comes and then dropped."""
+    table = None
+    for row, density in enumerate(densities):
+        points = density.reshape(-1, sums.shape[-1])
+        if table is None:
+            table = np.empty((1 + len(points),) + sums.shape)
+            table[0] = sums
+        table[1:, row] = points
+    return np.add.reduce(table, axis=0)
 
 
-def _densities(p, b, m) -> list:
+def _densities(p, b, m):
     """The per-point 3-vector densities of `_VECTOR_SUMS`, in its order, at
     momenta p (..., 3) from bilinears b[X] = a^dagger X a (..., 16).
 
@@ -311,14 +340,15 @@ def _densities(p, b, m) -> list:
     cross = np.cross(p, b_sigma)
     odd = p * np.einsum("...j,...j->...", p, b_iba)[..., None]
     p_beta_sigma = np.einsum("...j,...j->...", p, b_bs)[..., None]
-    dens = [b_bs - p * b_g5 / m,
-            b_bs - p * b_g5 / e - p * p_beta_sigma / (e * (e + m)),
-            b_sigma, b_iba, cross, odd]
+    yield b_bs - p * b_g5 / m
+    yield b_bs - p * b_g5 / e - p * p_beta_sigma / (e * (e + m))
+    yield from (b_sigma, b_iba, cross, odd)
     for kind in algebra.PRYCE_KINDS:
         f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
-        dens.append(f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
-                    + f3 * odd / (2.0 * m**3))
-    return dens + [p * b[..., _ONE, None], p * b_sigma]
+        yield (f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
+               + f3 * odd / (2.0 * m**3))
+    yield p * b[..., _ONE, None]
+    yield p * b_sigma
 
 
 def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:

@@ -208,15 +208,16 @@ def run_verify(cfg: ScenarioConfig, outdir):
         kv_lines = report.to_kv_lines(prefix="algebra.")
         title = f"verify-algebra: {cfg.name}"
     elif cfg.mode == "verify-fg":
-        pkt = cfg.wave_packet()
+        # building the packet is its one pass, which serves the FG and the
+        # mass-center rows, so they share its phase; the ratio row times
+        # its own work
         report = RunReport()
+        pkt = cfg.wave_packet()
 
         def grade(name, residual, seconds=None):
             report.add(name, residual, packets.fg_tolerance(name, pkt),
                        wall_time=seconds, warn=not pkt.is_sharp)
 
-        # the packet's one pass serves the FG and the mass-center rows, so
-        # they share its phase; the ratio row times its own work
         fg = packets.verify_fg_relations(pkt)
         centers = {kind: packets.verify_main_result(pkt, kind)
                    for kind in algebra.PRYCE_KINDS}

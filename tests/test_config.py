@@ -1,3 +1,4 @@
+import math
 import pathlib
 import tracemalloc
 import warnings
@@ -134,6 +135,26 @@ def test_sample_count_is_capped(name, steps, every):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_grid_points_are_capped_by_the_slab_budget():
+    # the pass holds one (n, n) slab; a grid whose slab exceeds the budget
+    # is refused by the config, before any slab is allocated
+    cfg = ScenarioConfig(name="verify_fg", mode="verify-fg")
+    refused = "^packet.grid_points: a slab .* above the cap"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=refused):
+            override(cfg, {"packet.grid_points": str(10**12)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    cap = math.isqrt(config.MAX_SLAB_BYTES // config.SLAB_BYTES_PER_POINT)
+    at_cap = override(cfg, {"packet.grid_points": str(cap)})
+    assert at_cap.packet.grid_points == cap
+    with pytest.raises(ConfigError, match=refused):
+        override(cfg, {"packet.grid_points": str(cap + 1)})
 
 
 def test_sample_every_must_divide_steps():

@@ -34,7 +34,7 @@ def test_fg_ladder_reads_the_mass_center_offsets(tmp_path, monkeypatch):
     densities, d = packets._densities, packets._VECTOR_SUMS.index("d")
 
     def doubled(p, b, m):
-        dens = densities(p, b, m)
+        dens = list(densities(p, b, m))
         dens[d] = 2.0 * dens[d]
         return dens
 

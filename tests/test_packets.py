@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -333,20 +334,23 @@ class TestBilinearTable:
     @pytest.mark.parametrize("translate", [False, True])
     @pytest.mark.parametrize("n", [5, 16, 17, 48])
     def test_slab_build_matches_dense_oracle(self, n, translate):
-        # the full-grid expressions that the slab loops replace
+        # the full-grid expressions that the slab loop replaces
         p0, w, spin, m = (np.array([0.3, -0.2, 0.6]),
                           np.array([0.02, 0.03, 0.025]), (1, 0.5, -0.2), 1.3)
+        shift = np.array([0.7, -1.1, 2.3])
         pkt = make_gaussian_packet(p0, w, spin, m=m, grid_points=n)
+        if translate:   # generic phases
+            pkt = pkt.translated(shift)
         p = pkt.momenta
         envelope = np.exp(-np.sum((p - p0)**2 / (2.0 * w**2), axis=-1))
         amps = envelope[..., None] * packets.positive_energy_spinor(
             p, packets.rest_spinor(spin), m)
+        if translate:
+            amps = amps * np.exp(-1j * (p @ shift))[..., None]
         # the norm sums |a_alpha|^2 over the points, then the components
         norm = np.sum(np.sum(amps.real**2 + amps.imag**2, axis=(0, 1, 2)))
         amps = amps / np.sqrt(norm * pkt.cell_volume)
         _assert_same_bits(pkt.amplitudes, amps, n, np.max(np.abs(amps)))
-        if translate:   # generic phases
-            pkt = pkt.translated((0.7, -1.1, 2.3))
         _assert_pass_matches_full_grid_forms(pkt, n)
 
     @pytest.mark.parametrize("n", [5, 16, 17, 48])
@@ -396,22 +400,35 @@ class TestBilinearTable:
             packets.grid_expectation(fast_packet, vector)
 
 
+@dataclasses.dataclass
+class _GivenSlabs(packets.MomentumWavePacket):
+    """A packet whose momenta and un-normalised amplitudes are given arrays;
+    its construction makes the same pass over their slabs."""
+
+    grid: tuple = ()    # (momenta (n1, n2, n3, 3), amplitudes (..., 4))
+
+    def _slabs(self):
+        return zip(*self.grid)
+
+
 def _off_shell(pkt, seed=5):
     """`pkt`'s grid with random spinors in place of positive-energy ones."""
     rng = np.random.default_rng(seed)
-    amps = (rng.normal(size=pkt.amplitudes.shape)
-            + 1j * rng.normal(size=pkt.amplitudes.shape))
-    amps /= np.sqrt(np.sum(np.abs(amps)**2) * pkt.cell_volume)
-    return packets.MomentumWavePacket(
-        pkt.momenta, amps, pkt.cell_volume, pkt.center.copy(),
-        pkt.widths.copy(), pkt.spacings.copy(), pkt.mass)
+    shape = pkt.momenta.shape[:3] + (4,)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return _GivenSlabs(pkt.axes, pkt.center, pkt.widths, pkt.chi, pkt.mass,
+                       grid=(pkt.momenta, raw))
 
 
 def _full_grid_forms(pkt):
     """Every value of `pkt.expectations` from full-grid forms: the whole
-    (n1, n2, n3, 16) bilinear table, each density built over the whole
-    grid, then `grid_expectation`."""
-    m, p, a = pkt.mass, pkt.momenta, pkt.amplitudes
+    (n1, n2, n3, 16) bilinear table of the un-normalised amplitudes, each
+    density built over the whole grid and summed by np.sum, then times
+    cell / norm, with the norm summed over the whole grid too."""
+    m, p = pkt.mass, pkt.momenta
+    a = np.stack([a for _, a in pkt._slabs()])
+    norm = np.sum(np.sum(a.real**2 + a.imag**2, axis=(0, 1, 2)))
+    scale = pkt.cell_volume / float(norm * pkt.cell_volume)
     outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
     b = (outer.view(float) @ packets._CLIFFORD_COLUMNS).reshape(
         a.shape[:3] + (16,))
@@ -433,12 +450,12 @@ def _full_grid_forms(pkt):
             kind, algebra.energy(p, m) / m)[:3])
         densities[kind] = (f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
                            + f3 * odd / (2.0 * m**3))
-    vals = {key: packets.grid_expectation(pkt, d)
+    densities["p"] = p * b[..., :1]
+    vals = {key: np.sum(d, axis=(0, 1, 2)) * scale
             for key, d in densities.items()}
     # <T4> sums <p_i Sigma_i> over the points, then the components
-    vals["T4"] = 1j * float(np.sum(packets.grid_expectation(
-        pkt, p * b_sigma))) / m
-    vals["p"] = packets.grid_expectation(pkt, p * b[..., :1])
+    vals["T4"] = 1j * float(np.sum(np.sum(p * b_sigma, axis=(0, 1, 2))
+                                   * scale)) / m
     return vals
 
 
@@ -464,26 +481,18 @@ def _assert_pass_matches_full_grid_forms(pkt, n):
 
 
 def _held_arrays(pkt):
-    """Every array the packet holds, cached expectations included."""
-    values = list(vars(pkt).values()) + list(pkt.expectations.values())
+    """Every array the packet holds, axes and cached expectations included."""
+    values = [*vars(pkt).values(), *pkt.axes, *pkt.expectations.values()]
     return [v for v in values if isinstance(v, np.ndarray)]
 
 
-# tracemalloc peak (held arrays included) of building the default verify-fg
-# packet at 48^3, its seven relations and three mass-center offsets.  It
-# reads 11.7 MB, the pass's: the held 88 B a point (9.7 MB) and one slab's
-# bilinears, densities and running-sum rows; the build peaks at 10.4 MB.
-# The bound is 1.1 times that: a full-grid temporary of 16 B a point (a
-# complex (n1, n2, n3) density) or more does not fit under it.
-# With the build's conjugate copy for the norm it read 16.8 MB, with a
-# held (n1, n2, n3, 16) bilinear table 27.4 MB.
-PACKET_PEAK_BYTES = 12_900_000
-
-
-def test_packet_path_peak_memory_is_bounded():
+def _packet_path_peak(n):
+    """The default verify-fg packet at n^3, and the tracemalloc peak of
+    building it (its pass included), its seven relations and three
+    mass-center offsets."""
     cfg = config.override(config.ScenarioConfig(name="verify_fg",
                                                 mode="verify-fg"),
-                          {"packet.grid_points": "48"})
+                          {"packet.grid_points": str(n)})
     tracemalloc.start()
     try:
         pkt = cfg.wave_packet()
@@ -493,9 +502,30 @@ def test_packet_path_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return pkt, peak
+
+
+# Traced peak of `_packet_path_peak(48)`, held arrays included.  It reads
+# 1.63 MB: one (48, 48) slab's momenta, amplitudes, bilinears, densities and
+# running-sum rows, at ~700 B a slab point.  The bound is 1.1 times that:
+# a full-grid temporary of 8 B a point (0.88 MB at 48^3) does not fit
+# under it.  With the held momenta and amplitudes (88 B a point) it read
+# 11.7 MB, with the build's conjugate copy for the norm 16.8 MB and with a
+# held (n1, n2, n3, 16) bilinear table 27.4 MB.
+PACKET_PEAK_BYTES = 1_790_000
+
+
+def test_packet_path_peak_memory_is_bounded():
+    pkt, peak = _packet_path_peak(48)
     assert peak < PACKET_PEAK_BYTES
-    # the momenta and the amplitudes (24 + 64 B a point) and a few
-    # 3-vectors; no bilinear table
+    # the axes and a few 3-vectors; no grid and no bilinear table
     held = _held_arrays(pkt)
-    assert 0 <= sum(arr.nbytes for arr in held) - 88 * 48**3 < 1024
+    assert all(arr.size < 48**3 for arr in held)
     assert all(arr.shape[-1] != 16 for arr in held)
+
+
+def test_packet_path_peak_memory_grows_as_a_slab():
+    # doubling n quadruples a slab's points; a held or full-grid array
+    # would grow eightfold
+    assert (_packet_path_peak(64)[1]
+            <= 1.25 * (64 / 32)**2 * _packet_path_peak(32)[1])

@@ -32,9 +32,9 @@ HEAVY_CROSSED_CSV_SHA256 = (
 # rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
-        "bf1579e126abbe8770ac3adebb6cc2badbfbe8e0677efea2c7e84558201393b7"),
+        "5040415f8c1979f155cf5f8ff2205bcceae42a55d10cda3d6a7298e480fe67b8"),
     "golden": (
-        "88c4a5ee99b1532f7156bfc8f423c48411e67c6f803e89c4235d52b9cee9df79"),
+        "37913401415434c948ad815d11f01bc4f6cd91cf416ee20e09be01d241eb5d01"),
 }
 
 
