@@ -4,13 +4,18 @@ Each runner consumes a validated ScenarioConfig and produces a RunReport
 plus flat-file artifacts (CSV trajectories, plain-text reports, key-value
 dumps).  CSV numbers carry 17 significant digits so a rerun is
 byte-identical; human-readable reports use 6.  Plot files are cut from
-the trajectory CSV's strings, so each value is formatted once.
+the trajectory CSV's bytes, so each value is formatted once.  A long
+trajectory's writers format its second half in a forked child.
 """
 from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import pathlib
+import shutil
+import signal
+import tempfile
 
 import numpy as np
 
@@ -31,11 +36,21 @@ LOW_VELOCITY_MIN_SINE = 0.6
 # anomalous_velocity_eom's tolerance in eps R max|s| / 2m, R the
 # max_rotation_rate, from the operation count in _anomalous_velocity_rows
 EOM_ROUNDOFF = 0.5 * 25 * 14
-# Trajectory rows per write.  More rows gain no time and cost memory: the
-# plot writer's traced peak on the 10 001-row cyclotron is 0.75 MB at 64
-# rows and 1.02 MB at 128; the whole trajectory at once raised
-# simulate_dense's peak RSS by ~42 MiB.
+# Trajectory rows per CSV write, and CSV bytes per plot block (about as
+# many rows).  Larger blocks gain no time and cost memory: the plot
+# writer's traced peak on the 10 001-row cyclotron is 0.42 MB at 32 KiB and
+# 0.69 MB at 64 KiB; the whole trajectory at once raised simulate_dense's
+# peak RSS by ~42 MiB.
 _ROW_BLOCK = 64
+_PLOT_BLOCK = 1 << 15
+# Rows from which a writer forks a child to format the second half.  The
+# split costs a fork and a temp file per artifact (~0.17 ms each to create
+# on ext4).  Medians of 31 alternating runs on a 2-core sandbox, one
+# process -> split: CSV 10.4 -> 10.6 ms at 400 rows, 12.8 -> 10.8 at 500,
+# 15.5 -> 11.9 at 600; the 29 plot files 8.1 -> 11.2 ms at 800 rows,
+# 17.6 -> 17.5 at 1 600, 22.4 -> 20.2 at 2 000, 30.7 -> 24.4 at 2 400.
+_SPLIT_MIN_ROWS = 512
+_PLOT_SPLIT_MIN_ROWS = 2048
 
 
 def trajectory_columns(traj: dynamics.Trajectory) -> list[tuple]:
@@ -59,34 +74,127 @@ def write_trajectory_csv(path, traj: dynamics.Trajectory):
     """One CSV row per sample, every value as CSV_FMT, \\r\\n-terminated."""
     cols = trajectory_columns(traj)
     row = ",".join([CSV_FMT] * len(cols)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([name for name, _ in cols]) + "\r\n")
-        for a in range(0, len(traj.t), _ROW_BLOCK):
-            rows = zip(*[vals[a:a + _ROW_BLOCK].tolist() for _, vals in cols])
-            fh.write("".join([row % values for values in rows]))
+    n = len(traj.t)
+
+    def write(files, start, stop):
+        for a in range(start, stop, _ROW_BLOCK):
+            b = min(a + _ROW_BLOCK, stop)
+            rows = zip(*[vals[a:b].tolist() for _, vals in cols])
+            files[0].write("".join([row % values for values in rows]).encode())
+
+    head = ",".join([name for name, _ in cols]) + "\r\n"
+    _write_split([pathlib.Path(path)], [head.encode()], write, 0,
+                 n // 2 if n >= _SPLIT_MIN_ROWS else None, n)
 
 
 def write_plot_files(outdir, name, csv_path):
     """Two-column gnuplot-style (t, value) files, one per column after t,
-    cut from the strings of the trajectory CSV at `csv_path`."""
+    cut from the bytes of the trajectory CSV at `csv_path`."""
     outdir = pathlib.Path(outdir)
-    with contextlib.ExitStack() as stack:
-        table = stack.enter_context(
-            open(csv_path, newline="", encoding="utf-8"))
-        cols = table.readline().rstrip("\r\n").split(",")
-        ncol = len(cols)
-        paths = [outdir / f"{name}_plot_{col}.dat" for col in cols[1:]]
-        files = [stack.enter_context(open(path, "w", encoding="utf-8"))
-                 for path in paths]
-        for fh, col in zip(files, cols[1:]):
-            fh.write(f"# t  {col}\n")
-        while lines := list(itertools.islice(table, _ROW_BLOCK)):
-            cells = "".join(lines).replace("\r\n", ",").split(",")
-            t = cells[:-1:ncol]
-            for j, fh in enumerate(files, start=1):
-                fh.write("\n".join(map(" ".join, zip(t, cells[j::ncol])))
-                         + "\n")
+    with open(csv_path, "rb") as table:
+        cols = table.readline().rstrip(b"\r\n").split(b",")
+        start = table.tell()
+        stop = os.fstat(table.fileno()).st_size
+        middle = None
+        # long enough to split: the second half starts at the first line
+        # after the middle byte
+        if next(itertools.islice(table, _PLOT_SPLIT_MIN_ROWS - 1, None),
+                None):
+            table.seek((start + stop) // 2)
+            table.readline()
+            middle = table.tell()
+    ncol = len(cols)
+
+    def write(files, a, b):
+        with open(csv_path, "rb") as table:
+            table.seek(a)
+            while a < b:
+                block = table.read(min(_PLOT_BLOCK, b - a))
+                if not block.endswith(b"\n"):
+                    block += table.readline()
+                a += len(block)
+                cells = block.replace(b"\r\n", b",").split(b",")
+                t = cells[:-1:ncol]
+                for j, fh in enumerate(files, start=1):
+                    fh.write(b"\n".join(map(b" ".join, zip(t, cells[j::ncol])))
+                             + b"\n")
+
+    names = [col.decode() for col in cols[1:]]
+    paths = [outdir / f"{name}_plot_{col}.dat" for col in names]
+    _write_split(paths, [f"# t  {col}\n".encode() for col in names], write,
+                 start, middle, stop)
     return paths
+
+
+def _write_split(paths, heads, write, start, middle, stop):
+    """Write each file of `paths` as its head, then the input from `start`
+    to `stop`: `write(files, a, b)` formats the input's rows from a to b
+    (row numbers, or the byte offsets of row starts) into `files`, one
+    binary file per path.
+
+    With a `middle` and two CPUs, a forked child formats the rows from
+    `middle` on into anonymous temp files beside the artifacts while this
+    process formats those before it; each temp file is then appended to
+    its artifact, so the bytes are the one-process ones.  A child that
+    fails raises OSError naming the first path.
+    """
+    if middle is None or _cpus() < 2:
+        middle = stop
+    pid = 0
+    with contextlib.ExitStack() as stack:
+        temps = [stack.enter_context(tempfile.TemporaryFile(
+            dir=paths[0].parent)) for _ in paths] if middle < stop else []
+        # forked before any artifact is open, so the child inherits no
+        # buffered artifact bytes
+        if temps:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: format every row here
+                middle = stop
+            else:
+                if pid == 0:
+                    _child(write, temps, middle, stop)
+        try:
+            files = [stack.enter_context(open(path, "wb")) for path in paths]
+            for fh, head in zip(files, heads):
+                fh.write(head)
+            write(files, start, middle)
+            if pid:
+                status = os.waitpid(pid, 0)[1]
+                pid = 0
+                if status:
+                    raise OSError(f"{paths[0]}: the process writing its "
+                                  f"second half exited "
+                                  f"{os.waitstatus_to_exitcode(status)}")
+                for fh, temp in zip(files, temps):
+                    temp.seek(0)
+                    shutil.copyfileobj(temp, fh)
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _child(write, temps, start, stop):
+    """A forked writer's whole life: rows [start, stop) into `temps`, then
+    os._exit, which flushes no buffer inherited from the parent."""
+    code = 1
+    try:
+        write(temps, start, stop)
+        for temp in temps:
+            temp.flush()
+        code = 0
+    except Exception as exc:
+        os.write(2, f"{type(exc).__name__}: {exc}\n".encode())
+    finally:
+        os._exit(code)
 
 
 def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import hashlib
+import os
 import pathlib
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -9,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spindrift import config, dynamics, exact, gallery, packets, runners
+from spindrift import cli, config, dynamics, exact, gallery, packets, runners
 from spindrift.config import ScenarioConfig, load_config
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -387,32 +389,204 @@ def _configured(cfg):
     return cfg, _trajectory(cfg)
 
 
+def _one_cpu(monkeypatch):
+    """The 10 001-row cyclotron on one CPU: both writers stay serial."""
+    monkeypatch.setattr(runners, "_cpus", lambda: 1)
+    return _configured(gallery.gallery_configs()["cyclotron"])
+
+
+# row counts on both sides of each writer's split threshold, and an odd
+# count whose CSV halves differ by one row
+SPLIT_ROWS = (runners._SPLIT_MIN_ROWS, runners._PLOT_SPLIT_MIN_ROWS)
+SAMPLE_COUNTS = (1, 63, 64, 65, 127, 128, 129, 257,
+                 *[n + k for n in SPLIT_ROWS for k in (-1, 0, 1)],
+                 2 * runners._PLOT_SPLIT_MIN_ROWS + 1)
+
 WRITER_CASES = {
-    **{name: lambda cfg=cfg: _configured(cfg)
+    **{name: lambda mp, cfg=cfg: _configured(cfg)
        for name, cfg in gallery.gallery_configs().items()},
-    "heavy_crossed": lambda: _configured(
+    "heavy_crossed": lambda mp: _configured(
         load_config(DATA / "heavy_crossed.cfg")),
-    **{f"samples_{n}": lambda n=n: _samples(n)
-       for n in (1, 63, 64, 65, 127, 128, 129, 257)},
-    "extremes": _extremes,
+    **{f"samples_{n}": lambda mp, n=n: _samples(n) for n in SAMPLE_COUNTS},
+    "extremes": lambda mp: _extremes(),
+    "one_cpu": _one_cpu,
 }
 
 
+def _count_forks(monkeypatch):
+    """The list that every os.fork call appends to from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
-def test_writers_match_oracle_bytes(case, tmp_path):
-    cfg, traj = WRITER_CASES[case]()
+def test_writers_match_oracle_bytes(case, tmp_path, monkeypatch):
+    # two CPUs unless the case sets one, so that each writer splits at
+    # its threshold on any machine
+    monkeypatch.setattr(runners, "_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    cfg, traj = WRITER_CASES[case](monkeypatch)
+    n, two = len(traj.t), runners._cpus() == 2
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir()
     old.mkdir()
     runners.write_trajectory_csv(new / "t.csv", traj)
+    assert len(forks) == (two and n >= runners._SPLIT_MIN_ROWS)
     _oracle_trajectory_csv(old / "t.csv", traj)
     assert (new / "t.csv").read_bytes() == (old / "t.csv").read_bytes()
+    forks.clear()
     paths = runners.write_plot_files(new, cfg.name, new / "t.csv")
+    assert len(forks) == (two and n >= runners._PLOT_SPLIT_MIN_ROWS)
     expected = _oracle_plot_files(old, cfg.name, traj)
     assert [p.name for p in paths] == [p.name for p in expected]
     assert all(p.parent == new for p in paths)
     for path, oracle in zip(paths, expected):
         assert path.read_bytes() == oracle.read_bytes(), path.name
+    # the children's temp files leave no name behind
+    assert sorted(new.iterdir()) == sorted([new / "t.csv", *paths])
+
+
+def test_writers_run_serially_when_fork_fails(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(runners, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg, traj = _samples(runners._PLOT_SPLIT_MIN_ROWS)
+    runners.write_trajectory_csv(tmp_path / "t.csv", traj)
+    paths = runners.write_plot_files(tmp_path, cfg.name, tmp_path / "t.csv")
+    old = tmp_path / "old"
+    old.mkdir()
+    _oracle_trajectory_csv(old / "t.csv", traj)
+    assert (tmp_path / "t.csv").read_bytes() == (old / "t.csv").read_bytes()
+    for path, oracle in zip(paths, _oracle_plot_files(old, cfg.name, traj)):
+        assert path.read_bytes() == oracle.read_bytes(), path.name
+
+
+class _Unformattable:
+    """A sample that CSV_FMT cannot format."""
+
+    def __float__(self):
+        raise ValueError("unformattable sample")
+
+
+def _unformattable_row(row):
+    """Samples at the CSV split threshold, one of which cannot be
+    formatted: the child's if `row` is in the second half."""
+    _, traj = _samples(runners._SPLIT_MIN_ROWS)
+    traj.t = traj.t.astype(object)
+    traj.t[row] = _Unformattable()
+    return traj
+
+
+def _refusing_temp_files(monkeypatch):
+    # temp files open for reading only: every write to them fails, as on
+    # a full disk
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda **kwargs: open(os.devnull, "rb"))
+
+
+def _csv_child_fails(out, monkeypatch):
+    runners.write_trajectory_csv(out / "t.csv", _unformattable_row(-1))
+
+
+def _csv_parent_fails(out, monkeypatch):
+    runners.write_trajectory_csv(out / "t.csv", _unformattable_row(0))
+
+
+def _long_csv(out):
+    _, traj = _samples(runners._PLOT_SPLIT_MIN_ROWS)
+    _oracle_trajectory_csv(out / "t.csv", traj)
+    return out / "t.csv"
+
+
+def _plot_child_fails(out, monkeypatch):
+    csv_path = _long_csv(out)
+    _refusing_temp_files(monkeypatch)
+    runners.write_plot_files(out, "p", csv_path)
+
+
+def _plot_parent_fails(out, monkeypatch):
+    csv_path = _long_csv(out)
+    (out / "p_plot_energy.dat").mkdir()
+    runners.write_plot_files(out, "p", csv_path)
+
+
+# how a split writer fails, and the error it must raise
+WRITER_FAILURES = {
+    "csv_child": (_csv_child_fails, OSError, "t.csv: .* exited 1"),
+    "csv_parent": (_csv_parent_fails, ValueError, "unformattable"),
+    "plot_child": (_plot_child_fails, OSError, "p_plot_x.dat: .* exited 1"),
+    "plot_parent": (_plot_parent_fails, IsADirectoryError, "p_plot_energy"),
+}
+
+
+def _assert_no_child():
+    # no child process is left, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure", sorted(WRITER_FAILURES))
+def test_split_writer_failures(failure, tmp_path, monkeypatch):
+    fail, error, message = WRITER_FAILURES[failure]
+    serial, split = tmp_path / "serial", tmp_path / "split"
+    serial.mkdir()
+    split.mkdir()
+    monkeypatch.setattr(runners, "_cpus", lambda: 1)
+    try:
+        fail(serial, monkeypatch)
+    except Exception:  # the serial path may fail too; its names count
+        pass
+    monkeypatch.setattr(runners, "_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(error, match=message):
+        fail(split, monkeypatch)
+    assert forks
+    _assert_no_child()
+    assert ({p.name for p in split.iterdir()}
+            <= {p.name for p in serial.iterdir()})
+
+
+def test_simulate_exits_2_when_a_child_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runners, "_cpus", lambda: 2)
+    cfg_path = tmp_path / "cyclotron.cfg"
+    cfg_path.write_text(config.serialize_config(
+        gallery.gallery_configs()["cyclotron"]), encoding="utf-8")
+    _refusing_temp_files(monkeypatch)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--plot"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {out / 'cyclotron_trajectory.csv'}: " in err
+    _assert_no_child()
+    assert [p.name for p in out.iterdir()] == ["cyclotron_trajectory.csv"]
+
+
+def test_split_simulate_writes_the_serial_artifacts(tmp_path, monkeypatch):
+    cfg = gallery.gallery_configs()["cyclotron"]
+    names = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(runners, "_cpus", lambda cpus=cpus: cpus)
+        forks = _count_forks(monkeypatch)
+        out = tmp_path / str(cpus)
+        _, artifacts = runners.run_simulate(cfg, out, plot=True)
+        assert len(forks) == 2 * (cpus - 1)
+        _assert_no_child()
+        names[cpus] = sorted(p.name for p in out.iterdir())
+        assert names[cpus] == sorted(p.name for p in artifacts)
+    assert names[1] == names[2]
+    # the report's rows carry their wall times
+    for name in [n for n in names[1] if not n.endswith("_report.txt")]:
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes()), name
 
 
 def _bits(values):
@@ -455,26 +629,31 @@ def test_plot_files_named_from_csv_header(tmp_path):
     assert sorted(tmp_path.glob("*.dat")) == sorted(paths)
 
 
-# Traced peak of each writer on the 10 001-row cyclotron, row blocks of
-# 64, measured with Python 3.11: 0.23 MB for the CSV and 0.75 MB for the
-# plot files, which hold a block's split CSV cells and whose 29 open 8 KiB
-# file buffers count too (1.02 MB at 128 rows).  Formatting the whole
-# trajectory at once peaks above 20 MB.
+# Traced peak of each writer on the 10 001-row cyclotron, measured with
+# Python 3.11, one process -> split: 0.23 -> 0.23 MB for the CSV (row
+# blocks of 64) and 0.42 -> 0.55 MB for the plot files (32 KiB blocks of
+# the CSV, whose split cells are most of it; split, the 29 temp files'
+# read buffers and the copy buffer add the rest).  tracemalloc sees this
+# process only: the forked child formats the second half in a peak of its
+# own, 0.23 MB for the CSV and 0.42 MB for the plot files.  Formatting the
+# whole trajectory at once peaks above 20 MB.
 WRITER_PEAK_BYTES = 900_000
 
 
-def test_writers_peak_memory_is_bounded(tmp_path):
+def test_writers_peak_memory_is_bounded(tmp_path, monkeypatch):
     cfg = gallery.gallery_configs()["cyclotron"]
     traj = _trajectory(cfg)
     assert len(traj.t) == 10_001
-    tracemalloc.start()
-    try:
-        runners.write_trajectory_csv(tmp_path / "c.csv", traj)
-        csv_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        runners.write_plot_files(tmp_path, cfg.name, tmp_path / "c.csv")
-        plot_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert csv_peak < WRITER_PEAK_BYTES
-    assert plot_peak < WRITER_PEAK_BYTES
+    for cpus in (1, 2):  # one process, then split
+        monkeypatch.setattr(runners, "_cpus", lambda cpus=cpus: cpus)
+        tracemalloc.start()
+        try:
+            runners.write_trajectory_csv(tmp_path / "c.csv", traj)
+            csv_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            runners.write_plot_files(tmp_path, cfg.name, tmp_path / "c.csv")
+            plot_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert csv_peak < WRITER_PEAK_BYTES, cpus
+        assert plot_peak < WRITER_PEAK_BYTES, cpus
