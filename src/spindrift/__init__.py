@@ -33,7 +33,6 @@ from .algebra import (
 )
 from .packets import (
     MomentumWavePacket,
-    expectation,
     expectation_position,
     make_gaussian_packet,
     verify_fg_relations,

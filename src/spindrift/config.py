@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import (ClassicalState, FieldConfig, dilation,
                        max_rotation_rate)
 from .packets import (GRID_RADIUS, MAX_GRID_SPACING, MomentumWavePacket,
-                      make_gaussian_packet)
+                      gauss_hermite_packet, make_gaussian_packet)
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
@@ -100,14 +100,17 @@ class ScenarioConfig:
         """The electron's state at t = 0."""
         return ClassicalState(t=0.0, x=self.x0, v=self.v0, s=self.s0)
 
-    def wave_packet(self, widths=None) -> MomentumWavePacket:
-        """The configured packet, at `widths` in place of packet.widths if
-        given; a packet the grid cannot hold is a ConfigError."""
+    def wave_packet(self, widths=None, nodes=None) -> MomentumWavePacket:
+        """The configured packet, at `widths` in place of packet.widths and
+        on `nodes` Gauss-Hermite nodes per axis in place of the grid if
+        given; a packet floats cannot hold is a ConfigError."""
         spec = self.packet
+        args = (spec.p0, spec.widths if widths is None else widths, spec.spin)
         try:
-            return make_gaussian_packet(
-                spec.p0, spec.widths if widths is None else widths, spec.spin,
-                m=self.mass, grid_points=spec.grid_points)
+            if nodes is None:
+                return make_gaussian_packet(*args, m=self.mass,
+                                            grid_points=spec.grid_points)
+            return gauss_hermite_packet(*args, m=self.mass, nodes=nodes)
         except ValueError as exc:
             raise ConfigError(f"packet: {exc}") from None
 
@@ -149,8 +152,9 @@ _VEC3 = (_parse_vec3, lambda v: " ".join(repr(float(c)) for c in v))
 # (section, key, attribute, runs, parser, formatter) in canonical order: a
 # config may set a key only if its run is one of `runs`, the runs whose
 # output the key's value can change (_ORBIT follow an orbit, _PACKET
-# build a packet); a dotted attribute names a field of the nested
-# PacketSpec or ConvergeSpec
+# build a packet, only verify-fg's on the grid: fg rungs take Gauss-Hermite
+# nodes); a dotted attribute names a field of the nested PacketSpec or
+# ConvergeSpec
 _ORBIT = ("simulate", "integrator", "anomalous-fd")
 _PACKET = ("verify-fg", "fg")
 _FIELDS = (
@@ -169,7 +173,7 @@ _FIELDS = (
     ("packet", "p0", "packet.p0", _PACKET, *_VEC3),
     ("packet", "widths", "packet.widths", _PACKET, *_VEC3),
     ("packet", "spin", "packet.spin", _PACKET, *_VEC3),
-    ("packet", "grid_points", "packet.grid_points", _PACKET, *_INT),
+    ("packet", "grid_points", "packet.grid_points", ("verify-fg",), *_INT),
     ("converge", "target", "converge.target", CONVERGE_TARGETS, *_STR),
     ("algebra", "momenta", "algebra_momenta", ("verify-algebra",), *_INT),
     ("algebra", "pmax", "algebra_pmax", ("verify-algebra",), *_FLOAT),

@@ -14,6 +14,10 @@ from . import algebra, dynamics, exact, packets
 from .config import RUNGS, ConfigError, ScenarioConfig
 from .packets import RESIDUAL_FLOOR
 
+# Most Gauss-Hermite nodes per axis an fg rung doubles to: no rung builds
+# more points than packet.grid_points' default 32^3 grid
+FG_MAX_NODES = 32
+
 
 @dataclass
 class Ladder:
@@ -154,15 +158,34 @@ def _anomalous_fd_rung(cfg: ScenarioConfig, n: int):
     return dt, float(err.max()), 14.0 * np.spacing(scale) / (2.0 * traj.dt)
 
 
-def _fg_rung(cfg: ScenarioConfig, n: int):
-    """Worst residual over the Fradkin-Good relations and the three
-    mass-center offsets, every sum of the packet's pass, at widths / n."""
-    w = np.array(cfg.packet.widths, dtype=float) / n
-    pkt = cfg.wave_packet(w)
-    rels = [*packets.verify_fg_relations(pkt).values(),
+def _settled_packet(cfg: ScenarioConfig, widths):
+    """The configured packet at `widths` on Gauss-Hermite nodes, doubled
+    from 4 until no residual of the Fradkin-Good relations and the three
+    mass-center offsets moves by more than RESIDUAL_FLOOR, or to
+    FG_MAX_NODES; with those residuals and their last move."""
+    def residuals(nodes):
+        pkt = cfg.wave_packet(widths, nodes=nodes)
+        return pkt, np.array([rel.residual for rel in (
+            *packets.verify_fg_relations(pkt).values(),
             *(packets.verify_main_result(pkt, kind)
-              for kind in algebra.PRYCE_KINDS)]
-    return float(np.max(w)), max(r.residual for r in rels), RESIDUAL_FLOOR
+              for kind in algebra.PRYCE_KINDS))])
+
+    nodes, change = 4, math.inf
+    pkt, rows = residuals(nodes)
+    while change > RESIDUAL_FLOOR and nodes < FG_MAX_NODES:
+        nodes *= 2
+        pkt, finer = residuals(nodes)
+        change, rows = float(np.max(np.abs(finer - rows))), finer
+    return pkt, rows, change
+
+
+def _fg_rung(cfg: ScenarioConfig, n: int):
+    """Worst residual of `_settled_packet` at widths / n.  Its floor is the
+    larger of RESIDUAL_FLOOR and the rule's last move, so a rule that has
+    not settled by FG_MAX_NODES never passes for truncation error."""
+    w = np.array(cfg.packet.widths, dtype=float) / n
+    _, rows, change = _settled_packet(cfg, w)
+    return float(np.max(w)), float(np.max(rows)), max(RESIDUAL_FLOOR, change)
 
 
 class Target(NamedTuple):

@@ -1,6 +1,6 @@
-"""Positive-energy Gaussian wave packets on a momentum grid.
+"""Positive-energy Gaussian wave packets on a momentum quadrature rule.
 
-A packet carries one 4-spinor amplitude per grid point.  The spinor at grid
+A packet carries one 4-spinor amplitude per quadrature node.  The spinor at
 momentum p is the positive-energy eigenspinor of H(p) whose Foldy-Wouthuysen
 image carries a fixed 2-spinor polarization, so the rest-frame spin direction
 is the same at every point.  The envelope is a product Gaussian
@@ -8,15 +8,17 @@ is the same at every point.  The envelope is a product Gaussian
     g(p)  ~  exp( -sum_i (p_i - p0_i)^2 / (2 w_i^2) )
 
 (w_i is the amplitude scale; the probability density |g|^2 then has per-axis
-standard deviation w_i / sqrt(2)).  Expectation values are plain grid sums
-weighted by the cell volume over `GRID_RADIUS` widths each way; quadrature
-and truncation errors sit far below the physical packet-spread effects,
-which scale as (w/m)^2.  Packet-path operators are Clifford matrices times
-functions of p, summed against the bilinears a^dagger C_A a.  A packet holds
-its spec, not its grid: building it is one pass over the first-axis slabs
-that adds each slab's norm and densities to running sums and drops it.
-`momenta` and `amplitudes` regenerate the grid from the same slabs for
-`expectation`, the dense (..., 4, 4) kernel oracle, and `expectation_position`.
+standard deviation w_i / sqrt(2)).  Expectation values are node sums over
+one of two rules: a uniform grid over `GRID_RADIUS` widths each way, with
+amplitudes g(p) u(p) weighted by the cell volume, or Gauss-Hermite nodes at
+p0_i + w_i x_k with amplitudes sqrt(W_i W_j W_k) u(p), whose weights carry
+|g|^2 = exp(-x^2).  Quadrature and truncation errors sit far below the
+physical packet-spread effects, which scale as (w/m)^2.  Packet-path
+operators are Clifford matrices times functions of p, summed against the
+bilinears a^dagger C_A a.  A packet holds its spec, not its nodes: building
+it is one pass over the first-axis slabs that adds each slab's norm and
+densities to running sums and drops it.  `momenta` and `amplitudes`
+regenerate the nodes from the same slabs for `expectation_position`.
 """
 from __future__ import annotations
 
@@ -59,9 +61,6 @@ GRID_RADIUS = 5.0
 # packets (|p0| to 5m, m 0.5-3, anisotropic widths) the worst residual over
 # tolerance is ~0.45 on fine grids, 0.52 at 1.5, 0.85 at 2.0; rows fail at 2.2.
 MAX_GRID_SPACING = 1.5
-# Largest imaginary part, relative to the magnitude, that a declared-Hermitian
-# expectation may carry.
-IMAG_TOL = 1e-12
 
 # sum_ab conj(a_a) a_b C_A[a, b] on (re, im)-interleaved outer products
 _CLIFFORD_COLUMNS = np.stack([algebra.CLIFFORD.real, -algebra.CLIFFORD.imag],
@@ -81,9 +80,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass
 class MomentumWavePacket:
-    """Sharp positive-energy packet on a regular momentum lattice, held as
-    its spec; its construction is its one pass over the grid, which sets the
-    norm and `expectations` and refuses what floats cannot hold."""
+    """Sharp positive-energy packet on a momentum quadrature rule, held as
+    its spec; its construction is its one pass over the nodes, which sets
+    the norm and `expectations` and refuses what floats cannot hold."""
 
     axes: tuple              # three 1-D momentum axes
     center: np.ndarray       # (3,) envelope centre p0
@@ -91,15 +90,17 @@ class MomentumWavePacket:
     chi: np.ndarray          # (2,) rest-frame spinor
     mass: float
     shift: tuple = (0.0, 0.0, 0.0)   # translation a in position space
-    spacings: np.ndarray = dataclasses.field(init=False)
+    # per-axis Gauss-Hermite weights W, or None for the uniform rule
+    weights: tuple | None = None
+    spacings: np.ndarray | None = dataclasses.field(init=False)
     cell_volume: float = dataclasses.field(init=False)
     norm: float = dataclasses.field(init=False)
     expectations: dict = dataclasses.field(init=False)
 
     def __post_init__(self):
         self.shift = np.asarray(self.shift, dtype=float)
-        for arr in (*self.axes, self.center, self.widths, self.chi,
-                    self.shift):
+        for arr in (*self.axes, *(self.weights or ()), self.center,
+                    self.widths, self.chi, self.shift):
             arr.flags.writeable = False
         m = self.mass
         # gamma at the grid corner farthest from p = 0 bounds gamma_bar; the
@@ -109,9 +110,13 @@ class MomentumWavePacket:
         if not math.isfinite(gamma * gamma * gamma + m * m * m):
             raise ValueError(f"gamma^3 or m^3 overflows (gamma = {gamma:.3g} "
                              f"at the grid edge, m = {m:.3g})")
-        self.spacings = _read_only(np.array([ax[1] - ax[0]
-                                             for ax in self.axes]))
-        cell = self.cell_volume = float(np.prod(self.spacings))
+        if self.weights is None:
+            self.spacings = _read_only(np.array([ax[1] - ax[0]
+                                                 for ax in self.axes]))
+            cell = float(np.prod(self.spacings))
+        else:   # the weights carry the measure; the nodes are not even
+            self.spacings, cell = None, 1.0
+        self.cell_volume = cell
         if not cell >= np.finfo(float).tiny:
             raise ValueError(f"grid spacings {self.spacings.tolist()} give a "
                              f"cell volume {cell:.3g} below the smallest "
@@ -130,7 +135,8 @@ class MomentumWavePacket:
         # a non-finite amplitude makes the norm non-finite too
         if not 0.0 < norm < math.inf:
             raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
-        # The slabs' |a|^2 <= 1 (envelopes <= 1, unit spinors) bounds each
+        # The slabs' |a|^2 <= 1 (envelopes <= 1, and a Gauss-Hermite weight
+        # W_i W_j W_k < 1 from two nodes on; unit spinors) bounds each
         # bilinear of a unitary Clifford element, and with q = p_max / m each
         # density is at most K |a|^2, K = 4 (1 + q)^2 max(1, m^2, 1/m) (T, O:
         # 4 (1 + q); p x Sigma, p: 2 q m; odd: sqrt(3) q^2 m^2; offsets, |f_k|
@@ -148,15 +154,20 @@ class MomentumWavePacket:
 
     def _slabs(self):
         """Each first-axis slab's momenta (n2, n3, 3), broadcast from the
-        axes, and un-normalised amplitudes (n2, n3, 4): envelope times u(p),
-        times exp(-i p.a) for a translation a."""
+        axes, and un-normalised amplitudes (n2, n3, 4): envelope, or
+        sqrt(W_i W_j W_k) on the Gauss-Hermite rule, times u(p), times
+        exp(-i p.a) for a translation a."""
         ax1, ax2, ax3 = self.axes
         tail = np.stack(np.meshgrid(ax2, ax3, indexing="ij"), axis=-1)
-        for p1 in ax1:
+        for i, p1 in enumerate(ax1):
             p = np.empty(tail.shape[:2] + (3,))
             p[..., 0], p[..., 1:] = p1, tail
-            envelope = np.exp(-np.sum((p - self.center)**2
-                                      / (2.0 * self.widths**2), axis=-1))
+            if self.weights is None:
+                envelope = np.exp(-np.sum((p - self.center)**2
+                                          / (2.0 * self.widths**2), axis=-1))
+            else:
+                envelope = np.sqrt(self.weights[0][i]
+                                   * np.outer(*self.weights[1:]))
             a = envelope[..., None] * positive_energy_spinor(p, self.chi,
                                                              self.mass)
             if self.shift.any():
@@ -224,19 +235,24 @@ def positive_energy_spinor(p, chi, m: float) -> np.ndarray:
     return u / np.sqrt(2.0 * e * (e + m))[..., None]
 
 
+def _center_and_widths(p0, widths):
+    p0 = np.asarray(p0, dtype=float)
+    w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
+    if np.any(w <= 0.0):
+        raise ValueError("packet widths must be positive")
+    return p0, w
+
+
 def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
                          grid_points: int = 32) -> MomentumWavePacket:
-    """Build a normalized sharp packet centred at p0.
+    """Build a normalized sharp packet centred at p0 on the uniform rule.
 
     `widths` sets the per-axis Gaussian amplitude scale; the lattice spans
     `GRID_RADIUS` widths each way.  Non-positive widths are rejected, as are
     packets that floats cannot hold (a subnormal cell volume, a zero or
     non-finite norm, gamma^3, m^3 or a density sum overflowing).
     """
-    p0 = np.asarray(p0, dtype=float)
-    w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
-    if np.any(w <= 0.0):
-        raise ValueError("packet widths must be positive")
+    p0, w = _center_and_widths(p0, widths)
     if grid_points < 4:
         raise ValueError("grid needs at least 4 points per axis")
     axes = tuple(p0[i] + np.linspace(-GRID_RADIUS * w[i], GRID_RADIUS * w[i],
@@ -244,42 +260,35 @@ def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
     return MomentumWavePacket(axes, p0, w, rest_spinor(spin_direction), m)
 
 
-def expectation(packet: MomentumWavePacket, kernel, hermitian: bool = True):
-    """Grid-sum expectation value of a matrix-valued kernel.
-
-    `kernel` is either an array evaluated on the packet grid or a callable
-    applied to `packet.momenta`; shapes (..., 4, 4) give a scalar result and
-    (..., 3, 4, 4) a 3-vector.  For a kernel declared Hermitian the imaginary
-    part must stay below `IMAG_TOL` (relative to the magnitude), and the real
-    part is returned.
-    """
-    k = kernel(packet.momenta) if callable(kernel) else np.asarray(kernel)
-    a = packet.amplitudes
-    if k.ndim == a.ndim + 1:
-        density = np.einsum("pqra,pqrab,pqrb->pqr", a.conj(), k, a)
-    elif k.ndim == a.ndim + 2:
-        density = np.einsum("pqra,pqriab,pqrb->pqri", a.conj(), k, a)
-    else:
-        raise ValueError(f"kernel shape {k.shape} does not match packet grid")
-    return grid_expectation(packet, density, hermitian)
+@functools.cache
+def gauss_hermite_rule(n: int):
+    """Read-only nodes x_k and weights W_k of the n-point Gauss-Hermite rule
+    (Golub & Welsch, Math. Comp. 23, 221 (1969)): the eigenvalues of the
+    Jacobi matrix, off-diagonal sqrt(k/2), and W_k = sqrt(pi) v_0k^2 = 1 /
+    sum_j p_j(x_k)^2 from the eigenvector v_k ~ (p_0 ... p_{n-1})(x_k) of
+    orthonormal Hermite polynomials, built by their recurrence so the tail
+    weights keep their relative accuracy."""
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    prev, cur, total = np.zeros(n), np.full(n, np.pi ** -0.25), np.zeros(n)
+    for j in range(n):
+        total += cur * cur
+        prev, cur = cur, ((x * cur - math.sqrt(j / 2.0) * prev)
+                          / math.sqrt((j + 1) / 2.0))
+    return _read_only(x), _read_only(1.0 / total)
 
 
-def grid_expectation(packet: MomentumWavePacket, density,
-                     hermitian: bool = True):
-    """Grid sum of a per-point expectation density (grid or grid + (3,)).
-
-    A declared-Hermitian result must have an imaginary part below `IMAG_TOL`
-    (relative to its magnitude); its real part is returned.
-    """
-    val = np.sum(density, axis=(0, 1, 2)) * packet.cell_volume
-    val = complex(val) if np.ndim(val) == 0 else val
-    if not hermitian:
-        return val
-    imag = float(np.max(np.abs(np.imag(val))))
-    if imag > IMAG_TOL * max(1.0, float(np.max(np.abs(np.real(val))))):
-        raise ValueError(f"kernel declared Hermitian but expectation has "
-                         f"imaginary part {imag:.3e}")
-    return val.real
+def gauss_hermite_packet(p0, widths, spin_direction, m: float = 1.0, *,
+                         nodes: int) -> MomentumWavePacket:
+    """The packet of `make_gaussian_packet` on the product Gauss-Hermite
+    rule: `nodes` per axis at p0_i + w_i x_k, weighted by W_k."""
+    p0, w = _center_and_widths(p0, widths)
+    if nodes < 2:
+        raise ValueError("a Gauss-Hermite rule needs at least 2 nodes")
+    x, weights = gauss_hermite_rule(nodes)
+    return MomentumWavePacket(tuple(p0[i] + w[i] * x for i in range(3)), p0,
+                              w, rest_spinor(spin_direction), m,
+                              weights=(weights,) * 3)
 
 
 def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
@@ -289,6 +298,9 @@ def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     up a spin-dependent offset away from zero for moving packets because
     the spinor itself carries momentum dependence.
     """
+    if packet.spacings is None:
+        raise ValueError("expectation_position needs the uniform rule; "
+                         "Gauss-Hermite nodes have no uniform spacing")
     a = packet.amplitudes
     out = np.empty(3)
     for axis in range(3):

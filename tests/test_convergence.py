@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from spindrift import cli, convergence, dynamics, gallery, packets, runners
-from spindrift.config import (CONVERGE_TARGETS, ConvergeSpec, ScenarioConfig,
-                              serialize_config)
+from spindrift.config import (CONVERGE_TARGETS, ConfigError, ConvergeSpec,
+                              ScenarioConfig, serialize_config)
 
 B_HAT = np.array([1.0, 2.0, 2.0]) / 3.0
 P_HAT = np.array([2.0, -2.0, 1.0]) / 3.0  # perpendicular to B_HAT
@@ -69,6 +69,23 @@ def test_fg_ladder_below_residual_floor_names_widths(tmp_path, capsys):
     assert _converge(tmp_path, cfg) == 2
     assert "error: packet.widths:" in capsys.readouterr().err
     assert not (tmp_path / "flat_convergence.csv").exists()
+
+
+def test_fg_rungs_double_gauss_hermite_nodes_until_settled(monkeypatch):
+    cfg = gallery.converge_configs()["converge_fg"]
+    pkt, _, change = convergence._settled_packet(cfg, cfg.packet.widths)
+    assert pkt.axes[0].size == 8 and change <= packets.RESIDUAL_FLOOR
+    # packets far outside the sharp regime stop at the cap unsettled
+    wide = dataclasses.replace(cfg, packet=dataclasses.replace(
+        cfg.packet, widths=(2.0, 2.0, 2.0)))
+    pkt, _, change = convergence._settled_packet(wide, wide.packet.widths)
+    assert pkt.axes[0].size == convergence.FG_MAX_NODES
+    assert change > packets.RESIDUAL_FLOOR
+    # a rule never compared with a finer one has not settled, so its rung
+    # has no truncation error to measure
+    monkeypatch.setattr(convergence, "FG_MAX_NODES", 4)
+    with pytest.raises(ConfigError, match="^packet.widths: rung 0 "):
+        convergence.run_ladder(cfg)
 
 
 @pytest.mark.parametrize("m, e, b, v", itertools.product(

@@ -1,14 +1,78 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rotation_matrix
-from spindrift import algebra, config, packets
-from spindrift.packets import (expectation, expectation_position,
+from spindrift import algebra, config, convergence, packets
+from spindrift.packets import (expectation_position, gauss_hermite_packet,
                                make_gaussian_packet, mass_center_offset,
                                verify_fg_relations, verify_main_result)
+
+# Largest imaginary part, relative to the magnitude, that a declared-Hermitian
+# expectation may carry.
+IMAG_TOL = 1e-12
+RULES = ("uniform", "gauss_hermite")
+# Gauss-Hermite nodes per axis of the tests' packets on that rule
+GH_NODES = 12
+
+
+def expectation(packet, kernel, hermitian: bool = True):
+    """Dense-kernel oracle: the sum over the nodes of a^dagger K a.
+
+    `kernel` is either an array evaluated on the packet's nodes or a
+    callable applied to `packet.momenta`; shapes (..., 4, 4) give a scalar
+    result and (..., 3, 4, 4) a 3-vector.  For a kernel declared Hermitian
+    the imaginary part must stay below `IMAG_TOL` (relative to the
+    magnitude), and the real part is returned.
+    """
+    k = kernel(packet.momenta) if callable(kernel) else np.asarray(kernel)
+    a = packet.amplitudes
+    if k.ndim == a.ndim + 1:
+        density = np.einsum("pqra,pqrab,pqrb->pqr", a.conj(), k, a)
+    elif k.ndim == a.ndim + 2:
+        density = np.einsum("pqra,pqriab,pqrb->pqri", a.conj(), k, a)
+    else:
+        raise ValueError(f"kernel shape {k.shape} does not match packet grid")
+    return grid_expectation(packet, density, hermitian)
+
+
+def grid_expectation(packet, density, hermitian: bool = True):
+    """Sum over the nodes of a per-node expectation density (nodes or
+    nodes + (3,)) times the cell volume, 1 on the Gauss-Hermite rule, whose
+    normalised amplitudes carry its weights.
+
+    A declared-Hermitian result must have an imaginary part below `IMAG_TOL`
+    (relative to its magnitude); its real part is returned.
+    """
+    val = np.sum(density, axis=(0, 1, 2)) * packet.cell_volume
+    val = complex(val) if np.ndim(val) == 0 else val
+    if not hermitian:
+        return val
+    imag = float(np.max(np.abs(np.imag(val))))
+    if imag > IMAG_TOL * max(1.0, float(np.max(np.abs(np.real(val))))):
+        raise ValueError(f"kernel declared Hermitian but expectation has "
+                         f"imaginary part {imag:.3e}")
+    return val.real
+
+
+def _packet(rule, p0, widths, spin, m=1.0, grid_points=24):
+    """The packet on the uniform grid, or on GH_NODES Gauss-Hermite nodes."""
+    if rule == "uniform":
+        return make_gaussian_packet(p0, widths, spin, m=m,
+                                    grid_points=grid_points)
+    return gauss_hermite_packet(p0, widths, spin, m=m, nodes=GH_NODES)
+
+
+@pytest.fixture(scope="module")
+def rule_packets():
+    """The fast packet's spec on each quadrature rule, by rule."""
+    return {rule: _packet(rule, (0.0, 0.0, 0.6), 0.02, (1.0, 0.0, 0.0))
+            for rule in RULES}
 
 
 def brute_force_expectation(packet, kernel_at):
@@ -30,8 +94,9 @@ def dense_norm(packet):
 
 
 class TestConstruction:
-    def test_normalized(self, fast_packet):
-        assert abs(dense_norm(fast_packet) - 1.0) < 1e-12
+    def test_normalized(self, rule_packets):
+        for rule, pkt in rule_packets.items():
+            assert abs(dense_norm(pkt) - 1.0) < 1e-12, rule
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -255,28 +320,164 @@ class TestMainResult:
 
 class TestCovariance:
     def test_translation_leaves_offsets_invariant(self):
-        pkt = make_gaussian_packet((0, 0, 0.4), 0.02, (1, 0, 0),
-                                   grid_points=16)
-        shifted = pkt.translated((0.7, -1.1, 0.4))
-        for kind in ("c", "d", "e"):
-            base = mass_center_offset(pkt, kind)
-            moved = mass_center_offset(shifted, kind)
-            assert np.max(np.abs(base - moved)) < 1e-14
+        for rule in RULES:
+            pkt = _packet(rule, (0, 0, 0.4), 0.02, (1, 0, 0), grid_points=16)
+            shifted = pkt.translated((0.7, -1.1, 0.4))
+            for kind in ("c", "d", "e"):
+                base = mass_center_offset(pkt, kind)
+                moved = mass_center_offset(shifted, kind)
+                assert np.max(np.abs(base - moved)) < 1e-14, (rule, kind)
 
     def test_rotational_covariance(self):
         rot = rotation_matrix([1.0, 2.0, 0.5], 0.83)
         p0 = np.array([0.0, 0.0, 0.6])
         spin = np.array([1.0, 0.0, 0.0])
-        base = make_gaussian_packet(p0, 0.01, spin, grid_points=24)
-        turned = make_gaussian_packet(rot @ p0, 0.01, rot @ spin,
-                                      grid_points=24)
-        vals_b, vals_t = base.expectations, turned.expectations
-        for key in ("T", "O", "sigma", "ibeta_alpha", "p_cross_sigma", "p"):
-            assert np.max(np.abs(rot @ vals_b[key] - vals_t[key])) < 1e-12, key
-        for kind in ("d", "e"):
-            off_b = mass_center_offset(base, kind)
-            off_t = mass_center_offset(turned, kind)
-            assert np.max(np.abs(rot @ off_b - off_t)) < 1e-12
+        for rule in RULES:
+            base = _packet(rule, p0, 0.01, spin)
+            turned = _packet(rule, rot @ p0, 0.01, rot @ spin)
+            vals_b, vals_t = base.expectations, turned.expectations
+            for key in ("T", "O", "sigma", "ibeta_alpha", "p_cross_sigma",
+                        "p"):
+                assert np.max(np.abs(rot @ vals_b[key] - vals_t[key])) \
+                    < 1e-12, (rule, key)
+            for kind in ("d", "e"):
+                off_b = mass_center_offset(base, kind)
+                off_t = mass_center_offset(turned, kind)
+                assert np.max(np.abs(rot @ off_b - off_t)) < 1e-12, rule
+
+
+class TestGaussHermite:
+    @pytest.mark.parametrize("n", range(1, convergence.FG_MAX_NODES + 1))
+    def test_rule_matches_numpy(self, n):
+        from numpy.polynomial.hermite import hermgauss
+        x, w = packets.gauss_hermite_rule(n)
+        want_x, want_w = hermgauss(n)
+        # eigvalsh is backward stable: a node moves by a few ulp of |J| <=
+        # sqrt(2 n), and its weight, 1 / sum_j p_j(x)^2, follows the node
+        assert np.max(np.abs(x - want_x)) <= 8 * n * np.finfo(float).eps
+        assert np.max(np.abs(w / want_w - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, convergence.FG_MAX_NODES + 1))
+    def test_rule_integrates_even_moments_exactly(self, n):
+        # int x^2j exp(-x^2) dx = Gamma(j + 1/2); the rule is exact to
+        # degree 2n - 1, and each term of the sum is positive
+        x, w = packets.gauss_hermite_rule(n)
+        for j in range(n):
+            want = math.gamma(j + 0.5)
+            assert abs(np.sum(w * x**(2 * j)) - want) <= 1e-13 * want, j
+
+    def test_rule_is_cached_and_read_only(self):
+        x, w = packets.gauss_hermite_rule(8)
+        assert packets.gauss_hermite_rule(8)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_nodes_scale_with_the_widths(self):
+        pkt = gauss_hermite_packet((0.1, 0.2, 0.6), (0.01, 0.02, 0.03),
+                                   (0, 0, 1), nodes=6)
+        x, _ = packets.gauss_hermite_rule(6)
+        for p0, w, ax in zip((0.1, 0.2, 0.6), (0.01, 0.02, 0.03), pkt.axes):
+            assert np.array_equal(ax, p0 + w * x)
+
+    def test_rejects_a_one_node_rule(self):
+        # one node's weight sqrt(pi)^3 would break the density-sum bound's
+        # |a|^2 <= 1
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            gauss_hermite_packet((0, 0, 0.6), 0.01, (1, 0, 0), nodes=1)
+
+    def test_position_refuses_gauss_hermite(self):
+        pkt = gauss_hermite_packet((0, 0, 0), 0.01, (0, 0, 1), nodes=8)
+        assert pkt.spacings is None
+        with pytest.raises(ValueError, match="uniform spacing"):
+            expectation_position(pkt)
+
+
+# Gaussian mass outside GRID_RADIUS widths, which the uniform grid drops
+TRUNCATION = 1.0 - math.erf(packets.GRID_RADIUS) ** 3
+AGREEMENT_GRID = 24
+
+
+def _rows(pkt):
+    """verify-fg's rows as (name, residual, lhs, rhs); the offset ratio's
+    sides are |d| / |e| and 1 + g, graded where |<X_e> - <x>| is above
+    RESIDUAL_FLOOR, as `runners.run_verify` grades it."""
+    rels = [*verify_fg_relations(pkt).values(),
+            *(verify_main_result(pkt, kind) for kind in algebra.PRYCE_KINDS)]
+    rows = [(rel.name, rel.residual, rel.lhs, rel.rhs) for rel in rels]
+    d, e = (np.linalg.norm(mass_center_offset(pkt, k)) for k in "de")
+    if e > packets.RESIDUAL_FLOOR:
+        g = pkt.gamma_bar
+        rows.append(("offset_ratio_d_e", abs(d / e - (1.0 + g)) / (1.0 + g),
+                     d / e, 1.0 + g))
+    return rows
+
+
+@st.composite
+def _sharp_packets(draw):
+    """(p0, widths, spin, m) over |p0| <= 5m, m in [0.5, 3], anisotropic
+    widths in [0.002, 0.05]m and any spin direction."""
+    unit = st.floats(-1.0, 1.0)
+    m = draw(st.floats(0.5, 3.0))
+    direction = np.array(draw(st.tuples(unit, unit, unit)))
+    norm = np.linalg.norm(direction)
+    p0 = (direction / norm if norm > 1e-3 else np.zeros(3)) * draw(
+        st.floats(0.0, 5.0)) * m
+    widths = np.array(draw(st.tuples(*[st.floats(0.002, 0.05)] * 3))) * m
+    spin = np.array(draw(st.tuples(unit, unit, unit).filter(
+        lambda s: np.linalg.norm(s) > 1e-3)))
+    return p0, widths, spin, m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sharp_packets())
+def test_settled_gauss_hermite_rows_hold_and_match_the_grid(spec):
+    p0, widths, spin, m = spec
+    cfg = config.ScenarioConfig(
+        mode="converge", mass=m, converge=config.ConvergeSpec(target="fg"),
+        packet=config.PacketSpec(p0=tuple(p0), widths=tuple(widths),
+                                 spin=tuple(spin)))
+    pkt, _, change = convergence._settled_packet(cfg, widths)
+    assert change <= packets.RESIDUAL_FLOOR
+    grid = make_gaussian_packet(p0, widths, spin, m=m,
+                                grid_points=AGREEMENT_GRID)
+    rows, grid_rows = _rows(pkt), _rows(grid)
+    assert [r[0] for r in rows] == [r[0] for r in grid_rows]
+    # the offset ratio's tolerance fails with spin along p0; see below
+    for name, residual, *_ in rows:
+        if name != "offset_ratio_d_e":
+            assert residual <= packets.fg_tolerance(name, pkt), name
+    # Each side of a relation row is built from expectations that the
+    # grid's truncation moves by at most TRUNCATION of the largest side,
+    # and its sequential sums over AGREEMENT_GRID^3 points by that many
+    # ulp; a residual, a difference of two sides, moves by twice that.  The
+    # ratio d / e moves by its relative errors, those of |d| and |e|, and
+    # g = E(<p>) / m by at most the move of <p> over m, twice in the row.
+    scale = max(np.max(np.abs(side)) for name, _, lhs, rhs in grid_rows
+                if name != "offset_ratio_d_e" for side in (lhs, rhs))
+    move = (TRUNCATION + AGREEMENT_GRID**3 * np.finfo(float).eps) * scale
+    d, e = (np.linalg.norm(mass_center_offset(grid, k)) for k in "de")
+    for (name, residual, *_), (_, want, lhs, _) in zip(rows, grid_rows):
+        bound = (2.0 * move if name != "offset_ratio_d_e"
+                 else lhs * (move / d + move / e) + 2.0 * move / m)
+        assert abs(residual - want) <= bound, name
+
+
+@pytest.mark.xfail(strict=True, reason="with spin along p0, <T> x <p> is "
+                   "a spread effect of anisotropic widths, and so are both "
+                   "offsets: their ratio is not 1 + g, yet |<X_e> - <x>| "
+                   "is far above the floor that grades it")
+@pytest.mark.parametrize("rule", RULES)
+def test_offset_ratio_holds_with_spin_along_p0(rule):
+    # the first failing draw of the property test above, offset_ratio_d_e
+    # included: its residual is 0.37, its tolerance 3.5e-3
+    direction = np.array([1.0, 0.0, 0.03125])
+    p0 = direction / np.linalg.norm(direction)
+    pkt = _packet(rule, p0, (0.03125, 0.03125, 0.046875), direction,
+                  grid_points=32)
+    name, residual, *_ = _rows(pkt)[-1]
+    assert name == "offset_ratio_d_e"
+    assert residual <= packets.fg_tolerance(name, pkt)
 
 
 def _dense_expectations(pkt):
@@ -311,13 +512,14 @@ class TestBilinearTable:
         ((0.9, -1.7, 0.4), (0.3, 0.8, -0.5), 24),     # moving, rotated spin
     ])
     def test_matches_dense_kernels(self, p0, spin, n):
-        pkt = make_gaussian_packet(p0, (0.02, 0.03, 0.025), spin,
-                                   m=1.3, grid_points=n)
-        dense = _dense_expectations(pkt)
-        table = pkt.expectations
-        assert isinstance(table["T4"], complex)
-        for key, want in dense.items():
-            assert np.max(np.abs(table[key] - want)) <= 1e-12, key
+        for rule in RULES:
+            pkt = _packet(rule, p0, (0.02, 0.03, 0.025), spin, m=1.3,
+                          grid_points=n)
+            dense = _dense_expectations(pkt)
+            table = pkt.expectations
+            assert isinstance(table["T4"], complex)
+            for key, want in dense.items():
+                assert np.max(np.abs(table[key] - want)) <= 1e-12, (rule, key)
 
     def test_matches_dense_kernels_off_shell(self):
         # random spinors, not positive-energy: the null terms (odd, type c)
@@ -360,18 +562,19 @@ class TestBilinearTable:
             grid_points=n))
         _assert_pass_matches_full_grid_forms(pkt, n)
 
-    def test_expectations_are_cached_and_read_only(self, fast_packet):
-        vals = fast_packet.expectations
-        assert fast_packet.expectations is vals
-        assert set(vals) == {"T", "T4", "O", "sigma", "ibeta_alpha",
-                             "p_cross_sigma", "odd", "c", "d", "e", "p"}
-        for key, value in vals.items():
-            if isinstance(value, np.ndarray):
-                assert value.shape == (3,), key
-                with pytest.raises(ValueError):
-                    value[0] = 1.0
-        assert isinstance(vals["T4"], complex)
-        assert all(arr.shape[-1] != 16 for arr in _held_arrays(fast_packet))
+    def test_expectations_are_cached_and_read_only(self, rule_packets):
+        for pkt in rule_packets.values():
+            vals = pkt.expectations
+            assert pkt.expectations is vals
+            assert set(vals) == {"T", "T4", "O", "sigma", "ibeta_alpha",
+                                 "p_cross_sigma", "odd", "c", "d", "e", "p"}
+            for key, value in vals.items():
+                if isinstance(value, np.ndarray):
+                    assert value.shape == (3,), key
+                    with pytest.raises(ValueError):
+                        value[0] = 1.0
+            assert isinstance(vals["T4"], complex)
+            assert all(arr.shape[-1] != 16 for arr in _held_arrays(pkt))
 
     @pytest.mark.parametrize("name", ["velocity"])
     def test_moments_are_cached_and_read_only(self, fast_packet, name):
@@ -391,13 +594,12 @@ class TestBilinearTable:
         a = fast_packet.amplitudes
         density = 1j * np.sum(a.conj() * a, axis=-1).real   # <i> = i
         with pytest.raises(ValueError, match="Hermitian"):
-            packets.grid_expectation(fast_packet, density)
-        val = packets.grid_expectation(fast_packet, density,
-                                        hermitian=False)
+            grid_expectation(fast_packet, density)
+        val = grid_expectation(fast_packet, density, hermitian=False)
         assert abs(val - 1j) < 1e-12
         vector = np.stack([density] * 3, axis=-1)
         with pytest.raises(ValueError, match="Hermitian"):
-            packets.grid_expectation(fast_packet, vector)
+            grid_expectation(fast_packet, vector)
 
 
 @dataclasses.dataclass
