@@ -8,17 +8,17 @@ is the same at every point.  The envelope is a product Gaussian
     g(p)  ~  exp( -sum_i (p_i - p0_i)^2 / (2 w_i^2) )
 
 (w_i is the amplitude scale; the probability density |g|^2 then has per-axis
-standard deviation w_i / sqrt(2)).  Expectation values are node sums over
-one of two rules: a uniform grid over `GRID_RADIUS` widths each way, with
-amplitudes g(p) u(p) weighted by the cell volume, or Gauss-Hermite nodes at
-p0_i + w_i x_k with amplitudes sqrt(W_i W_j W_k) u(p), whose weights carry
-|g|^2 = exp(-x^2).  Quadrature and truncation errors sit far below the
-physical packet-spread effects, which scale as (w/m)^2.  Packet-path
-operators are Clifford matrices times functions of p, summed against the
-bilinears a^dagger C_A a.  A packet holds its spec, not its nodes: building
-it is one pass over the first-axis slabs that adds each slab's norm and
-densities to running sums and drops it.  `momenta` and `amplitudes`
-regenerate the nodes from the same slabs for `expectation_position`.
+standard deviation w_i / sqrt(2)).  A rule is nodes x_k and weights W_k in
+width units, the weights carrying |g|^2 = exp(-x^2): `uniform_rule`, a grid
+over `GRID_RADIUS` widths each way, or `gauss_hermite_rule`.  A packet holds
+nodes p0_i + w_i x_k with amplitudes sqrt(W_i W_j W_k) u(p), and every
+expectation value is a node sum.  Quadrature and truncation errors sit far
+below the physical packet-spread effects, which scale as (w/m)^2.
+Packet-path operators are Clifford matrices times functions of p, summed
+against the bilinears a^dagger C_A a.  A packet holds its spec, not its
+nodes: building it is one pass over the first-axis slabs that adds each
+slab's norm and densities to running sums and drops it.  `momenta` and
+`amplitudes` regenerate the nodes from the same slabs.
 """
 from __future__ import annotations
 
@@ -31,24 +31,26 @@ import numpy as np
 from . import algebra
 from .report import Relation
 
-# Measured residual/(w/m)^2 over the width ladder {0.04, 0.02, 0.01}m for the
-# reference packet (p0 = 0.6m zhat, transverse spin), times a safety factor
-# of ~4.  Used to turn a packet width into a pass threshold per relation.
+# Per row: measured residual/(w/m)^2 over the width ladder {0.04, 0.02,
+# 0.01}m for the reference packet (p0 = 0.6m zhat, transverse spin, m = 1),
+# times a safety factor of ~4, and the residual's mass dimension (hbar = c =
+# 1: p x sigma is a momentum, the odd term a momentum squared and an offset
+# a length), so that a tolerance in the row's units is that times m^dim.
 # Relations that are pointwise identities for on-shell spinors (T4, the odd
 # term, the c-type kernel) sit at roundoff and get an absolute floor instead.
 RESIDUAL_FLOOR = 1e-11
 FG_RESIDUAL_COEFF = {
-    "T_from_O": 1.0,
-    "T4_from_O": 0.0,
-    "O_from_T": 1.0,
-    "sigma_from_T": 1.5,
-    "ibeta_alpha_from_T": 2.1,
-    "momentum_cross_sigma": 2.1,
-    "odd_term_null": 0.0,
-    "mass_center_offset_c": 0.0,
-    "mass_center_offset_d": 1.1,
-    "mass_center_offset_e": 0.7,
-    "offset_ratio_d_e": 1.6,
+    "T_from_O": (1.0, 0),
+    "T4_from_O": (0.0, 0),
+    "O_from_T": (1.0, 0),
+    "sigma_from_T": (1.5, 0),
+    "ibeta_alpha_from_T": (2.1, 0),
+    "momentum_cross_sigma": (2.1, 1),
+    "odd_term_null": (0.0, 2),
+    "mass_center_offset_c": (0.0, -1),
+    "mass_center_offset_d": (1.1, -1),
+    "mass_center_offset_e": (0.7, -1),
+    "offset_ratio_d_e": (1.6, 0),
 }
 # Packets wider than this fraction of the mass are outside the sharp-spread
 # regime; verification rows for them are downgraded to WARN.
@@ -84,90 +86,75 @@ class MomentumWavePacket:
     its spec; its construction is its one pass over the nodes, which sets
     the norm and `expectations` and refuses what floats cannot hold."""
 
-    axes: tuple              # three 1-D momentum axes
-    center: np.ndarray       # (3,) envelope centre p0
+    axes: tuple              # three 1-D node arrays p0_i + w_i x_k
+    weights: tuple           # three 1-D weight arrays W_k, carrying |g|^2
     widths: np.ndarray       # (3,)
     chi: np.ndarray          # (2,) rest-frame spinor
     mass: float
     shift: tuple = (0.0, 0.0, 0.0)   # translation a in position space
-    # per-axis Gauss-Hermite weights W, or None for the uniform rule
-    weights: tuple | None = None
-    spacings: np.ndarray | None = dataclasses.field(init=False)
-    cell_volume: float = dataclasses.field(init=False)
     norm: float = dataclasses.field(init=False)
     expectations: dict = dataclasses.field(init=False)
 
     def __post_init__(self):
         self.shift = np.asarray(self.shift, dtype=float)
-        for arr in (*self.axes, *(self.weights or ()), self.center,
-                    self.widths, self.chi, self.shift):
+        for arr in (*self.axes, *self.weights, self.widths, self.chi,
+                    self.shift):
             arr.flags.writeable = False
         m = self.mass
-        # gamma at the grid corner farthest from p = 0 bounds gamma_bar; the
-        # e-type Pryce factors take its cube, the mass-center offsets m^3
+        # gamma at the node farthest from p = 0 bounds gamma_bar; the e-type
+        # Pryce factors take its cube, the mass-center offsets m^3
         p_max = math.hypot(*(float(np.max(np.abs(ax))) for ax in self.axes))
         gamma = math.hypot(m, p_max) / m
         if not math.isfinite(gamma * gamma * gamma + m * m * m):
             raise ValueError(f"gamma^3 or m^3 overflows (gamma = {gamma:.3g} "
-                             f"at the grid edge, m = {m:.3g})")
-        if self.weights is None:
-            self.spacings = _read_only(np.array([ax[1] - ax[0]
-                                                 for ax in self.axes]))
-            cell = float(np.prod(self.spacings))
-        else:   # the weights carry the measure; the nodes are not even
-            self.spacings, cell = None, 1.0
-        self.cell_volume = cell
-        if not cell >= np.finfo(float).tiny:
-            raise ValueError(f"grid spacings {self.spacings.tolist()} give a "
-                             f"cell volume {cell:.3g} below the smallest "
-                             f"normal float")
+                             f"at the outermost node, m = {m:.3g})")
+        for i, ax in enumerate(self.axes):
+            if not np.all(np.diff(ax) > 0.0):
+                raise ValueError(f"the nodes of axis {i} coincide: width "
+                                 f"{self.widths[i]:.3g} below float spacing")
+        # |a|^2, at most prod_i max W_i in a slab (unit spinors) and 1 in
+        # the normalised `amplitudes`, bounds each bilinear of a unitary
+        # Clifford element, and with q = p_max / m each density is at most
+        # K |a|^2, K = 4 (1 + q)^2 max(1, m^2, 1/m) (T, O: 4 (1 + q); p x
+        # Sigma, p: 2 q m; odd: sqrt(3) q^2 m^2; offsets, |f_k| <= 1: (1 +
+        # q)^2 / m), so either's N-node sums are at most N K a_max.
+        a_max = max(1.0, math.prod(float(np.max(w)) for w in self.weights))
+        bound = (math.prod(ax.size for ax in self.axes) * 4.0 * a_max
+                 * (1.0 + p_max / m) ** 2 * max(1.0, m * m, 1.0 / m))
+        if not bound < math.inf:
+            raise ValueError(f"density sums overflow (bound {bound:.3g})")
         # each slab's bilinears b[A] = a^dagger C_A a (C = algebra.CLIFFORD)
         # feed every density of `_VECTOR_SUMS` once, and no name holds the
-        # outer product while they are formed; the norm sums |a_alpha|^2 per
-        # spinor component
-        norm_sums, sums = np.zeros((1, 4)), np.zeros((len(_VECTOR_SUMS), 3))
+        # outer product while they are formed; each adds its slab sum to
+        # its row a component at a time (np.sum over two axes, keeping the
+        # components, runs ~4x slower); the norm adds the slab's sum of |a|^2
+        norm, sums = 0.0, np.zeros((len(_VECTOR_SUMS), 3))
         for p, a in self._slabs():
-            norm_sums = _add_points(norm_sums, [a.real**2 + a.imag**2])
+            norm += float(np.sum(a.real**2 + a.imag**2))
             b = ((a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
                  .view(float) @ _CLIFFORD_COLUMNS).reshape(p.shape[:-1] + (16,))
-            sums = _add_points(sums, _densities(p, b, m))
-        norm = self.norm = float(np.sum(norm_sums) * cell)
+            for row, density in enumerate(_densities(p, b, m)):
+                sums[row] += [np.sum(density[..., k]) for k in range(3)]
+        self.norm = norm
         # a non-finite amplitude makes the norm non-finite too
         if not 0.0 < norm < math.inf:
             raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
-        # The slabs' |a|^2 <= 1 (envelopes <= 1, and a Gauss-Hermite weight
-        # W_i W_j W_k < 1 from two nodes on; unit spinors) bounds each
-        # bilinear of a unitary Clifford element, and with q = p_max / m each
-        # density is at most K |a|^2, K = 4 (1 + q)^2 max(1, m^2, 1/m) (T, O:
-        # 4 (1 + q); p x Sigma, p: 2 q m; odd: sqrt(3) q^2 m^2; offsets, |f_k|
-        # <= 1: (1 + q)^2 / m).  The pass's sums are at most N K; the
-        # a / sqrt(norm) of `amplitudes` give dense-oracle sums to N K / norm.
-        n_points = math.prod(ax.size for ax in self.axes)
-        bound = (n_points * 4.0 * (1.0 + p_max / m) * (1.0 + p_max / m)
-                 * max(1.0, m * m, 1.0 / m) * (1.0 + 1.0 / norm))
-        if not bound < math.inf:
-            raise ValueError(f"density sums overflow (bound {bound:.3g})")
         # <T4> = i sum_i <p_i Sigma_i> / m
-        vals = dict(zip(_VECTOR_SUMS, _read_only(sums * (cell / norm))))
+        vals = dict(zip(_VECTOR_SUMS, _read_only(sums / norm)))
         vals["T4"] = 1j * float(np.sum(vals.pop("p_sigma"))) / m
         self.expectations = vals
 
     def _slabs(self):
         """Each first-axis slab's momenta (n2, n3, 3), broadcast from the
-        axes, and un-normalised amplitudes (n2, n3, 4): envelope, or
-        sqrt(W_i W_j W_k) on the Gauss-Hermite rule, times u(p), times
-        exp(-i p.a) for a translation a."""
+        axes, and un-normalised amplitudes (n2, n3, 4): sqrt(W_i W_j W_k)
+        times u(p), times exp(-i p.a) for a translation a."""
         ax1, ax2, ax3 = self.axes
+        w1, w2, w3 = self.weights
         tail = np.stack(np.meshgrid(ax2, ax3, indexing="ij"), axis=-1)
-        for i, p1 in enumerate(ax1):
+        for p1, weight in zip(ax1, w1):
             p = np.empty(tail.shape[:2] + (3,))
             p[..., 0], p[..., 1:] = p1, tail
-            if self.weights is None:
-                envelope = np.exp(-np.sum((p - self.center)**2
-                                          / (2.0 * self.widths**2), axis=-1))
-            else:
-                envelope = np.sqrt(self.weights[0][i]
-                                   * np.outer(*self.weights[1:]))
+            envelope = np.sqrt(weight * np.outer(w2, w3))
             a = envelope[..., None] * positive_energy_spinor(p, self.chi,
                                                              self.mass)
             if self.shift.any():
@@ -235,29 +222,43 @@ def positive_energy_spinor(p, chi, m: float) -> np.ndarray:
     return u / np.sqrt(2.0 * e * (e + m))[..., None]
 
 
-def _center_and_widths(p0, widths):
+def _gaussian_packet(p0, widths, spin_direction, m, rule):
+    """The packet with nodes p0_i + w_i x_k and weights W_k of `rule`, the
+    read-only pair (x, W) in width units."""
+    x, weights = rule
+    if x.size < 2:
+        raise ValueError("a rule needs at least 2 nodes; one has no spread")
     p0 = np.asarray(p0, dtype=float)
     w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
     if np.any(w <= 0.0):
         raise ValueError("packet widths must be positive")
-    return p0, w
+    return MomentumWavePacket(tuple(p0[i] + w[i] * x for i in range(3)),
+                              (weights,) * 3, w, rest_spinor(spin_direction),
+                              m)
 
 
 def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
                          grid_points: int = 32) -> MomentumWavePacket:
     """Build a normalized sharp packet centred at p0 on the uniform rule.
 
-    `widths` sets the per-axis Gaussian amplitude scale; the lattice spans
+    `widths` sets the per-axis Gaussian amplitude scale; the grid spans
     `GRID_RADIUS` widths each way.  Non-positive widths are rejected, as are
-    packets that floats cannot hold (a subnormal cell volume, a zero or
-    non-finite norm, gamma^3, m^3 or a density sum overflowing).
+    packets that floats cannot hold (see `MomentumWavePacket`).
     """
-    p0, w = _center_and_widths(p0, widths)
-    if grid_points < 4:
+    return _gaussian_packet(p0, widths, spin_direction, m,
+                            uniform_rule(grid_points))
+
+
+@functools.cache
+def uniform_rule(n: int):
+    """Read-only nodes x_k and weights W_k = h exp(-x_k^2) of the n-point
+    uniform rule over `GRID_RADIUS` widths each way, h = 2 GRID_RADIUS /
+    (n - 1): a grid cell times |g|^2, in width units."""
+    if n < 4:
         raise ValueError("grid needs at least 4 points per axis")
-    axes = tuple(p0[i] + np.linspace(-GRID_RADIUS * w[i], GRID_RADIUS * w[i],
-                                     grid_points) for i in range(3))
-    return MomentumWavePacket(axes, p0, w, rest_spinor(spin_direction), m)
+    x = np.linspace(-GRID_RADIUS, GRID_RADIUS, n)
+    return _read_only(x), _read_only(2.0 * GRID_RADIUS / (n - 1)
+                                     * np.exp(-x * x))
 
 
 @functools.cache
@@ -282,56 +283,41 @@ def gauss_hermite_packet(p0, widths, spin_direction, m: float = 1.0, *,
                          nodes: int) -> MomentumWavePacket:
     """The packet of `make_gaussian_packet` on the product Gauss-Hermite
     rule: `nodes` per axis at p0_i + w_i x_k, weighted by W_k."""
-    p0, w = _center_and_widths(p0, widths)
-    if nodes < 2:
-        raise ValueError("a Gauss-Hermite rule needs at least 2 nodes")
-    x, weights = gauss_hermite_rule(nodes)
-    return MomentumWavePacket(tuple(p0[i] + w[i] * x for i in range(3)), p0,
-                              w, rest_spinor(spin_direction), m,
-                              weights=(weights,) * 3)
+    return _gaussian_packet(p0, widths, spin_direction, m,
+                            gauss_hermite_rule(nodes))
 
 
 def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     """<x> in the momentum representation: expectation of i d/dp.
 
-    The amplitudes are differentiated spectrally (FFT).  The result picks
-    up a spin-dependent offset away from zero for moving packets because
-    the spinor itself carries momentum dependence.
+    The amplitudes are differentiated spectrally (FFT), so each axis must
+    hold at least 4 evenly spaced nodes, as the uniform rule does.  The
+    result picks up a spin-dependent offset away from zero for moving
+    packets because the spinor itself carries momentum dependence.
     """
-    if packet.spacings is None:
-        raise ValueError("expectation_position needs the uniform rule; "
-                         "Gauss-Hermite nodes have no uniform spacing")
-    a = packet.amplitudes
     out = np.empty(3)
-    for axis in range(3):
-        n = a.shape[axis]
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=packet.spacings[axis])
+    for axis, ax in enumerate(packet.axes):
+        # p0 + w x_k (|w x_k| <= the largest |node|) sits within 4 ulp of
+        # the axis' largest |node| of its exact value, so a gap strays from
+        # the mean gap by under 16
+        n = ax.size
+        step = (ax[-1] - ax[0]) / (n - 1) if n >= 4 else 0.0
+        if not (step > 0.0 and np.max(np.abs(np.diff(ax) - step))
+                <= 16.0 * np.spacing(np.max(np.abs(ax)))):
+            raise ValueError("expectation_position needs the uniform rule; "
+                             "these nodes have no uniform spacing")
+        a = packet.amplitudes
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
         shape = [1, 1, 1, 1]
         shape[axis] = n
         da = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(a, axis=axis),
                          axis=axis)
-        val = 1j * np.einsum("pqra,pqra->", a.conj(), da) * packet.cell_volume
+        val = 1j * np.einsum("pqra,pqra->", a.conj(), da)
         if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
             raise ValueError("position expectation came out complex; "
                              "amplitudes are not smooth on this grid")
         out[axis] = val.real
     return out
-
-
-def _add_points(sums: np.ndarray, densities) -> np.ndarray:
-    """`sums` (r, k) plus a slab's r densities (..., k), added point after
-    point as np.sum over a whole grid's point axes adds them: np.add.reduce
-    over the first axis of a contiguous array adds in order, so the running
-    sums ride as row 0 above the slab's points.  Each density is copied in
-    as it comes and then dropped."""
-    table = None
-    for row, density in enumerate(densities):
-        points = density.reshape(-1, sums.shape[-1])
-        if table is None:
-            table = np.empty((1 + len(points),) + sums.shape)
-            table[0] = sums
-        table[1:, row] = points
-    return np.add.reduce(table, axis=0)
 
 
 def _densities(p, b, m):
@@ -413,7 +399,21 @@ def verify_main_result(packet: MomentumWavePacket, kind) -> Relation:
 
 
 def fg_tolerance(name: str, packet: MomentumWavePacket) -> float:
-    """Pass threshold for one relation: coeff * (max width / m)^2, floored."""
-    coeff = FG_RESIDUAL_COEFF[name]
+    """Pass threshold for one relation: coeff * (max width / m)^2, floored,
+    times m^dim, the row's unit."""
+    coeff, dim = FG_RESIDUAL_COEFF[name]
     scale = float(np.max(packet.widths)) / packet.mass
-    return max(coeff * scale * scale, RESIDUAL_FLOOR)
+    return max(coeff * scale * scale, RESIDUAL_FLOOR) * packet.mass ** dim
+
+
+def offset_ratio_residual(packet: MomentumWavePacket) -> float | None:
+    """The offset_ratio_d_e row: |<X_d> - <x>| / |<X_e> - <x>| against
+    1 + g, as a relative residual.  None where |<X_e> - <x>| is within the
+    e row's own tolerance: there both offsets are spread effects (at rest,
+    or with spin along p0), and so is their ratio."""
+    d, e = (float(np.linalg.norm(mass_center_offset(packet, kind)))
+            for kind in "de")
+    if not e > fg_tolerance("mass_center_offset_e", packet):
+        return None
+    g = packet.gamma_bar
+    return abs(d / e - (1.0 + g)) / (1.0 + g)

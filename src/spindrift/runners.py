@@ -332,12 +332,9 @@ def run_verify(cfg: ScenarioConfig, outdir):
         phase = report.lap()
         for rel in [*fg.values(), *centers.values()]:
             grade(rel.name, rel.residual, phase)
-        # with <T> x <p> = 0 both offsets are roundoff and so is their ratio
-        if np.linalg.norm(centers["e"].lhs) > packets.RESIDUAL_FLOOR:
-            g = pkt.gamma_bar
-            ratio = (np.linalg.norm(centers["d"].lhs)
-                     / np.linalg.norm(centers["e"].lhs))
-            grade("offset_ratio_d_e", abs(ratio - (1.0 + g)) / (1.0 + g))
+        ratio = packets.offset_ratio_residual(pkt)
+        if ratio is not None:
+            grade("offset_ratio_d_e", ratio)
         kv_lines = [f"packet.gamma_bar = {pkt.gamma_bar:.17g}",
                     f"packet.sharp = {pkt.is_sharp}"]
         kv_lines += relation_kv_lines(fg.values(), prefix="fg.")

@@ -370,7 +370,10 @@ def test_grid_radius_flag_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("p0, graded", [
     (["0", "0", "0"], False),      # at rest: <T> x <p> = 0
     (["0.6", "0", "0"], False),    # p0 along the default spin x
-    (["0", "0", "1e-9"], True),    # a tiny transverse p0 is still a signal
+    (["0", "0", "0.6"], True),     # transverse: |<X_e> - <x>| ~ 0.12
+    # |<X_e> - <x>| ~ 2.5e-10: above RESIDUAL_FLOOR, inside the e row's
+    # tolerance, 7e-5, so the offsets are no signal
+    (["0", "0", "1e-9"], False),
 ])
 def test_offset_ratio_needs_a_signal(p0, graded, tmp_path):
     out = tmp_path / "ratio"
@@ -507,14 +510,14 @@ def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, cause", [
-    (["--widths", "1e-300", "1e-300", "1e-300"], "cell volume"),
+    (["--widths", "1e-300", "1e-300", "1e-300"], "nodes of axis 2 coincide"),
     (["--p0", "1e200", "0", "0"], "gamma^3"),
     (["--mass", "1e-100", "--p0", "0", "0", "1e5"], "gamma^3"),
     (["--mass", "1e-102", "--p0", "0", "0", "1e3"], "gamma^3"),
     # m^3 and gamma^3 are each finite; their sum, which the guard takes, is not
     (["--mass", "5.6e102", "--p0", "0", "0", "3e205"], "m^3"),
-    (["--mass", "1e-90", "--p0", "0", "0", "0",
-      "--widths", "1e-100", "1e-100", "1e-100", "--grid-points", "16"],
+    (["--mass", "1e-100", "--p0", "500", "0", "0",
+      "--widths", "1", "1", "1", "--grid-points", "16"],
      "density sums overflow"),
 ])
 def test_verify_fg_non_finite_packet_is_config_error(flags, cause, tmp_path,

@@ -34,9 +34,9 @@ HEAVY_CROSSED_CSV_SHA256 = (
 # rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
-        "5040415f8c1979f155cf5f8ff2205bcceae42a55d10cda3d6a7298e480fe67b8"),
+        "d895bfe595ccf2f478e4dda3b576ce6dbaa5a6cc6e90e2d369ada338378b83e4"),
     "golden": (
-        "37913401415434c948ad815d11f01bc4f6cd91cf416ee20e09be01d241eb5d01"),
+        "b124e787a884aaf9c4a06701586358795d71fe95776e19d0859543af200c57ac"),
 }
 
 
