@@ -33,9 +33,9 @@ MAX_STEP_ROTATION = 0.1
 # the cap admits ~0.4 GB.
 MAX_SAMPLES = 1_000_000
 # Most bytes one slab of a packet's pass may hold.  The pass holds one
-# (n, n) slab at a time, and its traced peak grows by ~680 B per slab point
-# (tracemalloc, 64^3 to 128^3: momenta, amplitudes, bilinears, one density
-# at a time and the running-sum rows), so the cap admits grids up to n = 619.
+# (n, n) slab at a time, and its traced peak grows by ~655 B per slab point
+# (tracemalloc, 64^3 to 128^3: its workspaces X, the table's columns, the
+# monomials and momenta, and temporaries), so the cap admits n up to 619.
 SLAB_BYTES_PER_POINT = 700
 MAX_SLAB_BYTES = 256 * 2**20
 # what decides the keys a config may hold: its mode, or converge's target

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import algebra, dynamics, exact, packets
 from .config import RUNGS, ConfigError, ScenarioConfig
-from .packets import RESIDUAL_FLOOR
+from .packets import FG_RESIDUAL_COEFF, RESIDUAL_FLOOR
 
 # Most Gauss-Hermite nodes per axis an fg rung doubles to: no rung builds
 # more points than packet.grid_points' default 32^3 grid
@@ -161,14 +161,15 @@ def _anomalous_fd_rung(cfg: ScenarioConfig, n: int):
 def _settled_packet(cfg: ScenarioConfig, widths):
     """The configured packet at `widths` on Gauss-Hermite nodes, doubled
     from 4 until no residual of the Fradkin-Good relations and the three
-    mass-center offsets moves by more than RESIDUAL_FLOOR, or to
-    FG_MAX_NODES; with those residuals and their last move."""
+    mass-center offsets, over m^dim, moves by more than RESIDUAL_FLOOR, or
+    to FG_MAX_NODES; with those residuals and their last move."""
     def residuals(nodes):
         pkt = cfg.wave_packet(widths, nodes=nodes)
-        return pkt, np.array([rel.residual for rel in (
-            *packets.verify_fg_relations(pkt).values(),
-            *(packets.verify_main_result(pkt, kind)
-              for kind in algebra.PRYCE_KINDS))])
+        return pkt, np.array([
+            rel.residual / cfg.mass ** FG_RESIDUAL_COEFF[rel.name][1]
+            for rel in (*packets.verify_fg_relations(pkt).values(),
+                        *(packets.verify_main_result(pkt, kind)
+                          for kind in algebra.PRYCE_KINDS))])
 
     nodes, change = 4, math.inf
     pkt, rows = residuals(nodes)

@@ -1,24 +1,18 @@
 """Positive-energy Gaussian wave packets on a momentum quadrature rule.
 
-A packet carries one 4-spinor amplitude per quadrature node.  The spinor at
-momentum p is the positive-energy eigenspinor of H(p) whose Foldy-Wouthuysen
-image carries a fixed 2-spinor polarization, so the rest-frame spin direction
-is the same at every point.  The envelope is a product Gaussian
-
-    g(p)  ~  exp( -sum_i (p_i - p0_i)^2 / (2 w_i^2) )
-
-(w_i is the amplitude scale; the probability density |g|^2 then has per-axis
-standard deviation w_i / sqrt(2)).  A rule is nodes x_k and weights W_k in
-width units, the weights carrying |g|^2 = exp(-x^2): `uniform_rule`, a grid
-over `GRID_RADIUS` widths each way, or `gauss_hermite_rule`.  A packet holds
-nodes p0_i + w_i x_k with amplitudes sqrt(W_i W_j W_k) u(p), and every
-expectation value is a node sum.  Quadrature and truncation errors sit far
-below the physical packet-spread effects, which scale as (w/m)^2.
-Packet-path operators are Clifford matrices times functions of p, summed
-against the bilinears a^dagger C_A a.  A packet holds its spec, not its
-nodes: building it is one pass over the first-axis slabs that adds each
-slab's norm and densities to running sums and drops it.  `momenta` and
-`amplitudes` regenerate the nodes from the same slabs.
+The spinor at momentum p is the positive-energy eigenspinor of H(p) whose
+Foldy-Wouthuysen image is a fixed rest spinor chi: u(p) = V q, V = [(chi,
+0) | (0, sigma_i chi)], q = (E + m, p) / sqrt(2E(E + m)) a real unit
+4-vector.  The envelope is g(p) ~ exp(-sum_i (p_i - p0_i)^2 / (2 w_i^2)).
+A rule is nodes x_k and weights W_k carrying |g|^2 = exp(-x^2)
+(`uniform_rule`, a grid over `GRID_RADIUS` widths each way, or
+`gauss_hermite_rule`); a packet holds nodes p0_i + w_i x_k with amplitudes
+a = sqrt(W_i W_j W_k) u(p).  Packet-path operators are Clifford matrices
+times functions of p, so every expectation is a node sum of scalars X(p)
+times bilinears a^dagger C_A a = W q^T M q, M a table built once from chi;
+a translation's phase exp(-i p.a) cancels in each, so it moves none.  A
+packet holds its spec, not its nodes: building it is one pass over the
+first-axis slabs, each adding X b to a small table.
 """
 from __future__ import annotations
 
@@ -64,15 +58,15 @@ GRID_RADIUS = 5.0
 # tolerance is ~0.45 on fine grids, 0.52 at 1.5, 0.85 at 2.0; rows fail at 2.2.
 MAX_GRID_SPACING = 1.5
 
-# sum_ab conj(a_a) a_b C_A[a, b] on (re, im)-interleaved outer products
-_CLIFFORD_COLUMNS = np.stack([algebra.CLIFFORD.real, -algebra.CLIFFORD.imag],
-                             axis=-1).reshape(16, 32).T
-_ONE, _GAMMA5 = 0, 2
+# The monomials q_mu q_nu (mu <= nu) of the unit 4-vector q, in this order
+_MU, _NU = np.triu_indices(4)
+# The pass's table.  Columns: b[A] = a^dagger C_A a (C = algebra.CLIFFORD),
+# p.b[i beta alpha], p.b[beta Sigma].  Rows: the per-node scalars 1, p, p/E,
+# p/(E(E+m)), then per Pryce kind f1, f2 p and f3 p
+_ONE, _GAMMA5, _P_IBA, _P_BS = 0, 2, 16, 17
 _SIGMA, _IBETA_ALPHA, _BETA_SIGMA = slice(7, 10), slice(10, 13), slice(13, 16)
-# The 3-vector expectations that the packet's pass sums, one row each;
-# "p_sigma" holds <p_i Sigma_i> per component, whose sum is m <T4> / i
-_VECTOR_SUMS = ("T", "O", "sigma", "ibeta_alpha", "p_cross_sigma",
-                "odd") + algebra.PRYCE_KINDS + ("p", "p_sigma")
+_P, _P_E, _P_EEM = slice(1, 4), slice(4, 7), slice(7, 10)
+_KINDS, _SCALARS = slice(10, None), 31     # 7 rows per kind from row 10
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -112,65 +106,65 @@ class MomentumWavePacket:
             if not np.all(np.diff(ax) > 0.0):
                 raise ValueError(f"the nodes of axis {i} coincide: width "
                                  f"{self.widths[i]:.3g} below float spacing")
-        # |a|^2, at most prod_i max W_i in a slab (unit spinors) and 1 in
-        # the normalised `amplitudes`, bounds each bilinear of a unitary
-        # Clifford element, and with q = p_max / m each density is at most
-        # K |a|^2, K = 4 (1 + q)^2 max(1, m^2, 1/m) (T, O: 4 (1 + q); p x
-        # Sigma, p: 2 q m; odd: sqrt(3) q^2 m^2; offsets, |f_k| <= 1: (1 +
-        # q)^2 / m), so either's N-node sums are at most N K a_max.
+        # |b[A]| <= |a|^2 <= a_max = prod_i max W_i (|q| = 1, unitary C_A),
+        # and each table entry or assembled density is at most K a_max a
+        # node, r = p_max / m, K = 4 (1 + r)^2 max(1, m^2, 1/m) (T, O: 4 (1
+        # + r); p x Sigma, p: 2 r m; odd: sqrt(3) r^2 m^2; offsets: (1 +
+        # r)^2 / m; X times b or p.b: 2 max(1, p_max^2, 1/m)).
         a_max = max(1.0, math.prod(float(np.max(w)) for w in self.weights))
         bound = (math.prod(ax.size for ax in self.axes) * 4.0 * a_max
                  * (1.0 + p_max / m) ** 2 * max(1.0, m * m, 1.0 / m))
         if not bound < math.inf:
             raise ValueError(f"density sums overflow (bound {bound:.3g})")
-        # each slab's bilinears b[A] = a^dagger C_A a (C = algebra.CLIFFORD)
-        # feed every density of `_VECTOR_SUMS` once, and no name holds the
-        # outer product while they are formed; each adds its slab sum to
-        # its row a component at a time (np.sum over two axes, keeping the
-        # components, runs ~4x slower); the norm adds the slab's sum of |a|^2
-        norm, sums = 0.0, np.zeros((len(_VECTOR_SUMS), 3))
-        for p, a in self._slabs():
-            norm += float(np.sum(a.real**2 + a.imag**2))
-            b = ((a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
-                 .view(float) @ _CLIFFORD_COLUMNS).reshape(p.shape[:-1] + (16,))
-            for row, density in enumerate(_densities(p, b, m)):
-                sums[row] += [np.sum(density[..., k]) for k in range(3)]
-        self.norm = norm
-        # a non-finite amplitude makes the norm non-finite too
+        # X, a workspace, takes each slab's row scalars; the table adds X b
+        table = np.zeros((_SCALARS, 18))
+        x = np.ones((_SCALARS, self.axes[1].size * self.axes[2].size))
+        for p, b in self._slabs():
+            x[_P], e = p.T, algebra.energy(p, m)
+            np.divide(x[_P], e, out=x[_P_E])
+            np.divide(x[_P_E], e + m, out=x[_P_EEM])
+            for kind, k in zip(algebra.PRYCE_KINDS, np.split(x[_KINDS], 3)):
+                f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
+                k[0], k[1:4], k[4:] = f1, f2 * x[_P], f3 * x[_P]
+            table += x @ b
+        # the norm is sum |a|^2 = sum b[1], non-finite with any amplitude
+        self.norm = norm = float(table[0, _ONE])
         if not 0.0 < norm < math.inf:
             raise ValueError(f"packet norm {norm:.3g} is zero or not finite")
-        # <T4> = i sum_i <p_i Sigma_i> / m
-        vals = dict(zip(_VECTOR_SUMS, _read_only(sums / norm)))
-        vals["T4"] = 1j * float(np.sum(vals.pop("p_sigma"))) / m
-        self.expectations = vals
+        self.expectations = _expectations(table / norm, m)
 
     def _slabs(self):
-        """Each first-axis slab's momenta (n2, n3, 3), broadcast from the
-        axes, and un-normalised amplitudes (n2, n3, 4): sqrt(W_i W_j W_k)
-        times u(p), times exp(-i p.a) for a translation a."""
-        ax1, ax2, ax3 = self.axes
-        w1, w2, w3 = self.weights
-        tail = np.stack(np.meshgrid(ax2, ax3, indexing="ij"), axis=-1)
-        for p1, weight in zip(ax1, w1):
-            p = np.empty(tail.shape[:2] + (3,))
-            p[..., 0], p[..., 1:] = p1, tail
-            envelope = np.sqrt(weight * np.outer(w2, w3))
-            a = envelope[..., None] * positive_energy_spinor(p, self.chi,
-                                                             self.mass)
-            if self.shift.any():
-                a = a * np.exp(-1j * (p @ self.shift))[..., None]
-            yield p, a
+        """Each first-axis slab's momenta p (N, 3), N = n2 n3, and columns b
+        (N, 18) of the table: for amplitudes a = sqrt(W) u(p) exp(-i p.a),
+        b[A] = a^dagger C_A a = W q^T M q (M = `_bilinear_table`), so the
+        phase cancels.  p (its row 0 the slab's node), the monomials W q_mu
+        q_nu and b are workspaces that each slab refills."""
+        w23 = np.outer(*self.weights[1:]).reshape(-1)
+        p, mono, b = (np.empty((k, w23.size)) for k in (3, 10, 18))
+        p[1:] = [c.ravel() for c in np.meshgrid(*self.axes[1:], indexing="ij")]
+        table = _bilinear_table(self.chi)
+        for p[0], weight in zip(self.axes[0], self.weights[0]):
+            q = _unit_four_vector(p.T, self.mass).T
+            wq = weight * w23 * q
+            for mu, row in enumerate((0, 4, 7, 9)):
+                np.multiply(q[mu:], wq[mu], out=mono[row:row + 4 - mu])
+            np.matmul(table, mono, out=b[:16])
+            np.einsum("jn,cjn->cn", p, b[10:16].reshape(2, 3, -1), out=b[16:])
+            yield p.T, b.T
 
     @functools.cached_property
     def momenta(self) -> np.ndarray:
-        """The (n1, n2, n3, 3) grid momenta."""
-        return _read_only(np.stack([p for p, _ in self._slabs()]))
+        """The (n1, n2, n3, 3) node momenta."""
+        return _read_only(np.stack(np.meshgrid(*self.axes, indexing="ij"), -1))
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
-        """The (n1, n2, n3, 4) normalised amplitudes."""
-        scale = np.sqrt(self.norm)
-        return _read_only(np.stack([a / scale for _, a in self._slabs()]))
+        """The (n1, n2, n3, 4) amplitudes sqrt(W / norm) u(p) exp(-i p.a)."""
+        p, (w1, w2, w3) = self.momenta, self.weights
+        w = np.sqrt(w1[:, None, None] * np.outer(w2, w3) / self.norm)
+        u = positive_energy_spinor(p, self.chi, self.mass)
+        return _read_only(w[..., None] * u
+                          * np.exp(-1j * (p @ self.shift))[..., None])
 
     @functools.cached_property
     def gamma_bar(self) -> float:
@@ -208,18 +202,37 @@ def rest_spinor(direction) -> np.ndarray:
     return chi / np.linalg.norm(chi)
 
 
+def _unit_four_vector(p, m: float) -> np.ndarray:
+    """q = (E + m, p) / sqrt(2E(E + m)), a real unit 4-vector (..., 4)."""
+    e = algebra.energy(p, m)
+    q = np.stack([e + m, *np.moveaxis(p, -1, 0)])
+    q /= np.sqrt(2.0 * e * q[0])
+    return np.moveaxis(q, 0, -1)
+
+
+def _spinor_frame(chi) -> np.ndarray:
+    """V (4, 4) = [(chi, 0) | (0, sigma_i chi)], so that u(p) = V q."""
+    v = np.zeros((4, 4), dtype=complex)
+    v[:2, 0], v[2:, 1:] = chi, (algebra.PAULI @ chi).T
+    return v
+
+
+def _bilinear_table(chi) -> np.ndarray:
+    """M (16, 10): u^dagger C_A u = q^T G_A q, G_A = Re(V^dagger C_A V)
+    symmetric, = sum_k M[A, k] mono_k over monomials q_mu q_nu, mu <= nu."""
+    v = _spinor_frame(chi)
+    g = np.einsum("am,Aab,bn->Amn", v.conj(), algebra.CLIFFORD, v).real
+    return np.where(_MU == _NU, 1.0, 2.0) * g[:, _MU, _NU]
+
+
 def positive_energy_spinor(p, chi, m: float) -> np.ndarray:
     """u(p) = fw(-1) (chi, 0): normalized positive-energy eigenspinor of H(p).
 
-    Closed form  u = ((E+m) chi, (sigma.p) chi) / sqrt(2E(E+m)).
+    Closed form  u = ((E+m) chi, (sigma.p) chi) / sqrt(2E(E+m)) = V q.
     Broadcasts over momenta of shape (..., 3); returns (..., 4).
     """
     p = np.asarray(p, dtype=float)
-    e = algebra.energy(p, m)
-    lower = p @ (algebra.PAULI @ chi)  # (sigma.p) chi
-    upper = np.multiply.outer(e + m, chi)
-    u = np.concatenate([upper, lower], axis=-1)
-    return u / np.sqrt(2.0 * e * (e + m))[..., None]
+    return _unit_four_vector(p, m) @ _spinor_frame(chi).T
 
 
 def _gaussian_packet(p0, widths, spin_direction, m, rule):
@@ -320,11 +333,10 @@ def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     return out
 
 
-def _densities(p, b, m):
-    """The per-point 3-vector densities of `_VECTOR_SUMS`, in its order, at
-    momenta p (..., 3) from bilinears b[X] = a^dagger X a (..., 16).
+def _expectations(s, m):
+    """Every expectation from the table s of normalised node sums.
 
-    T = b[beta Sigma] - p b[gamma5] / m, and O = fw(-1) beta Sigma fw(+1)
+    T = beta Sigma - p gamma5 / m, and O = fw(-1) beta Sigma fw(+1)
     expanded with A = beta alpha.p, A^2 = -p^2, [beta Sigma_i, A] =
     -2 p_i gamma5, A beta Sigma_i A = 2 p_i p.beta Sigma - p^2 beta Sigma_i:
     O_i = beta Sigma_i - p_i gamma5 / E - p_i p.beta Sigma / (E (E + m)).
@@ -332,21 +344,23 @@ def _densities(p, b, m):
     f1 i beta alpha / 2m + f2 p x Sigma / 2m^2 + f3 i beta (alpha.p) p / 2m^3.
     <p> is p b[1], and p_i b[Sigma_i] sums to m <T4> / i.
     """
-    e = algebra.energy(p, m)[..., None]
-    b_sigma, b_iba = b[..., _SIGMA], b[..., _IBETA_ALPHA]
-    b_bs, b_g5 = b[..., _BETA_SIGMA], b[..., _GAMMA5, None]
-    cross = np.cross(p, b_sigma)
-    odd = p * np.einsum("...j,...j->...", p, b_iba)[..., None]
-    p_beta_sigma = np.einsum("...j,...j->...", p, b_bs)[..., None]
-    yield b_bs - p * b_g5 / m
-    yield b_bs - p * b_g5 / e - p * p_beta_sigma / (e * (e + m))
-    yield from (b_sigma, b_iba, cross, odd)
-    for kind in algebra.PRYCE_KINDS:
-        f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
-        yield (f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
-               + f3 * odd / (2.0 * m**3))
-    yield p * b[..., _ONE, None]
-    yield p * b_sigma
+    def curl(block):    # eps_ijk block[j, k]
+        return np.einsum("ijk,jk->i", algebra._EPS, block)
+
+    vals = {
+        "T": s[0, _BETA_SIGMA] - s[_P, _GAMMA5] / m,
+        "O": s[0, _BETA_SIGMA] - s[_P_E, _GAMMA5] - s[_P_EEM, _P_BS],
+        "sigma": s[0, _SIGMA], "ibeta_alpha": s[0, _IBETA_ALPHA],
+        "p_cross_sigma": curl(s[_P, _SIGMA]), "odd": s[_P, _P_IBA],
+        "p": s[_P, _ONE],
+    }
+    for kind, k in zip(algebra.PRYCE_KINDS, np.split(s[_KINDS], 3)):
+        vals[kind] = (k[0, _IBETA_ALPHA] / (2.0 * m)
+                      + curl(k[1:4, _SIGMA]) / (2.0 * m**2)
+                      + k[4:, _P_IBA] / (2.0 * m**3))
+    vals = {key: _read_only(np.array(value)) for key, value in vals.items()}
+    vals["T4"] = 1j * float(np.trace(s[_P, _SIGMA])) / m
+    return vals
 
 
 def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:

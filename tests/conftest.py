@@ -1,5 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis imports this module to write a patch for a falsified example.
+# With libcst installed, that import raises mypy_extensions' TypedDict
+# DeprecationWarning, which `filterwarnings = ["error"]` turns into an
+# INTERNALERROR that aborts the session in place of the failure report.
+# Importing it once here, with only that warning ignored, caches it.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:     # no libcst
+        pass
 
 from spindrift import packets
 

@@ -9,7 +9,8 @@ import itertools
 import numpy as np
 import pytest
 
-from spindrift import cli, convergence, dynamics, gallery, packets, runners
+from spindrift import (algebra, cli, convergence, dynamics, gallery, packets,
+                       runners)
 from spindrift.config import (CONVERGE_TARGETS, ConfigError, ConvergeSpec,
                               ScenarioConfig, serialize_config)
 
@@ -29,16 +30,17 @@ def test_every_config_target_has_a_table_entry():
 
 
 def test_fg_ladder_reads_the_mass_center_offsets(tmp_path, monkeypatch):
-    # a d-type offset twice its density breaks only the offset relation,
-    # whose residual then stops shrinking with the width
-    densities, d = packets._densities, packets._VECTOR_SUMS.index("d")
+    # a d-type offset twice its sums in the pass's table breaks only the
+    # offset relation, whose residual then stops shrinking with the width
+    expectations = packets._expectations
+    d = algebra.PRYCE_KINDS.index("d")
 
-    def doubled(p, b, m):
-        dens = list(densities(p, b, m))
-        dens[d] = 2.0 * dens[d]
-        return dens
+    def doubled(s, m):
+        s = s.copy()
+        np.split(s[packets._KINDS], 3)[d] *= 2.0
+        return expectations(s, m)
 
-    monkeypatch.setattr(packets, "_densities", doubled)
+    monkeypatch.setattr(packets, "_expectations", doubled)
     report, _ = runners.run_converge(
         gallery.converge_configs()["converge_fg"], tmp_path)
     assert report["fg_order"].status == "fail"
@@ -86,6 +88,28 @@ def test_fg_rungs_double_gauss_hermite_nodes_until_settled(monkeypatch):
     monkeypatch.setattr(convergence, "FG_MAX_NODES", 4)
     with pytest.raises(ConfigError, match="^packet.widths: rung 0 "):
         convergence.run_ladder(cfg)
+
+
+@pytest.mark.parametrize("m", [1e4, 1e-6, 1e6])
+def test_fg_rule_settles_in_each_rows_own_units(m):
+    # the gallery ladder's packet with p0 and widths in units of m: each
+    # row over m^dim (a momentum, a length or a pure number) is the row at
+    # m = 1, so its rule settles at the same 8 nodes with the same error.
+    # Every side of a row is at most 4 in those units, and its sums over
+    # the 8^3 nodes round by at most 8^3 eps of that at either mass
+    cfg = gallery.converge_configs()["converge_fg"]
+    scaled = dataclasses.replace(cfg, mass=m, packet=dataclasses.replace(
+        cfg.packet, p0=tuple(m * np.array(cfg.packet.p0)),
+        widths=tuple(m * np.array(cfg.packet.widths))))
+    unit, want, _ = convergence._settled_packet(cfg, cfg.packet.widths)
+    pkt, rows, change = convergence._settled_packet(scaled,
+                                                    scaled.packet.widths)
+    assert unit.axes[0].size == pkt.axes[0].size == 8
+    assert change <= packets.RESIDUAL_FLOOR
+    bound = 16.0 * 8**3 * np.finfo(float).eps
+    assert np.max(np.abs(rows - want)) <= bound
+    assert abs(convergence._fg_rung(scaled, 1)[1]
+               - convergence._fg_rung(cfg, 1)[1]) <= bound
 
 
 @pytest.mark.parametrize("m, e, b, v", itertools.product(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -326,13 +327,20 @@ class TestMainResult:
 
 class TestCovariance:
     def test_translation_leaves_offsets_invariant(self):
+        # the phase exp(-i p.a) cancels in every bilinear, so the pass of a
+        # translated packet is its parent's, and every expectation, the
+        # offsets among them, keeps its bits
         for rule in RULES:
-            pkt = _packet(rule, (0, 0, 0.4), 0.02, (1, 0, 0), grid_points=16)
-            shifted = pkt.translated((0.7, -1.1, 0.4))
-            for kind in ("c", "d", "e"):
-                base = mass_center_offset(pkt, kind)
-                moved = mass_center_offset(shifted, kind)
-                assert np.max(np.abs(base - moved)) < 1e-14, (rule, kind)
+            pkt = _packet(rule, (0.3, -0.2, 0.4), (0.02, 0.03, 0.025),
+                          (1, 0.5, -0.2), m=1.3, grid_points=16)
+            shifted = pkt.translated((0.7, -1.1, 2.3))
+            assert np.any(shifted.amplitudes != pkt.amplitudes)
+            assert shifted.norm == pkt.norm
+            assert shifted.expectations.keys() == pkt.expectations.keys()
+            for key, value in pkt.expectations.items():
+                moved = shifted.expectations[key]
+                assert (np.asarray(moved).tobytes()
+                        == np.asarray(value).tobytes()), (rule, key)
 
     def test_rotational_covariance(self):
         rot = rotation_matrix([1.0, 2.0, 0.5], 0.83)
@@ -593,16 +601,32 @@ class TestBilinearTable:
                 assert np.max(np.abs(table[key] - want)) <= 1e-12, (rule, key)
 
     def test_matches_dense_kernels_off_shell(self):
-        # random spinors, not positive-energy: the null terms (odd, type c)
-        # are no longer null, so every coefficient function is exercised
-        pkt = _off_shell(make_gaussian_packet((0.2, 0.5, -0.4), 0.03,
-                                              (0, 0, 1), grid_points=16))
-        dense = _dense_expectations(pkt)
-        table = pkt.expectations
-        assert np.max(np.abs(dense["odd"])) > 1e-4
-        assert np.max(np.abs(dense["c"])) > 1e-3
-        for key in table.keys() & dense.keys():
-            assert np.max(np.abs(table[key] - dense[key])) <= 1e-12, key
+        # random spinors, not positive-energy, fed to the pass as per-slab
+        # bilinears on either rule: the null terms (odd, type c) are no
+        # longer null, so every coefficient function is exercised
+        for rule in RULES:
+            pkt = _off_shell(_packet(rule, (0.2, 0.5, -0.4), 0.03, (0, 0, 1),
+                                     grid_points=16))
+            dense = _dense_expectations(pkt)
+            table = pkt.expectations
+            assert np.max(np.abs(dense["odd"])) > 1e-4
+            assert np.max(np.abs(dense["c"])) > 1e-3
+            for key in table.keys() & dense.keys():
+                assert np.max(np.abs(table[key] - dense[key])) <= 1e-12, \
+                    (rule, key)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_bilinears_are_the_amplitudes_outer_products(self, rule):
+        # W q^T M q against a^dagger C_A a of the spinors V q, through the
+        # complex outer product; each |b[A]| <= W, and either route rounds
+        # it by a few ulp of W
+        pkt = _packet(rule, (0.9, -1.7, 0.4), (0.02, 0.03, 0.025),
+                      (0.3, 0.8, -0.5), m=1.3, grid_points=16)
+        pkt = pkt.translated((0.7, -1.1, 2.3))
+        got = np.concatenate([b[:, :16].copy() for _, b in pkt._slabs()])
+        want = _bilinears(pkt.amplitudes * np.sqrt(pkt.norm)).reshape(-1, 16)
+        weight = np.max(np.abs(got[:, 0]))
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * weight
 
     @pytest.mark.parametrize("translate", [False, True])
     @pytest.mark.parametrize("n", [5, 16, 17, 48])
@@ -616,23 +640,19 @@ class TestBilinearTable:
             pkt = pkt.translated(shift)
         p = pkt.momenta
         weight = packets.uniform_rule(n)[1]
-        envelope = np.sqrt(weight[:, None, None] * np.outer(weight, weight))
-        amps = envelope[..., None] * packets.positive_energy_spinor(
-            p, packets.rest_spinor(spin), m)
-        if translate:
-            amps = amps * np.exp(-1j * (p @ shift))[..., None]
-        # the norm sums each slab's |a|^2, one slab after another
-        norm = sum(float(np.sum(slab)) for slab in amps.real**2 + amps.imag**2)
-        amps = amps / np.sqrt(norm)
+        envelope = weight[:, None, None] * np.outer(weight, weight)
+        u = packets.positive_energy_spinor(p, packets.rest_spinor(spin), m)
+        amps = (np.sqrt(envelope / pkt.norm)[..., None] * u
+                * np.exp(-1j * (p @ pkt.shift))[..., None])
         _assert_same_bits(pkt.amplitudes, amps, n, np.max(np.abs(amps)))
-        _assert_pass_matches_full_grid_forms(pkt, n)
+        _assert_pass_matches_full_grid_forms(pkt, n, _full_grid_bilinears(pkt))
 
     @pytest.mark.parametrize("n", [5, 16, 17, 48])
     def test_pass_matches_full_grid_forms_off_shell(self, n):
         pkt = _off_shell(make_gaussian_packet(
             (0.3, -0.2, 0.6), (0.02, 0.03, 0.025), (1, 0.5, -0.2), m=1.3,
             grid_points=n))
-        _assert_pass_matches_full_grid_forms(pkt, n)
+        _assert_pass_matches_full_grid_forms(pkt, n, _bilinears(pkt.grid[1]))
 
     def test_expectations_are_cached_and_read_only(self, rule_packets):
         for pkt in rule_packets.values():
@@ -659,8 +679,8 @@ class TestBilinearTable:
     def test_mean_t_is_the_t_relations_lhs(self, fast_packet):
         assert (verify_fg_relations(fast_packet)["T_from_O"].lhs
                 is fast_packet.expectations["T"])
-        assert np.array_equal(fast_packet.expectations["T"],
-                              _full_grid_forms(fast_packet)["T"])
+        want = _full_grid_forms(fast_packet, _full_grid_bilinears(fast_packet))
+        assert np.array_equal(fast_packet.expectations["T"], want["T"])
 
     def test_hermitian_rule_on_table_route(self, fast_packet):
         a = fast_packet.amplitudes
@@ -674,19 +694,45 @@ class TestBilinearTable:
             grid_expectation(fast_packet, vector)
 
 
+# sum_ab conj(a_a) a_b C_A[a, b] on (re, im)-interleaved outer products
+_CLIFFORD_COLUMNS = np.stack([algebra.CLIFFORD.real, -algebra.CLIFFORD.imag],
+                             axis=-1).reshape(16, 32).T
+
+
+def _bilinears(a):
+    """b[A] = a^dagger C_A a (..., 16) of spinors a (..., 4), through the
+    complex outer product."""
+    outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
+    return (outer.view(float) @ _CLIFFORD_COLUMNS).reshape(a.shape[:-1]
+                                                           + (16,))
+
+
+def _with_p_dots(p, b):
+    """The pass's columns (N, 18) from momenta p (N, 3) and bilinears b (N,
+    16): b, then p.b[i beta alpha] and p.b[beta Sigma]."""
+    dots = np.einsum("nj,ncj->nc", p, b[:, 10:16].reshape(-1, 2, 3))
+    return np.concatenate([b, dots], axis=1)
+
+
 @dataclasses.dataclass
 class _GivenSlabs(packets.MomentumWavePacket):
     """A packet whose momenta and un-normalised amplitudes are given arrays;
-    its construction makes the same pass over their slabs."""
+    its construction makes the same pass over their slabs' bilinears."""
 
     grid: tuple = ()    # (momenta (n1, n2, n3, 3), amplitudes (..., 4))
 
     def _slabs(self):
-        return zip(*self.grid)
+        for p, a in zip(*self.grid):
+            p = p.reshape(-1, 3)
+            yield p, _with_p_dots(p, _bilinears(a).reshape(-1, 16))
+
+    @functools.cached_property
+    def amplitudes(self):
+        return self.grid[1] / np.sqrt(self.norm)
 
 
 def _off_shell(pkt, seed=5):
-    """`pkt`'s grid with random spinors in place of positive-energy ones."""
+    """`pkt`'s nodes with random spinors in place of positive-energy ones."""
     rng = np.random.default_rng(seed)
     shape = pkt.momenta.shape[:3] + (4,)
     raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -694,48 +740,40 @@ def _off_shell(pkt, seed=5):
                        grid=(pkt.momenta, raw))
 
 
-def _slab_sums(values):
-    """Sum of a full-grid array (n1, n2, n3, 3) over its nodes, as the pass
-    adds it: each first-axis slab's np.sum per component, one slab after
-    another."""
-    return sum(np.array([np.sum(slab[..., k]) for k in range(3)])
-               for slab in values)
+def _full_grid_bilinears(pkt):
+    """The pass's bilinears W q^T M q over the whole grid at once: the
+    monomials (W q_mu) q_nu and one matrix product with M."""
+    w1, w2, w3 = pkt.weights
+    w = w1[:, None, None] * np.outer(w2, w3)
+    q = packets._unit_four_vector(pkt.momenta, pkt.mass)
+    mono = ((w[..., None] * q)[..., packets._MU] * q[..., packets._NU])
+    table = packets._bilinear_table(pkt.chi)
+    return (table @ mono.reshape(-1, 10).T).T.reshape(q.shape[:3] + (16,))
 
 
-def _full_grid_forms(pkt):
-    """Every value of `pkt.expectations` from full-grid forms: the whole
-    (n1, n2, n3, 16) bilinear table of the un-normalised amplitudes, each
-    density built over the whole grid and summed in slab order, then over
-    the norm, the sum of |a|^2 in slab order too."""
-    m, p = pkt.mass, pkt.momenta
-    a = np.stack([a for _, a in pkt._slabs()])
-    norm = sum(float(np.sum(slab)) for slab in a.real**2 + a.imag**2)
-    outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(-1, 16)
-    b = (outer.view(float) @ packets._CLIFFORD_COLUMNS).reshape(
-        a.shape[:3] + (16,))
-    b_sigma, b_iba = b[..., packets._SIGMA], b[..., packets._IBETA_ALPHA]
-    b_bs, b_g5 = b[..., packets._BETA_SIGMA], b[..., packets._GAMMA5, None]
-    e = algebra.energy(p, m)[..., None]
-    cross = np.cross(p, b_sigma)
-    odd = p * np.einsum("...j,...j->...", p, b_iba)[..., None]
-    p_beta_sigma = np.einsum("...j,...j->...", p, b_bs)
-    densities = {
-        "T": b_bs - p * b_g5 / m,
-        "O": (b_bs - p * b_g5 / e
-              - p * p_beta_sigma[..., None] / (e * (e + m))),
-        "sigma": b_sigma, "ibeta_alpha": b_iba, "p_cross_sigma": cross,
-        "odd": odd,
-    }
-    for kind in ("c", "d", "e"):
-        f1, f2, f3 = (np.asarray(f)[..., None] for f in algebra.pryce_factors(
-            kind, algebra.energy(p, m) / m)[:3])
-        densities[kind] = (f1 * b_iba / (2.0 * m) + f2 * cross / (2.0 * m**2)
-                           + f3 * odd / (2.0 * m**3))
-    densities["p"] = p * b[..., :1]
-    vals = {key: _slab_sums(d) / norm for key, d in densities.items()}
-    # <T4> sums <p_i Sigma_i> over the points, then the components
-    vals["T4"] = 1j * float(np.sum(_slab_sums(p * b_sigma) / norm)) / m
-    return vals
+def _node_scalars(p, m):
+    """The table's row scalars X (31, N) at momenta p (N, 3): 1, p, p/E,
+    p/(E(E+m)), then per Pryce kind f1, f2 p and f3 p at gamma = E/m."""
+    e, p = algebra.energy(p, m), p.T
+    rows = [np.ones_like(e), *p, *(p / e), *(p / e / (e + m))]
+    for kind in algebra.PRYCE_KINDS:
+        f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
+        rows += [f1, *(f2 * p), *(f3 * p)]
+    return np.array(rows)
+
+
+def _full_grid_forms(pkt, b):
+    """Every value of `pkt.expectations` from full-grid forms: the per-node
+    scalars X over the whole grid, with the given (n1, n2, n3, 16) bilinears
+    b, contracted a first-axis slab after another as the pass adds them."""
+    m, n1 = pkt.mass, len(pkt.axes[0])
+    p = pkt.momenta.reshape(n1, -1, 3)
+    b = b.reshape(n1, -1, 16)
+    x = _node_scalars(p.reshape(-1, 3), m).reshape(-1, n1, p.shape[1])
+    table = np.zeros((packets._SCALARS, 18))
+    for k in range(n1):
+        table += x[:, k] @ _with_p_dots(p[k], b[k])
+    return packets._expectations(table / table[0, 0], m)
 
 
 def _assert_same_bits(got, want, n, scale):
@@ -748,8 +786,8 @@ def _assert_same_bits(got, want, n, scale):
         assert got.tobytes() == want.tobytes()
 
 
-def _assert_pass_matches_full_grid_forms(pkt, n):
-    want = _full_grid_forms(pkt)
+def _assert_pass_matches_full_grid_forms(pkt, n, b):
+    want = _full_grid_forms(pkt, b)
     got = pkt.expectations
     assert got.keys() == want.keys()
     # a null sum (odd, type c on shell) is roundoff; its last bits are
@@ -785,10 +823,11 @@ def _packet_path_peak(n):
 
 
 # Traced peak of `_packet_path_peak(48)`, held arrays included.  It reads
-# 1.63 MB: one (48, 48) slab's momenta, amplitudes, bilinears, densities and
-# running-sum rows, at ~700 B a slab point.  The bound is 1.1 times that:
-# a full-grid temporary of 8 B a point (0.88 MB at 48^3) does not fit
-# under it.  With the held momenta and amplitudes (88 B a point) it read
+# 1.58 MB: the pass's workspaces for one (48, 48) slab (the per-node
+# scalars X, the table's 18 columns, the monomials, the momenta) and its
+# temporaries, at ~655 B a slab point.  The bound, set at 1.1 times the
+# 1.63 MB of the complex-spinor pass, is kept: a full-grid temporary of 8 B
+# a point (0.88 MB at 48^3) does not fit under it.  With the held momenta and amplitudes (88 B a point) it read
 # 11.7 MB, with the build's conjugate copy for the norm 16.8 MB and with a
 # held (n1, n2, n3, 16) bilinear table 27.4 MB.
 PACKET_PEAK_BYTES = 1_790_000

@@ -34,9 +34,9 @@ HEAVY_CROSSED_CSV_SHA256 = (
 # rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
-        "d895bfe595ccf2f478e4dda3b576ce6dbaa5a6cc6e90e2d369ada338378b83e4"),
+        "85005d1b11f22fca2d8dc7accc495df1b03663ce74fdf56f8299cb67db5c673a"),
     "golden": (
-        "b124e787a884aaf9c4a06701586358795d71fe95776e19d0859543af200c57ac"),
+        "e2b2334a42c18132849cf9fdc8dc26db45f05937f9e6b8007fa1ee68a8b45b80"),
 }
 
 
