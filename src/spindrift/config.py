@@ -295,7 +295,7 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError(f"packet.grid_points: a slab of {n}^2 points would "
                           f"hold ~{n * n * SLAB_BYTES_PER_POINT:.3g} B, above "
                           f"the cap of {MAX_SLAB_BYTES} B")
-    if reads("packet.spin") and float(np.linalg.norm(cfg.packet.spin)) == 0:
+    if reads("packet.spin") and not any(cfg.packet.spin):
         raise ConfigError("packet.spin: must be nonzero")
     if reads("algebra.momenta") and cfg.algebra_momenta < 1:
         raise ConfigError("algebra.momenta: must be >= 1")

@@ -188,9 +188,9 @@ class MomentumWavePacket:
 
 
 def rest_spinor(direction) -> np.ndarray:
-    """2-spinor chi with <chi| sigma |chi> along the given unit direction."""
+    """2-spinor chi with <chi| sigma |chi> along a nonzero `direction`."""
     d = np.asarray(direction, dtype=float)
-    n = np.linalg.norm(d)
+    n = math.hypot(*d)  # scaled: no square overflows or underflows
     if n == 0:
         raise ValueError("spin direction must be nonzero")
     d = d / n

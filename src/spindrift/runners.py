@@ -4,13 +4,12 @@ Each runner consumes a validated ScenarioConfig and produces a RunReport
 plus flat-file artifacts (CSV trajectories, plain-text reports, key-value
 dumps).  CSV numbers carry 17 significant digits so a rerun is
 byte-identical; human-readable reports use 6.  Plot files are cut from
-the trajectory CSV's bytes, so each value is formatted once.  A long
-trajectory's writers format its second half in a forked child.
+the same formatted rows as the trajectory CSV, so each value is formatted
+once, and a long trajectory's second half is formatted in a forked child.
 """
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import pathlib
 import shutil
@@ -36,21 +35,17 @@ LOW_VELOCITY_MIN_SINE = 0.6
 # anomalous_velocity_eom's tolerance in eps R max|s| / 2m, R the
 # max_rotation_rate, from the operation count in _anomalous_velocity_rows
 EOM_ROUNDOFF = 0.5 * 25 * 14
-# Trajectory rows per CSV write, and CSV bytes per plot block (about as
-# many rows).  Larger blocks gain no time and cost memory: the plot
-# writer's traced peak on the 10 001-row cyclotron is 0.42 MB at 32 KiB and
-# 0.69 MB at 64 KiB; the whole trajectory at once raised simulate_dense's
-# peak RSS by ~42 MiB.
+# Trajectory rows per write.  Larger blocks gain no time and cost memory:
+# the whole trajectory at once raised simulate_dense's peak RSS by ~42 MiB.
 _ROW_BLOCK = 64
-_PLOT_BLOCK = 1 << 15
-# Rows from which a writer forks a child to format the second half.  The
-# split costs a fork and a temp file per artifact (~0.17 ms each to create
-# on ext4).  Medians of 31 alternating runs on a 2-core sandbox, one
-# process -> split: CSV 10.4 -> 10.6 ms at 400 rows, 12.8 -> 10.8 at 500,
-# 15.5 -> 11.9 at 600; the 29 plot files 8.1 -> 11.2 ms at 800 rows,
-# 17.6 -> 17.5 at 1 600, 22.4 -> 20.2 at 2 000, 30.7 -> 24.4 at 2 400.
+# Rows from which the writer forks a child to format the second half.  The
+# split costs a fork and a temp file per artifact.  Medians of 31
+# alternating fresh-process runs on a 2-core sandbox, one process -> split:
+# the CSV alone 11.5 -> 12.6 ms at 400 rows, 13.8 -> 13.8 at 500, 15.8 ->
+# 14.7 at 600; with the 29 plot files 50.5 -> 58.0 ms at 800 rows, even
+# from 1 000 to 2 000, 100.6 -> 88.3 at 2 400.  One threshold, at the CSV's
+# break-even: every run writes the CSV, and --plot is optional.
 _SPLIT_MIN_ROWS = 512
-_PLOT_SPLIT_MIN_ROWS = 2048
 
 
 def trajectory_columns(traj: dynamics.Trajectory) -> list[tuple]:
@@ -70,95 +65,73 @@ def trajectory_columns(traj: dynamics.Trajectory) -> list[tuple]:
     return cols
 
 
-def write_trajectory_csv(path, traj: dynamics.Trajectory):
-    """One CSV row per sample, every value as CSV_FMT, \\r\\n-terminated."""
+def write_trajectory_csv(path, traj: dynamics.Trajectory, plot_name=None):
+    """One CSV row per sample, every value as CSV_FMT, \\r\\n-terminated.
+
+    With a `plot_name`, also one two-column gnuplot-style (t, value) file
+    per column after t, `<plot_name>_plot_<col>.dat` beside the CSV, cut
+    from the same formatted rows.  Returns every path written, the CSV
+    first.
+    """
     cols = trajectory_columns(traj)
-    row = ",".join([CSV_FMT] * len(cols)) + "\r\n"
-    n = len(traj.t)
+    names, ncol = [name for name, _ in cols], len(cols)
+    row = ",".join([CSV_FMT] * ncol) + "\r\n"
+    paths = [pathlib.Path(path)]
+    heads = [(",".join(names) + "\r\n").encode()]
+    if plot_name is not None:
+        paths += [paths[0].parent / f"{plot_name}_plot_{col}.dat"
+                  for col in names[1:]]
+        heads += [f"# t  {col}\n".encode() for col in names[1:]]
 
     def write(files, start, stop):
+        csv, dats = files[0], files[1:]
         for a in range(start, stop, _ROW_BLOCK):
             b = min(a + _ROW_BLOCK, stop)
             rows = zip(*[vals[a:b].tolist() for _, vals in cols])
-            files[0].write("".join([row % values for values in rows]).encode())
-
-    head = ",".join([name for name, _ in cols]) + "\r\n"
-    _write_split([pathlib.Path(path)], [head.encode()], write, 0,
-                 n // 2 if n >= _SPLIT_MIN_ROWS else None, n)
-
-
-def write_plot_files(outdir, name, csv_path):
-    """Two-column gnuplot-style (t, value) files, one per column after t,
-    cut from the bytes of the trajectory CSV at `csv_path`."""
-    outdir = pathlib.Path(outdir)
-    with open(csv_path, "rb") as table:
-        cols = table.readline().rstrip(b"\r\n").split(b",")
-        start = table.tell()
-        stop = os.fstat(table.fileno()).st_size
-        middle = None
-        # long enough to split: the second half starts at the first line
-        # after the middle byte
-        if next(itertools.islice(table, _PLOT_SPLIT_MIN_ROWS - 1, None),
-                None):
-            table.seek((start + stop) // 2)
-            table.readline()
-            middle = table.tell()
-    ncol = len(cols)
-
-    def write(files, a, b):
-        with open(csv_path, "rb") as table:
-            table.seek(a)
-            while a < b:
-                block = table.read(min(_PLOT_BLOCK, b - a))
-                if not block.endswith(b"\n"):
-                    block += table.readline()
-                a += len(block)
+            block = "".join([row % values for values in rows]).encode()
+            csv.write(block)
+            if dats:
                 cells = block.replace(b"\r\n", b",").split(b",")
                 t = cells[:-1:ncol]
-                for j, fh in enumerate(files, start=1):
+                for j, fh in enumerate(dats, start=1):
                     fh.write(b"\n".join(map(b" ".join, zip(t, cells[j::ncol])))
                              + b"\n")
 
-    names = [col.decode() for col in cols[1:]]
-    paths = [outdir / f"{name}_plot_{col}.dat" for col in names]
-    _write_split(paths, [f"# t  {col}\n".encode() for col in names], write,
-                 start, middle, stop)
+    _write_split(paths, heads, write, len(traj.t))
     return paths
 
 
-def _write_split(paths, heads, write, start, middle, stop):
-    """Write each file of `paths` as its head, then the input from `start`
-    to `stop`: `write(files, a, b)` formats the input's rows from a to b
-    (row numbers, or the byte offsets of row starts) into `files`, one
-    binary file per path.
+def _write_split(paths, heads, write, n):
+    """Write each file of `paths` as its head, then rows 0 to n:
+    `write(files, a, b)` formats rows a to b into `files`, one binary file
+    per path.
 
-    With a `middle` and two CPUs, a forked child formats the rows from
-    `middle` on into anonymous temp files beside the artifacts while this
-    process formats those before it; each temp file is then appended to
-    its artifact, so the bytes are the one-process ones.  A child that
+    From _SPLIT_MIN_ROWS rows on two CPUs, a forked child formats the rows
+    from n // 2 on into anonymous temp files beside the artifacts while
+    this process formats those before it; each temp file is then appended
+    to its artifact, so the bytes are the one-process ones.  A child that
     fails raises OSError naming the first path.
     """
-    if middle is None or _cpus() < 2:
-        middle = stop
+    middle = n // 2 if n >= _SPLIT_MIN_ROWS and _cpus() >= 2 else n
     pid = 0
     with contextlib.ExitStack() as stack:
         temps = [stack.enter_context(tempfile.TemporaryFile(
-            dir=paths[0].parent)) for _ in paths] if middle < stop else []
+            dir=paths[0].parent)) for _ in paths] if middle < n else []
         # forked before any artifact is open, so the child inherits no
         # buffered artifact bytes
         if temps:
             try:
                 pid = os.fork()
             except OSError:  # no process to be had: format every row here
-                middle = stop
+                middle = n
             else:
                 if pid == 0:
-                    _child(write, temps, middle, stop)
+                    _child(write, temps, middle, n)
         try:
             files = [stack.enter_context(open(path, "wb")) for path in paths]
             for fh, head in zip(files, heads):
                 fh.write(head)
-            write(files, start, middle)
+            write(files, 0, middle)
             if pid:
                 status = os.waitpid(pid, 0)[1]
                 pid = 0
@@ -227,11 +200,8 @@ def run_simulate(cfg: ScenarioConfig, outdir, plot: bool = False):
     _anomalous_velocity_rows(report, traj, fields)
 
     # written after the last row, so no row's time includes the writers
-    csv_path = outdir / f"{cfg.name}_trajectory.csv"
-    write_trajectory_csv(csv_path, traj)
-    artifacts = [csv_path]
-    if plot:
-        artifacts += write_plot_files(outdir, cfg.name, csv_path)
+    artifacts = write_trajectory_csv(outdir / f"{cfg.name}_trajectory.csv",
+                                     traj, cfg.name if plot else None)
     text_path = outdir / f"{cfg.name}_report.txt"
     text_path.write_text(report.format_table(f"simulate: {cfg.name}") + "\n",
                          encoding="utf-8")

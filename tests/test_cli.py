@@ -351,6 +351,30 @@ def test_verify_fg_flags(tmp_path):
         assert row in text
 
 
+@pytest.mark.parametrize("spin, scaled", [
+    (("1", "1", "0"), ("1e308", "1e308", "0")),    # |s|^2 overflows
+    (("3", "4", "0"), ("3e-170", "4e-170", "0")),  # |s|^2 underflows to 0
+], ids=["overflow", "underflow"])
+def test_verify_fg_spin_sets_only_a_direction(spin, scaled, tmp_path):
+    # the same rows and statuses; values agree to the last bits, which the
+    # unit direction's rounding may move
+    kv = []
+    for i, s in enumerate((spin, scaled)):
+        assert cli.main(["verify-fg", "--spin", *s, "--grid-points", "16",
+                         "--out", str(tmp_path / str(i))]) == 0
+        lines = (tmp_path / str(i) / "verify_fg_report.kv").read_text()
+        kv.append(dict(line.split(" = ") for line in lines.splitlines()))
+    assert list(kv[1]) == list(kv[0])
+    for key, value in kv[0].items():
+        if key.endswith(".status") or key == "packet.sharp":
+            assert kv[1][key] == value, key
+        else:
+            np.testing.assert_allclose(
+                [complex(x) for x in kv[1][key].split()],
+                [complex(x) for x in value.split()],
+                rtol=1e-12, atol=1e-15, err_msg=key)
+
+
 def test_kinds_flag_is_a_usage_error(tmp_path, capsys):
     # every run grades all three kinds; there is no flag to pick some
     with pytest.raises(SystemExit) as exc:

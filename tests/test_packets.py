@@ -132,6 +132,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_gaussian_packet((0, 0, 0), 0.01, (0, 0, 0))
 
+    @pytest.mark.parametrize("spin, unit", [
+        ((1, 1, 0), (math.sqrt(0.5), math.sqrt(0.5), 0)),
+        ((1e308, 1e308, 0), (math.sqrt(0.5), math.sqrt(0.5), 0)),
+        ((3e-170, 4e-170, 0), (0.6, 0.8, 0)),
+        ((1e-320, 0, 0), (1, 0, 0)),
+    ], ids=["unit", "overflow", "underflow", "subnormal"])
+    def test_rest_spinor_points_along_the_spin(self, spin, unit):
+        # only the direction counts, whatever |s|^2 does in floats
+        chi = packets.rest_spinor(spin)
+        polarization = np.einsum("a,iab,b->i", chi.conj(), algebra.PAULI,
+                                 chi).real
+        np.testing.assert_allclose(polarization, unit, rtol=0,
+                                   atol=4 * np.finfo(float).eps)
+
     def test_positive_energy_projection(self, fast_packet):
         # applying the negative-energy projector (E - H)/2E pointwise must
         # annihilate the packet

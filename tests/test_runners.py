@@ -93,8 +93,8 @@ def test_simulate_rows_exclude_writers(tmp_path, monkeypatch):
             return write(*args)
         return wrapped
 
-    for name in ("write_trajectory_csv", "write_plot_files"):
-        monkeypatch.setattr(runners, name, slow(getattr(runners, name)))
+    monkeypatch.setattr(runners, "write_trajectory_csv",
+                        slow(runners.write_trajectory_csv))
     cfg = gallery.gallery_configs()["e_only_low_velocity"]
     report, _ = runners.run_simulate(cfg, tmp_path, plot=True)
     assert len(report) == 5
@@ -390,17 +390,16 @@ def _configured(cfg):
 
 
 def _one_cpu(monkeypatch):
-    """The 10 001-row cyclotron on one CPU: both writers stay serial."""
+    """The 10 001-row cyclotron on one CPU: the writer stays serial."""
     monkeypatch.setattr(runners, "_cpus", lambda: 1)
     return _configured(gallery.gallery_configs()["cyclotron"])
 
 
-# row counts on both sides of each writer's split threshold, and an odd
-# count whose CSV halves differ by one row
-SPLIT_ROWS = (runners._SPLIT_MIN_ROWS, runners._PLOT_SPLIT_MIN_ROWS)
+# row counts on both sides of the split threshold, and a large odd count
+# whose halves differ by one row
 SAMPLE_COUNTS = (1, 63, 64, 65, 127, 128, 129, 257,
-                 *[n + k for n in SPLIT_ROWS for k in (-1, 0, 1)],
-                 2 * runners._PLOT_SPLIT_MIN_ROWS + 1)
+                 *[runners._SPLIT_MIN_ROWS + k for k in (-1, 0, 1)],
+                 8 * runners._SPLIT_MIN_ROWS + 1)
 
 WRITER_CASES = {
     **{name: lambda mp, cfg=cfg: _configured(cfg)
@@ -427,29 +426,32 @@ def _count_forks(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_writers_match_oracle_bytes(case, tmp_path, monkeypatch):
-    # two CPUs unless the case sets one, so that each writer splits at
-    # its threshold on any machine
+    # two CPUs unless the case sets one, so that the writer splits at its
+    # threshold on any machine
     monkeypatch.setattr(runners, "_cpus", lambda: 2)
     forks = _count_forks(monkeypatch)
     cfg, traj = WRITER_CASES[case](monkeypatch)
     n, two = len(traj.t), runners._cpus() == 2
-    new, old = tmp_path / "new", tmp_path / "old"
-    new.mkdir()
+    old = tmp_path / "old"
     old.mkdir()
-    runners.write_trajectory_csv(new / "t.csv", traj)
-    assert len(forks) == (two and n >= runners._SPLIT_MIN_ROWS)
     _oracle_trajectory_csv(old / "t.csv", traj)
-    assert (new / "t.csv").read_bytes() == (old / "t.csv").read_bytes()
-    forks.clear()
-    paths = runners.write_plot_files(new, cfg.name, new / "t.csv")
-    assert len(forks) == (two and n >= runners._PLOT_SPLIT_MIN_ROWS)
     expected = _oracle_plot_files(old, cfg.name, traj)
-    assert [p.name for p in paths] == [p.name for p in expected]
-    assert all(p.parent == new for p in paths)
-    for path, oracle in zip(paths, expected):
-        assert path.read_bytes() == oracle.read_bytes(), path.name
-    # the children's temp files leave no name behind
-    assert sorted(new.iterdir()) == sorted([new / "t.csv", *paths])
+    for plot_name in (None, cfg.name):  # the CSV alone, then with plots
+        new = tmp_path / f"new_{plot_name}"
+        new.mkdir()
+        forks.clear()
+        paths = runners.write_trajectory_csv(new / "t.csv", traj, plot_name)
+        assert len(forks) == (two and n >= runners._SPLIT_MIN_ROWS)
+        assert paths[0] == new / "t.csv"
+        assert paths[0].read_bytes() == (old / "t.csv").read_bytes()
+        plots = paths[1:]
+        assert [p.name for p in plots] == (
+            [] if plot_name is None else [p.name for p in expected])
+        assert all(p.parent == new for p in plots)
+        for path, oracle in zip(plots, expected):
+            assert path.read_bytes() == oracle.read_bytes(), path.name
+        # the child's temp files leave no name behind
+        assert sorted(new.iterdir()) == sorted(paths)
 
 
 def test_writers_run_serially_when_fork_fails(tmp_path, monkeypatch):
@@ -458,14 +460,14 @@ def test_writers_run_serially_when_fork_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runners, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
-    cfg, traj = _samples(runners._PLOT_SPLIT_MIN_ROWS)
-    runners.write_trajectory_csv(tmp_path / "t.csv", traj)
-    paths = runners.write_plot_files(tmp_path, cfg.name, tmp_path / "t.csv")
+    cfg, traj = _samples(runners._SPLIT_MIN_ROWS)
+    paths = runners.write_trajectory_csv(tmp_path / "t.csv", traj, cfg.name)
     old = tmp_path / "old"
     old.mkdir()
     _oracle_trajectory_csv(old / "t.csv", traj)
-    assert (tmp_path / "t.csv").read_bytes() == (old / "t.csv").read_bytes()
-    for path, oracle in zip(paths, _oracle_plot_files(old, cfg.name, traj)):
+    expected = [old / "t.csv", *_oracle_plot_files(old, cfg.name, traj)]
+    assert len(paths) == len(expected)
+    for path, oracle in zip(paths, expected):
         assert path.read_bytes() == oracle.read_bytes(), path.name
 
 
@@ -500,29 +502,25 @@ def _csv_parent_fails(out, monkeypatch):
     runners.write_trajectory_csv(out / "t.csv", _unformattable_row(0))
 
 
-def _long_csv(out):
-    _, traj = _samples(runners._PLOT_SPLIT_MIN_ROWS)
-    _oracle_trajectory_csv(out / "t.csv", traj)
-    return out / "t.csv"
-
-
 def _plot_child_fails(out, monkeypatch):
-    csv_path = _long_csv(out)
+    _, traj = _samples(runners._SPLIT_MIN_ROWS)
     _refusing_temp_files(monkeypatch)
-    runners.write_plot_files(out, "p", csv_path)
+    runners.write_trajectory_csv(out / "t.csv", traj, "p")
 
 
 def _plot_parent_fails(out, monkeypatch):
-    csv_path = _long_csv(out)
+    _, traj = _samples(runners._SPLIT_MIN_ROWS)
     (out / "p_plot_energy.dat").mkdir()
-    runners.write_plot_files(out, "p", csv_path)
+    runners.write_trajectory_csv(out / "t.csv", traj, "p")
 
 
-# how a split writer fails, and the error it must raise
+# how the split writer fails, and the error it must raise: a row that
+# cannot be formatted, temp files that refuse writes (with plot files on)
+# and a .dat path that is a directory
 WRITER_FAILURES = {
     "csv_child": (_csv_child_fails, OSError, "t.csv: .* exited 1"),
     "csv_parent": (_csv_parent_fails, ValueError, "unformattable"),
-    "plot_child": (_plot_child_fails, OSError, "p_plot_x.dat: .* exited 1"),
+    "plot_child": (_plot_child_fails, OSError, "t.csv: .* exited 1"),
     "plot_parent": (_plot_parent_fails, IsADirectoryError, "p_plot_energy"),
 }
 
@@ -567,7 +565,12 @@ def test_simulate_exits_2_when_a_child_fails(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"error: {out / 'cyclotron_trajectory.csv'}: " in err
     _assert_no_child()
-    assert [p.name for p in out.iterdir()] == ["cyclotron_trajectory.csv"]
+    # the parent's halves of the CSV and the plot files stay; no report
+    cols = [name for name, _ in runners.trajectory_columns(
+        _trajectory(gallery.gallery_configs()["cyclotron"]))]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["cyclotron_trajectory.csv",
+         *[f"cyclotron_plot_{col}.dat" for col in cols[1:]]])
 
 
 def test_split_simulate_writes_the_serial_artifacts(tmp_path, monkeypatch):
@@ -578,7 +581,7 @@ def test_split_simulate_writes_the_serial_artifacts(tmp_path, monkeypatch):
         forks = _count_forks(monkeypatch)
         out = tmp_path / str(cpus)
         _, artifacts = runners.run_simulate(cfg, out, plot=True)
-        assert len(forks) == 2 * (cpus - 1)
+        assert len(forks) == cpus - 1
         _assert_no_child()
         names[cpus] = sorted(p.name for p in out.iterdir())
         assert names[cpus] == sorted(p.name for p in artifacts)
@@ -618,9 +621,10 @@ def test_plot_files_read_back_to_trajectory_bits(tmp_path):
 
 def test_plot_files_named_from_csv_header(tmp_path):
     cfg, traj = _samples(65)
-    runners.write_trajectory_csv(tmp_path / "t.csv", traj)
-    header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
-    paths = runners.write_plot_files(tmp_path, cfg.name, tmp_path / "t.csv")
+    csv_path, *paths = runners.write_trajectory_csv(tmp_path / "t.csv", traj,
+                                                    cfg.name)
+    assert csv_path == tmp_path / "t.csv"
+    header = csv_path.read_text().splitlines()[0].split(",")
     assert [p.name for p in paths] == [f"{cfg.name}_plot_{col}.dat"
                                        for col in header[1:]]
     centers = [p.name for p in paths if "_plot_X" in p.name]
@@ -629,14 +633,10 @@ def test_plot_files_named_from_csv_header(tmp_path):
     assert sorted(tmp_path.glob("*.dat")) == sorted(paths)
 
 
-# Traced peak of each writer on the 10 001-row cyclotron, measured with
-# Python 3.11, one process -> split: 0.23 -> 0.23 MB for the CSV (row
-# blocks of 64) and 0.42 -> 0.55 MB for the plot files (32 KiB blocks of
-# the CSV, whose split cells are most of it; split, the 29 temp files'
-# read buffers and the copy buffer add the rest).  tracemalloc sees this
-# process only: the forked child formats the second half in a peak of its
-# own, 0.23 MB for the CSV and 0.42 MB for the plot files.  Formatting the
-# whole trajectory at once peaks above 20 MB.
+# Traced peak of the writer with plot files on the 10 001-row cyclotron,
+# measured with Python 3.11: PEAKS.  tracemalloc sees this process only:
+# the forked child formats the second half in a peak of its own.
+# Formatting the whole trajectory at once peaks above 20 MB.
 WRITER_PEAK_BYTES = 900_000
 
 
@@ -648,12 +648,8 @@ def test_writers_peak_memory_is_bounded(tmp_path, monkeypatch):
         monkeypatch.setattr(runners, "_cpus", lambda cpus=cpus: cpus)
         tracemalloc.start()
         try:
-            runners.write_trajectory_csv(tmp_path / "c.csv", traj)
-            csv_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            runners.write_plot_files(tmp_path, cfg.name, tmp_path / "c.csv")
-            plot_peak = tracemalloc.get_traced_memory()[1]
+            runners.write_trajectory_csv(tmp_path / "c.csv", traj, cfg.name)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert csv_peak < WRITER_PEAK_BYTES, cpus
-        assert plot_peak < WRITER_PEAK_BYTES, cpus
+        assert peak < WRITER_PEAK_BYTES, cpus
