@@ -19,8 +19,7 @@ import numpy as np
 
 from .dynamics import (ClassicalState, FieldConfig, dilation,
                        max_rotation_rate)
-from .packets import (GRID_RADIUS, MAX_GRID_SPACING, MomentumWavePacket,
-                      gauss_hermite_packet, make_gaussian_packet)
+from .packets import MomentumWavePacket, make_gaussian_packet
 
 MODES = ("simulate", "verify-fg", "verify-algebra", "converge")
 CONVERGE_TARGETS = ("integrator", "fg", "anomalous-fd")
@@ -102,15 +101,15 @@ class ScenarioConfig:
 
     def wave_packet(self, widths=None, nodes=None) -> MomentumWavePacket:
         """The configured packet, at `widths` in place of packet.widths and
-        on `nodes` Gauss-Hermite nodes per axis in place of the grid if
-        given; a packet floats cannot hold is a ConfigError."""
+        on `nodes` Gauss-Hermite nodes per axis in place of
+        packet.grid_points if given; a packet floats cannot hold is a
+        ConfigError."""
         spec = self.packet
-        args = (spec.p0, spec.widths if widths is None else widths, spec.spin)
         try:
-            if nodes is None:
-                return make_gaussian_packet(*args, m=self.mass,
-                                            grid_points=spec.grid_points)
-            return gauss_hermite_packet(*args, m=self.mass, nodes=nodes)
+            return make_gaussian_packet(
+                spec.p0, spec.widths if widths is None else widths, spec.spin,
+                m=self.mass,
+                grid_points=spec.grid_points if nodes is None else nodes)
         except ValueError as exc:
             raise ConfigError(f"packet: {exc}") from None
 
@@ -152,9 +151,9 @@ _VEC3 = (_parse_vec3, lambda v: " ".join(repr(float(c)) for c in v))
 # (section, key, attribute, runs, parser, formatter) in canonical order: a
 # config may set a key only if its run is one of `runs`, the runs whose
 # output the key's value can change (_ORBIT follow an orbit, _PACKET
-# build a packet, only verify-fg's on the grid: fg rungs take Gauss-Hermite
-# nodes); a dotted attribute names a field of the nested PacketSpec or
-# ConvergeSpec
+# build a packet, only verify-fg's with packet.grid_points nodes: fg rungs
+# double their own); a dotted attribute names a field of the nested
+# PacketSpec or ConvergeSpec
 _ORBIT = ("simulate", "integrator", "anomalous-fd")
 _PACKET = ("verify-fg", "fg")
 _FIELDS = (
@@ -286,10 +285,8 @@ def _validate(cfg: ScenarioConfig):
     if reads("packet.widths") and any(w <= 0 for w in cfg.packet.widths):
         raise ConfigError("packet.widths: must be positive")
     n = cfg.packet.grid_points
-    if reads("packet.grid_points") and (
-            n < 4 or 2 * GRID_RADIUS / (n - 1) > MAX_GRID_SPACING):
-        raise ConfigError(f"packet.grid_points: needs >= 4 points, at most "
-                          f"{MAX_GRID_SPACING} widths apart")
+    if reads("packet.grid_points") and n < 4:
+        raise ConfigError("packet.grid_points: needs >= 4 points per axis")
     if reads("packet.grid_points") and (
             n * n * SLAB_BYTES_PER_POINT > MAX_SLAB_BYTES):
         raise ConfigError(f"packet.grid_points: a slab of {n}^2 points would "

@@ -15,7 +15,7 @@ from .config import RUNGS, ConfigError, ScenarioConfig
 from .packets import FG_RESIDUAL_COEFF, RESIDUAL_FLOOR
 
 # Most Gauss-Hermite nodes per axis an fg rung doubles to: no rung builds
-# more points than packet.grid_points' default 32^3 grid
+# more nodes than verify-fg's default packet.grid_points, 32 per axis
 FG_MAX_NODES = 32
 
 

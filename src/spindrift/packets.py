@@ -1,12 +1,11 @@
-"""Positive-energy Gaussian wave packets on a momentum quadrature rule.
+"""Positive-energy Gaussian wave packets on a Gauss-Hermite rule.
 
 The spinor at momentum p is the positive-energy eigenspinor of H(p) whose
 Foldy-Wouthuysen image is a fixed rest spinor chi: u(p) = V q, V = [(chi,
 0) | (0, sigma_i chi)], q = (E + m, p) / sqrt(2E(E + m)) a real unit
 4-vector.  The envelope is g(p) ~ exp(-sum_i (p_i - p0_i)^2 / (2 w_i^2)).
 A rule is nodes x_k and weights W_k carrying |g|^2 = exp(-x^2)
-(`uniform_rule`, a grid over `GRID_RADIUS` widths each way, or
-`gauss_hermite_rule`); a packet holds nodes p0_i + w_i x_k with amplitudes
+(`gauss_hermite_rule`); a packet holds nodes p0_i + w_i x_k with amplitudes
 a = sqrt(W_i W_j W_k) u(p).  Packet-path operators are Clifford matrices
 times functions of p, so every expectation is a node sum of scalars X(p)
 times bilinears a^dagger C_A a = W q^T M q, M a table built once from chi;
@@ -49,14 +48,6 @@ FG_RESIDUAL_COEFF = {
 # Packets wider than this fraction of the mass are outside the sharp-spread
 # regime; verification rows for them are downgraded to WARN.
 SHARP_WIDTH_FRACTION = 0.05
-# Half-extent of the momentum grid, in widths.  It cuts off 1 - erf(5)^3 ~
-# 4.6e-12 of the continuum Gaussian mass |g|^2 ~ exp(-r^2/w^2), so no grid
-# truncates the packet.
-GRID_RADIUS = 5.0
-# Widest grid spacing in widths, 2 GRID_RADIUS / (grid_points - 1).  Over 82
-# packets (|p0| to 5m, m 0.5-3, anisotropic widths) the worst residual over
-# tolerance is ~0.45 on fine grids, 0.52 at 1.5, 0.85 at 2.0; rows fail at 2.2.
-MAX_GRID_SPACING = 1.5
 
 # The monomials q_mu q_nu (mu <= nu) of the unit 4-vector q, in this order
 _MU, _NU = np.triu_indices(4)
@@ -235,12 +226,19 @@ def positive_energy_spinor(p, chi, m: float) -> np.ndarray:
     return _unit_four_vector(p, m) @ _spinor_frame(chi).T
 
 
-def _gaussian_packet(p0, widths, spin_direction, m, rule):
-    """The packet with nodes p0_i + w_i x_k and weights W_k of `rule`, the
-    read-only pair (x, W) in width units."""
-    x, weights = rule
-    if x.size < 2:
+def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
+                         grid_points: int = 32) -> MomentumWavePacket:
+    """Build a normalized sharp packet centred at p0 on the product
+    Gauss-Hermite rule: `grid_points` nodes per axis at p0_i + w_i x_k,
+    weighted by W_k.
+
+    `widths` sets the per-axis Gaussian amplitude scale.  Non-positive
+    widths are rejected, as are packets that floats cannot hold (see
+    `MomentumWavePacket`).
+    """
+    if grid_points < 2:
         raise ValueError("a rule needs at least 2 nodes; one has no spread")
+    x, weights = gauss_hermite_rule(grid_points)
     p0 = np.asarray(p0, dtype=float)
     w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
     if np.any(w <= 0.0):
@@ -248,30 +246,6 @@ def _gaussian_packet(p0, widths, spin_direction, m, rule):
     return MomentumWavePacket(tuple(p0[i] + w[i] * x for i in range(3)),
                               (weights,) * 3, w, rest_spinor(spin_direction),
                               m)
-
-
-def make_gaussian_packet(p0, widths, spin_direction, m: float = 1.0,
-                         grid_points: int = 32) -> MomentumWavePacket:
-    """Build a normalized sharp packet centred at p0 on the uniform rule.
-
-    `widths` sets the per-axis Gaussian amplitude scale; the grid spans
-    `GRID_RADIUS` widths each way.  Non-positive widths are rejected, as are
-    packets that floats cannot hold (see `MomentumWavePacket`).
-    """
-    return _gaussian_packet(p0, widths, spin_direction, m,
-                            uniform_rule(grid_points))
-
-
-@functools.cache
-def uniform_rule(n: int):
-    """Read-only nodes x_k and weights W_k = h exp(-x_k^2) of the n-point
-    uniform rule over `GRID_RADIUS` widths each way, h = 2 GRID_RADIUS /
-    (n - 1): a grid cell times |g|^2, in width units."""
-    if n < 4:
-        raise ValueError("grid needs at least 4 points per axis")
-    x = np.linspace(-GRID_RADIUS, GRID_RADIUS, n)
-    return _read_only(x), _read_only(2.0 * GRID_RADIUS / (n - 1)
-                                     * np.exp(-x * x))
 
 
 @functools.cache
@@ -285,52 +259,32 @@ def gauss_hermite_rule(n: int):
     off = np.sqrt(np.arange(1, n) / 2.0)
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     prev, cur, total = np.zeros(n), np.full(n, np.pi ** -0.25), np.zeros(n)
-    for j in range(n):
-        total += cur * cur
-        prev, cur = cur, ((x * cur - math.sqrt(j / 2.0) * prev)
-                          / math.sqrt((j + 1) / 2.0))
-    return _read_only(x), _read_only(1.0 / total)
-
-
-def gauss_hermite_packet(p0, widths, spin_direction, m: float = 1.0, *,
-                         nodes: int) -> MomentumWavePacket:
-    """The packet of `make_gaussian_packet` on the product Gauss-Hermite
-    rule: `nodes` per axis at p0_i + w_i x_k, weighted by W_k."""
-    return _gaussian_packet(p0, widths, spin_direction, m,
-                            gauss_hermite_rule(nodes))
+    # far in the tail of a large rule the sum overflows, and then the
+    # recurrence itself (inf - inf); such a weight is below 1 / DBL_MAX,
+    # so 0 is its correctly rounded normal float
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            total += cur * cur
+            prev, cur = cur, ((x * cur - math.sqrt(j / 2.0) * prev)
+                              / math.sqrt((j + 1) / 2.0))
+    weights = np.zeros(n)
+    np.divide(1.0, total, out=weights, where=np.isfinite(total))
+    return _read_only(x), _read_only(weights)
 
 
 def expectation_position(packet: MomentumWavePacket) -> np.ndarray:
     """<x> in the momentum representation: expectation of i d/dp.
 
-    The amplitudes are differentiated spectrally (FFT), so each axis must
-    hold at least 4 evenly spaced nodes, as the uniform rule does.  The
-    result picks up a spin-dependent offset away from zero for moving
-    packets because the spinor itself carries momentum dependence.
+    The envelope is real, so it adds nothing, and the translation's phase
+    adds a.  On shell u = V q, so i u^dagger grad u = -n.(q x grad q), n =
+    <chi|sigma|chi>: the Berry connection of the positive-energy band
+    (Chang & Niu, J. Phys.: Condens. Matter 20, 193202 (2008)).  Hence <x>
+    = a + <p/(E(E+m))> x n / 2, read from the pass: a moving packet's <x>
+    carries a spin-dependent offset.
     """
-    out = np.empty(3)
-    for axis, ax in enumerate(packet.axes):
-        # p0 + w x_k (|w x_k| <= the largest |node|) sits within 4 ulp of
-        # the axis' largest |node| of its exact value, so a gap strays from
-        # the mean gap by under 16
-        n = ax.size
-        step = (ax[-1] - ax[0]) / (n - 1) if n >= 4 else 0.0
-        if not (step > 0.0 and np.max(np.abs(np.diff(ax) - step))
-                <= 16.0 * np.spacing(np.max(np.abs(ax)))):
-            raise ValueError("expectation_position needs the uniform rule; "
-                             "these nodes have no uniform spacing")
-        a = packet.amplitudes
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
-        shape = [1, 1, 1, 1]
-        shape[axis] = n
-        da = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(a, axis=axis),
-                         axis=axis)
-        val = 1j * np.einsum("pqra,pqra->", a.conj(), da)
-        if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-            raise ValueError("position expectation came out complex; "
-                             "amplitudes are not smooth on this grid")
-        out[axis] = val.real
-    return out
+    chi = packet.chi
+    n = np.einsum("a,iab,b->i", chi.conj(), algebra.PAULI, chi).real
+    return packet.shift + np.cross(packet.expectations["p_eem"], n) / 2.0
 
 
 def _expectations(s, m):
@@ -342,7 +296,8 @@ def _expectations(s, m):
     O_i = beta Sigma_i - p_i gamma5 / E - p_i p.beta Sigma / (E (E + m)).
     Each mass-center offset is the kernel's factor-table form
     f1 i beta alpha / 2m + f2 p x Sigma / 2m^2 + f3 i beta (alpha.p) p / 2m^3.
-    <p> is p b[1], and p_i b[Sigma_i] sums to m <T4> / i.
+    <p> is p b[1], <p/(E(E+m))> (for `expectation_position`) that
+    scalar's row of b[1], and p_i b[Sigma_i] sums to m <T4> / i.
     """
     def curl(block):    # eps_ijk block[j, k]
         return np.einsum("ijk,jk->i", algebra._EPS, block)
@@ -352,7 +307,7 @@ def _expectations(s, m):
         "O": s[0, _BETA_SIGMA] - s[_P_E, _GAMMA5] - s[_P_EEM, _P_BS],
         "sigma": s[0, _SIGMA], "ibeta_alpha": s[0, _IBETA_ALPHA],
         "p_cross_sigma": curl(s[_P, _SIGMA]), "odd": s[_P, _P_IBA],
-        "p": s[_P, _ONE],
+        "p": s[_P, _ONE], "p_eem": s[_P_EEM, _ONE],
     }
     for kind, k in zip(algebra.PRYCE_KINDS, np.split(s[_KINDS], 3)):
         vals[kind] = (k[0, _IBETA_ALPHA] / (2.0 * m)

@@ -384,7 +384,7 @@ def test_kinds_flag_is_a_usage_error(tmp_path, capsys):
 
 
 def test_grid_radius_flag_is_a_usage_error(tmp_path, capsys):
-    # every grid spans packets.GRID_RADIUS widths; there is no flag for it
+    # a Gauss-Hermite rule has no radius; there is no flag for one
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify-fg", "--grid-radius", "6", "--out", str(tmp_path)])
     assert exc.value.code == 2
@@ -521,16 +521,25 @@ def test_verify_flags_are_config_keys(command, flags):
 
 
 @pytest.mark.parametrize("grid", [
-    ["--grid-points", "4"],                         # 3.33 widths apart
-    ["--grid-points", "7"],                         # 1.67
+    ["--grid-points", "3"],
+    ["--grid-points", "0"],
 ])
 def test_verify_fg_coarse_grid_is_config_error(grid, tmp_path, capsys):
-    # a 4-point grid fails eight relation rows of the default packet; the
-    # guard names the field before any row is graded
+    # fewer than 4 nodes per axis; the guard names the field before any
+    # row is graded
     assert cli.main(["verify-fg", "--out", str(tmp_path)] + grid) == 2
     err = capsys.readouterr().err
     assert "error: packet.grid_points: needs >= 4 points" in err
     assert not (tmp_path / "verify_fg_report.txt").exists()
+
+
+def test_verify_fg_passes_on_four_nodes(tmp_path):
+    # 4 Gauss-Hermite nodes per axis resolve the default sharp packet:
+    # every row passes
+    assert cli.main(["verify-fg", "--out", str(tmp_path),
+                     "--grid-points", "4"]) == 0
+    kv = (tmp_path / "verify_fg_report.kv").read_text()
+    assert "status = fail" not in kv and "status = pass" in kv
 
 
 @pytest.mark.parametrize("flags, cause", [

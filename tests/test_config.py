@@ -90,7 +90,8 @@ def test_converge_requires_block_and_rungs():
         parse_config("[scenario]\nname = x\nmode = converge\n")
 
 
-# keys with one value in use, now packets.GRID_RADIUS and config.RUNGS
+# keys a config once set: the grid radius, which the Gauss-Hermite rule
+# has none of, and the rung count, now config.RUNGS
 @pytest.mark.parametrize("key, extra", [
     ("packet.grid_radius", "\n[packet]\ngrid_radius = 5.0\n"),
     ("converge.rungs", "rungs = 3\n"),

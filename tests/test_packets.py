@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import rotation_matrix
 from spindrift import algebra, config, convergence, packets
-from spindrift.packets import (expectation_position, gauss_hermite_packet,
-                               make_gaussian_packet, mass_center_offset,
-                               verify_fg_relations, verify_main_result)
+from spindrift.packets import (expectation_position, make_gaussian_packet,
+                               mass_center_offset, verify_fg_relations,
+                               verify_main_result)
 
 # Largest imaginary part, relative to the magnitude, that a declared-Hermitian
 # expectation may carry.
@@ -20,6 +21,30 @@ IMAG_TOL = 1e-12
 RULES = ("uniform", "gauss_hermite")
 # Gauss-Hermite nodes per axis of the tests' packets on that rule
 GH_NODES = 12
+# Half-extent of the tests' uniform grid, in widths.  It cuts off 1 -
+# erf(5)^3 ~ 4.6e-12 of the continuum Gaussian mass |g|^2 ~ exp(-r^2/w^2).
+GRID_RADIUS = 5.0
+
+
+@functools.cache
+def uniform_rule(n: int):
+    """Nodes x_k and weights W_k = h exp(-x_k^2) of the n-point uniform rule
+    over GRID_RADIUS widths each way, h = 2 GRID_RADIUS / (n - 1): a grid
+    cell times |g|^2, in width units.  It is the tests' second route: the
+    Fourier-synthesis position oracle needs evenly spaced nodes, and the
+    settled Gauss-Hermite rows are checked against it."""
+    x = np.linspace(-GRID_RADIUS, GRID_RADIUS, n)
+    return x, 2.0 * GRID_RADIUS / (n - 1) * np.exp(-x * x)
+
+
+def uniform_packet(p0, widths, spin, m=1.0, grid_points=24):
+    """The packet of `make_gaussian_packet` on the uniform rule."""
+    x, weights = uniform_rule(grid_points)
+    p0 = np.asarray(p0, dtype=float)
+    w = np.broadcast_to(np.asarray(widths, dtype=float), (3,)).copy()
+    return packets.MomentumWavePacket(
+        tuple(p0[i] + w[i] * x for i in range(3)), (weights,) * 3, w,
+        packets.rest_spinor(spin), m)
 
 
 def expectation(packet, kernel, hermitian: bool = True):
@@ -63,9 +88,8 @@ def grid_expectation(packet, density, hermitian: bool = True):
 def _packet(rule, p0, widths, spin, m=1.0, grid_points=24):
     """The packet on the uniform grid, or on GH_NODES Gauss-Hermite nodes."""
     if rule == "uniform":
-        return make_gaussian_packet(p0, widths, spin, m=m,
-                                    grid_points=grid_points)
-    return gauss_hermite_packet(p0, widths, spin, m=m, nodes=GH_NODES)
+        return uniform_packet(p0, widths, spin, m=m, grid_points=grid_points)
+    return make_gaussian_packet(p0, widths, spin, m=m, grid_points=GH_NODES)
 
 
 @pytest.fixture(scope="module")
@@ -239,10 +263,10 @@ class TestPosition:
         assert np.max(np.abs(moved - a)) < 1e-9
 
     def test_position_space_quadrature_oracle(self):
-        # independent route: non-FFT Fourier synthesis on its own spatial
-        # grid, then a plain Riemann first-moment of the density
-        pkt = make_gaussian_packet((0, 0, 0.5), 0.05, (1, 0, 0),
-                                   grid_points=16)
+        # independent route: Fourier synthesis of the uniform grid's
+        # amplitudes on its own spatial grid, then a plain Riemann first
+        # moment of the density
+        pkt = uniform_packet((0, 0, 0.5), 0.05, (1, 0, 0), grid_points=16)
         xax = np.linspace(-90.0, 90.0, 81)
         phases = [np.exp(1j * np.outer(xax, ax)) for ax in
                   (pkt.momenta[:, 0, 0, 0], pkt.momenta[0, :, 0, 1],
@@ -254,10 +278,22 @@ class TestPosition:
             float((dens.sum(axis=(1, 2)) * xax).sum()),
             float((dens.sum(axis=(0, 2)) * xax).sum()),
             float((dens.sum(axis=(0, 1)) * xax).sum())]) / dens.sum()
-        spectral = expectation_position(pkt)
-        assert np.max(np.abs(spectral - oracle)) < 1e-8
+        position = expectation_position(pkt)
+        assert np.max(np.abs(position - oracle)) < 1e-8
         # the moving packet carries a transverse spin-dependent offset
-        assert abs(spectral[1]) > 0.05
+        assert abs(position[1]) > 0.05
+
+    def test_newton_wigner_position_is_the_translation(self):
+        # second route: the e kind is the Newton-Wigner position, whose
+        # packet amplitude g(p) chi exp(-i p.a) puts it at a, so <x> = a -
+        # (<X_e> - <x>) on a moving, oblique, translated packet
+        a = np.array([0.7, -1.1, 2.3])
+        pkt = make_gaussian_packet((2.0, 1.0, -1.0), (0.03, 0.01, 0.02),
+                                   (0, 1, 1), m=0.7, grid_points=16)
+        position = expectation_position(pkt.translated(a))
+        assert np.max(np.abs(position[:2])) > 0.05
+        np.testing.assert_allclose(position + mass_center_offset(pkt, "e"),
+                                   a, rtol=0, atol=8 * np.finfo(float).eps)
 
 
 class TestRelations:
@@ -375,24 +411,16 @@ class TestCovariance:
 
 
 class TestUniformRule:
-    def test_rule_is_cached_and_read_only(self):
-        x, w = packets.uniform_rule(16)
-        assert packets.uniform_rule(16)[0] is x
-        for arr in (x, w):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+    """The tests' uniform grid, the second route of the Gauss-Hermite
+    packets."""
 
     def test_nodes_scale_with_the_widths(self):
         p0, w = (0.1, 0.2, 0.6), (0.01, 0.02, 0.03)
-        pkt = make_gaussian_packet(p0, w, (0, 0, 1), grid_points=12)
-        x, weights = packets.uniform_rule(12)
+        pkt = uniform_packet(p0, w, (0, 0, 1), grid_points=12)
+        x, weights = uniform_rule(12)
         for i, (ax, weight) in enumerate(zip(pkt.axes, pkt.weights)):
             assert np.array_equal(ax, p0[i] + w[i] * x)
             assert weight is weights
-
-    def test_rejects_fewer_than_4_points(self):
-        with pytest.raises(ValueError, match="at least 4 points"):
-            make_gaussian_packet((0, 0, 0.6), 0.01, (1, 0, 0), grid_points=3)
 
     @pytest.mark.parametrize("n", [4, 5, 8, 9, 16, 24, 32, 48, 64])
     def test_weights_sum_to_sqrt_pi(self, n):
@@ -402,8 +430,8 @@ class TestUniformRule:
         # sqrt(pi) by the aliasing terms j != 0; the grid drops the lattice
         # points beyond R, h exp(-(R + k h)^2) on each side; and the n-term
         # sum rounds by n eps of it
-        x, w = packets.uniform_rule(n)
-        h, radius = x[1] - x[0], packets.GRID_RADIUS
+        x, w = uniform_rule(n)
+        h, radius = x[1] - x[0], GRID_RADIUS
         aliasing = [2.0 * math.sqrt(math.pi) * math.exp(-(math.pi * j / h)**2)
                     for j in range(1, 8)]
         tail = sum(2.0 * h * math.exp(-(radius + k * h)**2)
@@ -443,9 +471,21 @@ class TestGaussHermite:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_rule_at_the_slab_cap(self):
+        # far in the tail of the largest rule a config admits, sum_j
+        # p_j(x_k)^2 overflows; that weight is 0, with no warning
+        n = math.isqrt(config.MAX_SLAB_BYTES // config.SLAB_BYTES_PER_POINT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, w = packets.gauss_hermite_rule.__wrapped__(n)
+        assert x.size == n == 619
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert np.any(w == 0.0)
+        assert abs(np.sum(w) - math.sqrt(math.pi)) <= 1e-13
+
     def test_nodes_scale_with_the_widths(self):
-        pkt = gauss_hermite_packet((0.1, 0.2, 0.6), (0.01, 0.02, 0.03),
-                                   (0, 0, 1), nodes=6)
+        pkt = make_gaussian_packet((0.1, 0.2, 0.6), (0.01, 0.02, 0.03),
+                                   (0, 0, 1), grid_points=6)
         x, _ = packets.gauss_hermite_rule(6)
         for p0, w, ax in zip((0.1, 0.2, 0.6), (0.01, 0.02, 0.03), pkt.axes):
             assert np.array_equal(ax, p0 + w * x)
@@ -453,17 +493,11 @@ class TestGaussHermite:
     def test_rejects_a_one_node_rule(self):
         # one node puts the whole packet at p0: no relation sees a spread
         with pytest.raises(ValueError, match="at least 2 nodes"):
-            gauss_hermite_packet((0, 0, 0.6), 0.01, (1, 0, 0), nodes=1)
-
-    def test_position_refuses_gauss_hermite(self):
-        for nodes in (3, 8):   # three nodes are evenly spaced
-            pkt = gauss_hermite_packet((0, 0, 0), 0.01, (0, 0, 1), nodes=nodes)
-            with pytest.raises(ValueError, match="uniform spacing"):
-                expectation_position(pkt)
+            make_gaussian_packet((0, 0, 0.6), 0.01, (1, 0, 0), grid_points=1)
 
 
 # Gaussian mass outside GRID_RADIUS widths, which the uniform grid drops
-TRUNCATION = 1.0 - math.erf(packets.GRID_RADIUS) ** 3
+TRUNCATION = 1.0 - math.erf(GRID_RADIUS) ** 3
 AGREEMENT_GRID = 24
 
 
@@ -507,8 +541,7 @@ def test_settled_gauss_hermite_rows_hold_and_match_the_grid(spec):
                                  spin=tuple(spin)))
     pkt, _, change = convergence._settled_packet(cfg, widths)
     assert change <= packets.RESIDUAL_FLOOR
-    grid = make_gaussian_packet(p0, widths, spin, m=m,
-                                grid_points=AGREEMENT_GRID)
+    grid = uniform_packet(p0, widths, spin, m=m, grid_points=AGREEMENT_GRID)
     rows, grid_rows = _rows(pkt), _rows(grid)
     assert [r[0] for r in rows] == [r[0] for r in grid_rows]
     for name, residual, *_ in rows:
@@ -653,7 +686,7 @@ class TestBilinearTable:
         if translate:   # generic phases
             pkt = pkt.translated(shift)
         p = pkt.momenta
-        weight = packets.uniform_rule(n)[1]
+        weight = packets.gauss_hermite_rule(n)[1]
         envelope = weight[:, None, None] * np.outer(weight, weight)
         u = packets.positive_energy_spinor(p, packets.rest_spinor(spin), m)
         amps = (np.sqrt(envelope / pkt.norm)[..., None] * u
@@ -673,7 +706,8 @@ class TestBilinearTable:
             vals = pkt.expectations
             assert pkt.expectations is vals
             assert set(vals) == {"T", "T4", "O", "sigma", "ibeta_alpha",
-                                 "p_cross_sigma", "odd", "c", "d", "e", "p"}
+                                 "p_cross_sigma", "odd", "c", "d", "e", "p",
+                                 "p_eem"}
             for key, value in vals.items():
                 if isinstance(value, np.ndarray):
                     assert value.shape == (3,), key

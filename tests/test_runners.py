@@ -30,13 +30,13 @@ GALLERY_EOM_TOLERANCES = {
 HEAVY_CROSSED_CSV_SHA256 = (
     "cedfa1d905b22160148c9b649026430a517fb72fc04faa17e7cb3a2a6666af13")
 # sha256 of two verify-fg .kv files, recorded with Python 3.11.7 and numpy
-# 2.4.6: the default packet at 48^3, and golden_verify_fg.cfg (m = 1.3;
-# rows for all three Pryce kinds; a grid of packets.GRID_RADIUS widths)
+# 2.4.6: the default packet on 48 Gauss-Hermite nodes per axis, and
+# golden_verify_fg.cfg (m = 1.3; rows for all three Pryce kinds)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
-        "85005d1b11f22fca2d8dc7accc495df1b03663ce74fdf56f8299cb67db5c673a"),
+        "1c75095dc3a84682e35fd4b15d8e7bbaa152e41208711bcbc1c8a7e88e63ccaf"),
     "golden": (
-        "e2b2334a42c18132849cf9fdc8dc26db45f05937f9e6b8007fa1ee68a8b45b80"),
+        "5e0de3cc102030addc376a517149b6dd3c7d6098c5d7ec1abb42957c29ea929b"),
 }
 
 
