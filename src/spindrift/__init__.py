@@ -36,7 +36,7 @@ from .packets import (
     expectation_position,
     make_gaussian_packet,
     verify_fg_relations,
-    verify_main_result,
+    verify_main_results,
 )
 
 __version__ = "0.1.0"

@@ -138,27 +138,23 @@ def o_operator(p, m: float):
     return np.einsum("...ab,ibc,...cd->...iad", minus, _BETA_SIGMA, plus)
 
 
-def pryce_factors(kind, gamma_bar):
-    """Type-dependent factors (f1, f2, f3, fP) as functions of the dilation factor.
+def pryce_factors(gamma_bar) -> dict:
+    """The Pryce factor table: every kind's (f1, f2, f3, fP) at the dilation
+    factor, keyed in `PRYCE_KINDS` order, each of gamma_bar's shape.
 
     fP = f1 - f2 controls the expectation-level offset between the mass
-    center and the canonical position.  Rejects gamma_bar < 1.
+    center and the canonical position.  Rejects gamma_bar < 1 and NaN.
     """
     g = np.asarray(gamma_bar, dtype=float)
-    if np.any(g < 1.0):
+    if not np.all(g >= 1.0):
         raise ValueError("dilation factor must be >= 1")
-    one = np.ones_like(g)
-    if kind == "d":
-        f1, f2, f3 = one, 0.0 * one, -1.0 / g**2
-    elif kind == "e":
-        f1, f2, f3 = 1.0 / g, 1.0 / (g * (1.0 + g)), -1.0 / (g**2 * (g + 1.0))
-    elif kind == "c":
-        f1, f2, f3 = 1.0 / g**2, 1.0 / g**2, 0.0 * one
-    else:
-        raise ValueError(f"unknown Pryce kind {kind!r}")
-    if np.ndim(gamma_bar) == 0:
-        return float(f1), float(f2), float(f3), float(f1 - f2)
-    return f1, f2, f3, f1 - f2
+    one, zero, inv_g2 = np.ones_like(g), np.zeros_like(g), 1.0 / g**2
+    factors = {"c": (inv_g2, inv_g2, zero),
+               "d": (one, zero, -inv_g2),
+               "e": (1.0 / g, 1.0 / (g * (1.0 + g)),
+                     -1.0 / (g**2 * (g + 1.0)))}
+    return {kind: (f1, f2, f3, f1 - f2)
+            for kind, (f1, f2, f3) in factors.items()}
 
 
 def _cross_and_odd(p):
@@ -197,10 +193,11 @@ def pryce_kernel(kind, p, m: float):
 
 def pryce_kernel_general_form(kind, p, m: float):
     """Same kernel assembled from the factor table; cross-check route."""
+    if kind not in PRYCE_KINDS:
+        raise ValueError(f"unknown Pryce kind {kind!r}")
     p = np.asarray(p, dtype=float)
-    g = energy(p, m) / m
-    f1, f2, f3 = (np.asarray(f)[..., None, None, None]
-                  for f in pryce_factors(kind, g)[:3])
+    f1, f2, f3 = (f[..., None, None, None]
+                  for f in pryce_factors(energy(p, m) / m)[kind][:3])
     cross, odd = _cross_and_odd(p)
     return (f1 * _I_BETA_ALPHA / (2.0 * m)
             + f2 * cross / (2.0 * m**2)
@@ -309,14 +306,10 @@ def identity_report(n_momenta: int = 100, pmax_over_m: float = 10.0,
     add("pryce_kernel_two_routes", max(_maxabs(a - b) for a, b in routes),
         max(_maxabs(a) for a, _ in routes))
 
-    # fP = f1 - f2 at every sampled gamma, plus three spot values
-    residual = max(abs(pryce_factors("d", 2.5)[3] - 1.0),
-                   abs(pryce_factors("e", 1.0)[3] - 0.5),
-                   abs(pryce_factors("c", 3.0)[3]))
-    for k in PRYCE_KINDS:
-        f1, f2, _f3, fp = pryce_factors(k, e / m)
-        residual = max(residual,
-                       _maxabs(fp - (np.asarray(f1) - np.asarray(f2))))
-    add("pryce_factor_table", residual)
+    # fP = f1 - f2 against its closed forms at every sampled gamma
+    g = e / m
+    closed = {"c": 0.0, "d": 1.0, "e": 1.0 / (1.0 + g)}
+    add("pryce_factor_table", max(_maxabs(fp - closed[k])
+                                  for k, (*_, fp) in pryce_factors(g).items()))
 
     return report

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import algebra, dynamics, exact, packets
+from . import dynamics, exact, packets
 from .config import RUNGS, ConfigError, ScenarioConfig
 from .packets import FG_RESIDUAL_COEFF, RESIDUAL_FLOOR
 
@@ -168,8 +168,7 @@ def _settled_packet(cfg: ScenarioConfig, widths):
         return pkt, np.array([
             rel.residual / cfg.mass ** FG_RESIDUAL_COEFF[rel.name][1]
             for rel in (*packets.verify_fg_relations(pkt).values(),
-                        *(packets.verify_main_result(pkt, kind)
-                          for kind in algebra.PRYCE_KINDS))])
+                        *packets.verify_main_results(pkt).values())])
 
     nodes, change = 4, math.inf
     pkt, rows = residuals(nodes)

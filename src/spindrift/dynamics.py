@@ -11,12 +11,13 @@ with the g factor fixed at 2.  Its exact solution in uniform fields is
 `exact.propagate`, the one producer of a sampled `Trajectory`.
 
 The mass-center layer attaches the lab-frame spin (S0, S), the position
-shift  deltaX = S x v / 2m, every kind's center  X = x + fP(gbar) deltaX,
-and the anomalous velocity  V = d(deltaX)/dt  in three equivalent analytic
-forms (compact, E/B-decomposed, Thomas-precession).  The analytic forms
-assume the energy is frozen (d gbar/dt = 0); evaluating them on a state with
-|e E.v| above a small threshold raises a ConstantGammaWarning, and
-cross-form comparisons refuse states far outside that regime.
+shift  deltaX = S x v / 2m, every kind's center  X = x + fP(gbar) deltaX
+(`mass_centers`, all kinds from one Pryce factor table) and the anomalous
+velocity  V = d(deltaX)/dt  in three equivalent analytic forms (compact,
+E/B-decomposed, Thomas-precession).  The analytic forms assume the energy
+is frozen (d gbar/dt = 0); evaluating them on a state with |e E.v| above a
+small threshold raises a ConstantGammaWarning, and cross-form comparisons
+refuse states far outside that regime.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import PRYCE_KINDS, pryce_factors
+from .algebra import pryce_factors
 
 G_FACTOR = 2.0
 
@@ -65,10 +66,10 @@ def norm(a) -> np.ndarray:
 
 
 def dilation(v) -> np.ndarray:
-    """gbar = 1/sqrt(1 - v^2) over (..., 3); rejects |v| >= MAX_SPEED."""
+    """gbar = 1/sqrt(1 - v^2) over (..., 3); rejects NaN, |v| >= MAX_SPEED."""
     v = np.asarray(v, dtype=float)
     v2 = np.sum(v * v, axis=-1)
-    if np.any(v2 >= MAX_SPEED ** 2):
+    if not np.all(v2 < MAX_SPEED ** 2):
         raise ValueError(f"|v| = {float(np.sqrt(np.max(v2)))!r} must be "
                          f"< {MAX_SPEED!r}")
     return 1.0 / np.sqrt(1.0 - v2)
@@ -183,11 +184,11 @@ def position_shift(S, v, m: float) -> np.ndarray:
     return np.cross(S, v) / (2.0 * m)
 
 
-def mass_center(state, kind, m: float) -> np.ndarray:
-    """X = x + fP(kind, gbar) * deltaX."""
-    fp = pryce_factors(kind, state.gamma)[3]
+def mass_centers(state, m: float) -> dict:
+    """Every kind's X = x + fP(gbar) deltaX, keyed in PRYCE_KINDS order."""
     shift = position_shift(boost_spin(state).S, state.v, m)
-    return state.x + np.asarray(fp)[..., None] * shift
+    return {kind: state.x + fp[..., None] * shift
+            for kind, (*_, fp) in pryce_factors(state.gamma).items()}
 
 
 def fprime(state, fields: FieldConfig) -> np.ndarray:
@@ -306,8 +307,7 @@ class Trajectory:
         lab = boost_spin(self)
         self.S0, self.S = lab.S0, lab.S
         self.delta_x = position_shift(lab.S, self.v, m)
-        self.centers = {kind: mass_center(self, kind, m)
-                        for kind in PRYCE_KINDS}
+        self.centers = mass_centers(self, m)
         self.v_anomalous = anomalous_velocity(self, self.fields)
         self.max_ev = float(np.max(
             _constant_gamma_violation(self, self.fields)))
@@ -315,9 +315,6 @@ class Trajectory:
     @property
     def energy(self) -> np.ndarray:
         return self.gamma * self.fields.mass
-
-    def pryce_fp(self, kind) -> np.ndarray:
-        return pryce_factors(kind, self.gamma)[3]
 
 
 def max_rotation_rate(fields: FieldConfig) -> float:

@@ -11,7 +11,8 @@ times functions of p, so every expectation is a node sum of scalars X(p)
 times bilinears a^dagger C_A a = W q^T M q, M a table built once from chi;
 a translation's phase exp(-i p.a) cancels in each, so it moves none.  A
 packet holds its spec, not its nodes: building it is one pass over the
-first-axis slabs, each adding X b to a small table.
+first-axis slabs, each adding X b to a small table; X's rows for every
+Pryce kind come from one `algebra.pryce_factors` table a slab.
 """
 from __future__ import annotations
 
@@ -114,8 +115,8 @@ class MomentumWavePacket:
             x[_P], e = p.T, algebra.energy(p, m)
             np.divide(x[_P], e, out=x[_P_E])
             np.divide(x[_P_E], e + m, out=x[_P_EEM])
-            for kind, k in zip(algebra.PRYCE_KINDS, np.split(x[_KINDS], 3)):
-                f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
+            factors = algebra.pryce_factors(e / m).values()
+            for (f1, f2, f3, _), k in zip(factors, np.split(x[_KINDS], 3)):
                 k[0], k[1:4], k[4:] = f1, f2 * x[_P], f3 * x[_P]
             table += x @ b
         # the norm is sum |a|^2 = sum b[1], non-finite with any amplitude
@@ -350,21 +351,16 @@ def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
     return {rel.name: rel for rel in relations}
 
 
-def mass_center_offset(packet: MomentumWavePacket, kind) -> np.ndarray:
-    """<X_P> - <x> for one type, read from the packet's one pass."""
-    if kind not in algebra.PRYCE_KINDS:
-        raise ValueError(f"unknown Pryce kind {kind!r}")
-    return packet.expectations[kind]
-
-
-def verify_main_result(packet: MomentumWavePacket, kind) -> Relation:
-    """Check <X_P> - <x> (the lhs) = fP(g) <T> x <p> / (2 m^2 g), one type."""
-    m, g = packet.mass, packet.gamma_bar
-    fp = algebra.pryce_factors(kind, g)[3]
-    vals = packet.expectations
-    predicted = fp * np.cross(vals["T"], vals["p"]) / (2.0 * m * m * g)
-    return Relation(f"mass_center_offset_{kind}",
-                    mass_center_offset(packet, kind), predicted)
+def verify_main_results(packet: MomentumWavePacket) -> dict[str, Relation]:
+    """Check <X_P> - <x> (the lhs, `expectations[kind]`) = fP(g) <T> x <p>
+    / (2 m^2 g) for every kind.  Returns the relations by name,
+    mass_center_offset_{kind} in `PRYCE_KINDS` order."""
+    m, g, vals = packet.mass, packet.gamma_bar, packet.expectations
+    cross = np.cross(vals["T"], vals["p"])
+    relations = [Relation(f"mass_center_offset_{kind}", vals[kind],
+                          fp * cross / (2.0 * m * m * g))
+                 for kind, (*_, fp) in algebra.pryce_factors(g).items()]
+    return {rel.name: rel for rel in relations}
 
 
 def fg_tolerance(name: str, packet: MomentumWavePacket) -> float:
@@ -380,8 +376,7 @@ def offset_ratio_residual(packet: MomentumWavePacket) -> float | None:
     1 + g, as a relative residual.  None where |<X_e> - <x>| is within the
     e row's own tolerance: there both offsets are spread effects (at rest,
     or with spin along p0), and so is their ratio."""
-    d, e = (float(np.linalg.norm(mass_center_offset(packet, kind)))
-            for kind in "de")
+    d, e = (float(np.linalg.norm(packet.expectations[k])) for k in "de")
     if not e > fg_tolerance("mass_center_offset_e", packet):
         return None
     g = packet.gamma_bar

@@ -53,8 +53,7 @@ def trajectory_columns(traj: dynamics.Trajectory) -> list[tuple]:
     series `label` gives the columns labelx, labely and labelz."""
     series = [("t", traj.t), ("", traj.x), ("v", traj.v), ("s", traj.s),
               ("S0", traj.S0), ("S", traj.S), ("dX", traj.delta_x)]
-    series += [(f"X{kind}_", traj.centers[kind])
-               for kind in algebra.PRYCE_KINDS]
+    series += [(f"X{kind}_", center) for kind, center in traj.centers.items()]
     series += [("Vp_", traj.v_anomalous), ("energy", traj.energy)]
     cols = []
     for label, vals in series:
@@ -258,7 +257,8 @@ def _low_velocity_rows(report, traj, fields, shift):
              * dynamics.norm(traj.s))
     if not np.all(ref_norm > floor):
         return
-    dx = {k: traj.pryce_fp(k)[:, None] * shift for k in algebra.PRYCE_KINDS}
+    dx = {kind: fp[:, None] * shift
+          for kind, (*_, fp) in algebra.pryce_factors(traj.gamma).items()}
     rel = dynamics.norm(dx["d"] - reference) / ref_norm
     report.add("low_velocity_table_d", float(np.max(rel)),
                LOW_VELOCITY_TABLE_TOL)
@@ -297,8 +297,7 @@ def run_verify(cfg: ScenarioConfig, outdir):
                        wall_time=seconds, warn=not pkt.is_sharp)
 
         fg = packets.verify_fg_relations(pkt)
-        centers = {kind: packets.verify_main_result(pkt, kind)
-                   for kind in algebra.PRYCE_KINDS}
+        centers = packets.verify_main_results(pkt)
         phase = report.lap()
         for rel in [*fg.values(), *centers.values()]:
             grade(rel.name, rel.residual, phase)

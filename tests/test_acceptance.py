@@ -61,14 +61,15 @@ def test_criterion_2_fg_relations(reference_packet):
 
 def test_criterion_3_main_result(reference_packet):
     pkt = reference_packet
+    rels = packets.verify_main_results(pkt)
     for kind in ("d", "e"):
-        rel = packets.verify_main_result(pkt, kind)
+        rel = rels[f"mass_center_offset_{kind}"]
         assert rel.residual < 1e-3, kind
-    off_c = packets.mass_center_offset(pkt, "c")
+    off_c = pkt.expectations["c"]
     assert np.max(np.abs(off_c)) < 1e-10
     g = pkt.gamma_bar
-    ratio = (np.linalg.norm(packets.mass_center_offset(pkt, "d"))
-             / np.linalg.norm(packets.mass_center_offset(pkt, "e")))
+    ratio = (np.linalg.norm(pkt.expectations["d"])
+             / np.linalg.norm(pkt.expectations["e"]))
     rel_err = abs(ratio - (1.0 + g)) / (1.0 + g)
     assert rel_err < 1e-3
     _announce(3, "mass-center offsets",

@@ -211,36 +211,62 @@ class TestPryce:
 
     def test_factor_spot_values(self):
         for g in (1.0, 1.8, 12.0):
-            assert algebra.pryce_factors("d", g)[3] == 1.0
-            assert algebra.pryce_factors("c", g)[3] == 0.0
-        assert algebra.pryce_factors("e", 1.0)[3] == pytest.approx(0.5, abs=0)
-        assert algebra.pryce_factors("e", 3.0)[3] == pytest.approx(0.25,
+            assert algebra.pryce_factors(g)["d"][3] == 1.0
+            assert algebra.pryce_factors(g)["c"][3] == 0.0
+        assert algebra.pryce_factors(1.0)["e"][3] == pytest.approx(0.5, abs=0)
+        assert algebra.pryce_factors(3.0)["e"][3] == pytest.approx(0.25,
                                                                    abs=1e-15)
 
     def test_factor_table_components(self):
-        g = 2.0
-        assert algebra.pryce_factors("d", g)[:3] == (1.0, 0.0, -0.25)
-        f1, f2, f3 = algebra.pryce_factors("e", g)[:3]
-        assert (f1, f2, f3) == (0.5, 1.0 / 6.0, -1.0 / 12.0)
-        assert algebra.pryce_factors("c", g)[:3] == (0.25, 0.25, 0.0)
+        table = algebra.pryce_factors(2.0)
+        assert table["d"][:3] == (1.0, 0.0, -0.25)
+        assert table["e"][:3] == (0.5, 1.0 / 6.0, -1.0 / 12.0)
+        assert table["c"][:3] == (0.25, 0.25, 0.0)
+
+    def test_table_keys_are_the_kinds_in_order(self):
+        assert tuple(algebra.pryce_factors(2.0)) == PRYCE_KINDS
+        assert tuple(algebra.pryce_factors(np.ones(3))) == PRYCE_KINDS
+
+    def test_array_gamma_matches_each_scalar_bitwise(self):
+        gs = np.array([1.0, 1.0 + 2.0**-52, 1.25, 3.7, 12.0, 1e6])
+        table = algebra.pryce_factors(gs)
+        for kind, factors in table.items():
+            for i, g in enumerate(gs):
+                one = algebra.pryce_factors(g)[kind]
+                for f_all, f_one in zip(factors, one):
+                    assert f_all.shape == gs.shape
+                    assert np.shape(f_one) == ()
+                    assert (np.asarray(f_all[i]).tobytes()
+                            == np.asarray(f_one).tobytes()), (kind, g)
 
     def test_rejects_subluminal_gamma(self):
         with pytest.raises(ValueError):
-            algebra.pryce_factors("d", 0.99)
+            algebra.pryce_factors(0.99)
+
+    def test_rejects_nan_gamma(self):
+        for g in (np.nan, np.array([2.0, np.nan])):
+            with pytest.raises(ValueError, match="dilation factor"):
+                algebra.pryce_factors(g)
 
     def test_e_factor_monotone_to_zero(self):
         gs = np.linspace(1.0, 50.0, 200)
-        fp = algebra.pryce_factors("e", gs)[3]
+        fp = algebra.pryce_factors(gs)["e"][3]
         assert np.all(np.diff(fp) < 0)
-        assert algebra.pryce_factors("e", 1e6)[3] < 2e-6
+        assert algebra.pryce_factors(1e6)["e"][3] < 2e-6
 
     def test_rejects_unknown_kind(self):
         # kinds are the lowercase strings of PRYCE_KINDS; "D" is not one
         for kind in ("x", "D"):
             with pytest.raises(ValueError, match="unknown Pryce kind"):
-                algebra.pryce_factors(kind, 2.0)
-            with pytest.raises(ValueError, match="unknown Pryce kind"):
                 algebra.pryce_kernel(kind, np.zeros(3), 1.0)
+
+    def test_general_form_rejects_unknown_kind_as_the_kernel_does(self):
+        for kind in ("x", "D"):
+            with pytest.raises(ValueError) as kernel:
+                algebra.pryce_kernel(kind, np.zeros(3), 1.0)
+            with pytest.raises(ValueError) as general:
+                algebra.pryce_kernel_general_form(kind, np.zeros(3), 1.0)
+            assert str(general.value) == str(kernel.value)
 
 
 def test_identity_report_clean():

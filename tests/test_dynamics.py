@@ -43,6 +43,12 @@ class TestDilation:
             dyn.dilation((0, 1.0 - 1e-13, 0))
         dyn.dilation((0, 0.999, 0))  # fine
 
+    def test_rejects_nan_velocity(self):
+        with pytest.raises(ValueError, match="must be <"):
+            dyn.dilation([(0.5, 0, 0), (np.nan, 0, 0)])
+        with pytest.raises(ValueError, match="must be <"):
+            ClassicalState(0, (0, 0, 0), (np.nan, 0, 0), (0, 0, 1))
+
 
 class TestLorentz:
     def test_parallel_b_no_force(self):
@@ -196,25 +202,22 @@ class TestPositionShift:
 class TestMassCenter:
     def test_c_is_position(self):
         st = ClassicalState(0.0, (1, 2, 3), (0.5, 0.1, 0), (0.3, 0.2, 0.1))
-        assert np.array_equal(dyn.mass_center(st, "c", 1.0), st.x)
+        assert np.array_equal(dyn.mass_centers(st, 1.0)["c"], st.x)
 
     def test_at_rest_all_kinds(self):
         st = ClassicalState(0.0, (1, 2, 3), (0, 0, 0), (0.3, 0.2, 0.1))
+        centers = dyn.mass_centers(st, 1.0)
+        assert tuple(centers) == PRYCE_KINDS
         for kind in ("c", "d", "e"):
-            assert np.array_equal(dyn.mass_center(st, kind, 1.0), st.x)
+            assert np.array_equal(centers[kind], st.x)
 
     def test_d_e_offset_ratio(self):
         st = ClassicalState(0.0, (0, 0, 0), (0.6, 0, 0), (0, 0, 0.5))
         g = st.gamma
-        off_d = dyn.mass_center(st, "d", 1.0) - st.x
-        off_e = dyn.mass_center(st, "e", 1.0) - st.x
+        centers = dyn.mass_centers(st, 1.0)
+        off_d = centers["d"] - st.x
+        off_e = centers["e"] - st.x
         assert np.allclose(off_d, (1.0 + g) * off_e, rtol=1e-14)
-
-    def test_rejects_unknown_kind(self):
-        st = ClassicalState(0.0, (0, 0, 0), (0.6, 0, 0), (0, 0, 0.5))
-        for kind in ("x", "D"):
-            with pytest.raises(ValueError, match="unknown Pryce kind"):
-                dyn.mass_center(st, kind, 1.0)
 
 
 class TestFprime:
@@ -484,7 +487,7 @@ def _inline_series(x, v, s, g, fields, kinds):
 
     centers = {}
     for kind in kinds:
-        fp = pryce_factors(kind, g)[3]
+        fp = pryce_factors(g)[kind][3]
         centers[kind] = x + np.asarray(fp)[:, None] * delta_x
 
     w = (fields.charge / m) / g[:, None] * (

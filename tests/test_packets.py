@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from conftest import rotation_matrix
 from spindrift import algebra, config, convergence, packets
 from spindrift.packets import (expectation_position, make_gaussian_packet,
-                               mass_center_offset, verify_fg_relations,
-                               verify_main_result)
+                               verify_fg_relations, verify_main_results)
 
 # Largest imaginary part, relative to the magnitude, that a declared-Hermitian
 # expectation may carry.
@@ -292,7 +291,7 @@ class TestPosition:
                                    (0, 1, 1), m=0.7, grid_points=16)
         position = expectation_position(pkt.translated(a))
         assert np.max(np.abs(position[:2])) > 0.05
-        np.testing.assert_allclose(position + mass_center_offset(pkt, "e"),
+        np.testing.assert_allclose(position + pkt.expectations["e"],
                                    a, rtol=0, atol=8 * np.finfo(float).eps)
 
 
@@ -345,33 +344,36 @@ class TestRelations:
 
 class TestMainResult:
     def test_kind_c_offset_vanishes(self, fast_packet):
-        assert np.max(np.abs(mass_center_offset(fast_packet, "c"))) < 1e-10
+        assert np.max(np.abs(fast_packet.expectations["c"])) < 1e-10
 
     def test_rest_packet_all_kinds(self):
         pkt = make_gaussian_packet((0, 0, 0), 0.02, (0, 1, 0),
                                    grid_points=16)
+        rels = verify_main_results(pkt)
         for kind in ("c", "d", "e"):
-            rel = verify_main_result(pkt, kind)
+            rel = rels[f"mass_center_offset_{kind}"]
             assert rel.residual < 1e-10
-            assert np.max(np.abs(mass_center_offset(pkt, kind))) < 1e-10
+            assert np.max(np.abs(pkt.expectations[kind])) < 1e-10
 
-    def test_rejects_unknown_kind(self, fast_packet):
-        for kind in ("x", "D"):
-            with pytest.raises(ValueError, match="unknown Pryce kind"):
-                verify_main_result(fast_packet, kind)
-            with pytest.raises(ValueError, match="unknown Pryce kind"):
-                mass_center_offset(fast_packet, kind)
+    def test_relations_are_keyed_in_kind_order(self, fast_packet):
+        rels = verify_main_results(fast_packet)
+        assert list(rels) == [f"mass_center_offset_{kind}"
+                              for kind in algebra.PRYCE_KINDS]
+        for kind in algebra.PRYCE_KINDS:
+            lhs = rels[f"mass_center_offset_{kind}"].lhs
+            assert lhs is fast_packet.expectations[kind]
 
     def test_offsets_match_prediction(self, fast_packet):
+        rels = verify_main_results(fast_packet)
         for kind in ("d", "e"):
-            rel = verify_main_result(fast_packet, kind)
+            rel = rels[f"mass_center_offset_{kind}"]
             assert rel.residual < packets.fg_tolerance(
                 f"mass_center_offset_{kind}", fast_packet)
 
     def test_d_to_e_ratio(self, fast_packet):
         g = fast_packet.gamma_bar
-        ratio = (np.linalg.norm(mass_center_offset(fast_packet, "d"))
-                 / np.linalg.norm(mass_center_offset(fast_packet, "e")))
+        ratio = (np.linalg.norm(fast_packet.expectations["d"])
+                 / np.linalg.norm(fast_packet.expectations["e"]))
         assert abs(ratio - (1.0 + g)) / (1.0 + g) < 1e-3
 
 
@@ -405,8 +407,8 @@ class TestCovariance:
                 assert np.max(np.abs(rot @ vals_b[key] - vals_t[key])) \
                     < 1e-12, (rule, key)
             for kind in ("d", "e"):
-                off_b = mass_center_offset(base, kind)
-                off_t = mass_center_offset(turned, kind)
+                off_b = base.expectations[kind]
+                off_t = turned.expectations[kind]
                 assert np.max(np.abs(rot @ off_b - off_t)) < 1e-12, rule
 
 
@@ -506,11 +508,11 @@ def _rows(pkt):
     sides are |d| / |e| and 1 + g, graded where `runners.run_verify`
     grades it."""
     rels = [*verify_fg_relations(pkt).values(),
-            *(verify_main_result(pkt, kind) for kind in algebra.PRYCE_KINDS)]
+            *verify_main_results(pkt).values()]
     rows = [(rel.name, rel.residual, rel.lhs, rel.rhs) for rel in rels]
     ratio = packets.offset_ratio_residual(pkt)
     if ratio is not None:
-        d, e = (np.linalg.norm(mass_center_offset(pkt, k)) for k in "de")
+        d, e = (np.linalg.norm(pkt.expectations[k]) for k in "de")
         rows.append(("offset_ratio_d_e", ratio, d / e, 1.0 + pkt.gamma_bar))
     return rows
 
@@ -555,7 +557,7 @@ def test_settled_gauss_hermite_rows_hold_and_match_the_grid(spec):
     scale = max(np.max(np.abs(side)) for name, _, lhs, rhs in grid_rows
                 if name != "offset_ratio_d_e" for side in (lhs, rhs))
     move = (TRUNCATION + AGREEMENT_GRID**3 * np.finfo(float).eps) * scale
-    d, e = (np.linalg.norm(mass_center_offset(grid, k)) for k in "de")
+    d, e = (np.linalg.norm(grid.expectations[k]) for k in "de")
     for (name, residual, *_), (_, want, lhs, _) in zip(rows, grid_rows):
         bound = (2.0 * move if name != "offset_ratio_d_e"
                  else lhs * (move / d + move / e) + 2.0 * move / m)
@@ -599,7 +601,7 @@ def test_offset_ratio_is_not_graded_with_spin_along_p0(rule):
     p0 = direction / np.linalg.norm(direction)
     pkt = _packet(rule, p0, (0.03125, 0.03125, 0.046875), direction,
                   grid_points=32)
-    e = np.linalg.norm(mass_center_offset(pkt, "e"))
+    e = np.linalg.norm(pkt.expectations["e"])
     assert packets.RESIDUAL_FLOOR < e
     assert e <= packets.fg_tolerance("mass_center_offset_e", pkt)
     assert packets.offset_ratio_residual(pkt) is None
@@ -804,8 +806,7 @@ def _node_scalars(p, m):
     p/(E(E+m)), then per Pryce kind f1, f2 p and f3 p at gamma = E/m."""
     e, p = algebra.energy(p, m), p.T
     rows = [np.ones_like(e), *p, *(p / e), *(p / e / (e + m))]
-    for kind in algebra.PRYCE_KINDS:
-        f1, f2, f3 = algebra.pryce_factors(kind, e / m)[:3]
+    for f1, f2, f3, _ in algebra.pryce_factors(e / m).values():
         rows += [f1, *(f2 * p), *(f3 * p)]
     return np.array(rows)
 
@@ -862,8 +863,7 @@ def _packet_path_peak(n):
     try:
         pkt = cfg.wave_packet()
         verify_fg_relations(pkt)
-        for kind in ("c", "d", "e"):
-            verify_main_result(pkt, kind)
+        verify_main_results(pkt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
