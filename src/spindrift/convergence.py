@@ -66,8 +66,8 @@ def _rk4(state0, fields, dt: float, steps: int):
         return [c / u0 for c in (u1, u2, u3, *space_part(u0, u1, u2, u3),
                                  *space_part(s0, s1, s2, s3))]
 
-    y = np.concatenate((state0.x, state0.gamma * state0.v,
-                        dynamics.boost_spin(state0).S)).tolist()
+    _, S = dynamics.boost_spin(state0.s, state0.v, state0.gamma)
+    y = np.concatenate((state0.x, state0.gamma * state0.v, S)).tolist()
     dt = float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
     for _ in range(steps):
@@ -83,8 +83,7 @@ def _rk4(state0, fields, dt: float, steps: int):
             f"the RK4 state is non-finite after {steps} steps")
     gamma = math.sqrt(1.0 + u @ u)
     v = u / gamma
-    return x, v, dynamics.unboost_spin(
-        dynamics.LabSpin(u @ S / gamma, S), v, gamma)
+    return x, v, dynamics.unboost_spin(S, v, gamma)
 
 
 def _integrator_rung(cfg: ScenarioConfig, n: int):
@@ -151,11 +150,11 @@ def _anomalous_fd_rung(cfg: ScenarioConfig, n: int):
         raise ConfigError(f"converge: |e E.v| reaches {traj.max_ev:.3e}; the "
                           f"anomalous-velocity comparison needs a "
                           f"frozen-energy scenario")
-    fd = (traj.delta_x[2:] - traj.delta_x[:-2]) / (2.0 * traj.dt)
+    fd = (traj.delta_x[2:] - traj.delta_x[:-2]) / (2.0 * dt)
     err = np.linalg.norm(fd - traj.v_anomalous[1:-1], axis=1)
     scale = np.max(traj.gamma * np.linalg.norm(traj.s, axis=1)
                    * np.linalg.norm(traj.v, axis=1)) / (2.0 * cfg.mass)
-    return dt, float(err.max()), 14.0 * np.spacing(scale) / (2.0 * traj.dt)
+    return dt, float(err.max()), 14.0 * np.spacing(scale) / (2.0 * dt)
 
 
 def _settled_packet(cfg: ScenarioConfig, widths):

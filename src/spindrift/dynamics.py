@@ -110,35 +110,22 @@ class ClassicalState:
     def gamma(self) -> float:
         return dilation(self.v)
 
-    def momentum(self, m: float) -> np.ndarray:
-        return self.gamma * m * self.v
 
+# The formulas below read x, v, s and gamma (never again from v) from
+# `state`: one ClassicalState, or a Trajectory's (n,) / (n, 3) columns.  The
+# spin conversions and the position shift take arrays, as a packet's are.
 
-@dataclass
-class LabSpin:
-    """Spin 4-vector components in the lab frame."""
-
-    S0: float
-    S: np.ndarray
-
-
-# The formulas below read x, v, s and gamma from `state`: a ClassicalState
-# is one state, a Trajectory the (n,) / (n, 3) columns of n states.  gamma
-# always comes from the state, never again from v.
-
-def boost_spin(state) -> LabSpin:
-    """Rest-frame polarization -> lab 4-vector spin (S0, S)."""
-    g = state.gamma[..., None]
-    sv = _dot(state.s, state.v)
-    return LabSpin(S0=(g * sv)[..., 0],
-                   S=state.s + g * g / (g + 1.0) * sv * state.v)
-
-
-def unboost_spin(lab: LabSpin, v, gamma) -> np.ndarray:
-    """Inverse of boost_spin: s = S - g/(g+1) (v.S) v, g = gamma."""
-    v = np.asarray(v, dtype=float)
+def boost_spin(s, v, gamma) -> tuple:
+    """Rest-frame polarization s -> lab 4-vector spin (S0, S) at v, gamma."""
     g = np.asarray(gamma, dtype=float)[..., None]
-    return lab.S - g / (g + 1.0) * _dot(lab.S, v) * v
+    sv = _dot(s, v)
+    return (g * sv)[..., 0], s + g * g / (g + 1.0) * sv * v
+
+
+def unboost_spin(S, v, gamma) -> np.ndarray:
+    """Inverse of boost_spin: s = S - g/(g+1) (v.S) v, g = gamma."""
+    g = np.asarray(gamma, dtype=float)[..., None]
+    return S - g / (g + 1.0) * _dot(S, v) * v
 
 
 def lorentz_rhs(state, fields: FieldConfig) -> np.ndarray:
@@ -186,7 +173,8 @@ def position_shift(S, v, m: float) -> np.ndarray:
 
 def mass_centers(state, m: float) -> dict:
     """Every kind's X = x + fP(gbar) deltaX, keyed in PRYCE_KINDS order."""
-    shift = position_shift(boost_spin(state).S, state.v, m)
+    shift = position_shift(boost_spin(state.s, state.v, state.gamma)[1],
+                           state.v, m)
     return {kind: state.x + fp[..., None] * shift
             for kind, (*_, fp) in pryce_factors(state.gamma).items()}
 
@@ -293,7 +281,6 @@ class Trajectory:
     s: np.ndarray             # (n, 3)
     gamma: np.ndarray         # (n,)
     fields: FieldConfig
-    dt: float                 # spacing between stored samples
     # derived on construction from the formulas above, with this as the state
     S0: np.ndarray = field(init=False)           # (n,)
     S: np.ndarray = field(init=False)            # (n, 3)
@@ -304,9 +291,8 @@ class Trajectory:
 
     def __post_init__(self):
         m = self.fields.mass
-        lab = boost_spin(self)
-        self.S0, self.S = lab.S0, lab.S
-        self.delta_x = position_shift(lab.S, self.v, m)
+        self.S0, self.S = boost_spin(self.s, self.v, self.gamma)
+        self.delta_x = position_shift(self.S, self.v, m)
         self.centers = mass_centers(self, m)
         self.v_anomalous = anomalous_velocity(self, self.fields)
         self.max_ev = float(np.max(

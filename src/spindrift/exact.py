@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .dynamics import (MAX_SPEED, ClassicalState, FieldConfig,
-                       IntegrationError, LabSpin, Trajectory, boost_spin,
+                       IntegrationError, Trajectory, boost_spin,
                        max_rotation_rate, position_shift, unboost_spin)
 
 EPS = np.finfo(float).eps
@@ -222,9 +222,9 @@ def uniform_field_reference(state0: ClassicalState, fields: FieldConfig,
     raises IntegrationError.
     """
     elapsed = np.asarray(t, dtype=float) - state0.t
-    lab = boost_spin(state0)
+    S0, S = boost_spin(state0.s, state0.v, state0.gamma)
     U = np.stack([state0.gamma * np.array([1.0, *state0.v]),
-                  np.array([lab.S0, *lab.S])], axis=-1)
+                  np.array([S0, *S])], axis=-1)
     W, coefficients = _propagator(fields, U,
                                   float(np.max(elapsed, initial=0.0)))
     x, v, s = (np.empty((len(elapsed), 3)) for _ in range(3))
@@ -244,8 +244,7 @@ def uniform_field_reference(state0: ClassicalState, fields: FieldConfig,
                 f"at t = {state0.t + elapsed[block][fast][0]:.6g}")
         x[block] = state0.x + _combine(g, W[:, 1:, 0])
         v[block], gamma[block] = vb, u[:, 0, 0]
-        s[block] = unboost_spin(LabSpin(u[:, 0, 1], u[:, 1:, 1]), vb,
-                                u[:, 0, 0])
+        s[block] = unboost_spin(u[:, 1:, 1], vb, u[:, 0, 0])
         start = (tau[-1], elapsed[block][-1], u[-1, 0, 0])
     return x, v, s, gamma
 
@@ -256,7 +255,7 @@ def propagate(state0: ClassicalState, fields: FieldConfig, dt: float,
     steps."""
     t = state0.t + np.arange(0, steps + 1, sample_every) * float(dt)
     return Trajectory(t, *uniform_field_reference(state0, fields, t),
-                      fields=fields, dt=dt * sample_every)
+                      fields=fields)
 
 
 def shift_velocity(traj: Trajectory) -> np.ndarray:

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import algebra
+from . import algebra, dynamics
 from .report import Relation
 
 # Per row: measured residual/(w/m)^2 over the width ladder {0.04, 0.02,
@@ -31,7 +31,7 @@ from .report import Relation
 # 1: p x sigma is a momentum, the odd term a momentum squared and an offset
 # a length), so that a tolerance in the row's units is that times m^dim.
 # Relations that are pointwise identities for on-shell spinors (T4, the odd
-# term, the c-type kernel) sit at roundoff and get an absolute floor instead.
+# term, the c-type kernel) sit at roundoff and get a floor (`_floor`).
 RESIDUAL_FLOOR = 1e-11
 FG_RESIDUAL_COEFF = {
     "T_from_O": (1.0, 0),
@@ -322,9 +322,10 @@ def _expectations(s, m):
 def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
     """Residuals of the expectation-value relations tying T, T4, O, sigma.
 
-    Relations checked (g = dilation factor, v = packet velocity):
-      T_from_O:             <T>  = <O> + g^2/(g+1) (v.<O>) v
-      T4_from_O:            <T4> = i g v.<O>
+    Relations checked (g = dilation factor, v = packet velocity), the first
+    three through `dynamics.boost_spin` (S0, S) and `unboost_spin`:
+      T_from_O:             <T>  = S    = <O> + g^2/(g+1) (v.<O>) v
+      T4_from_O:            <T4> = i S0 = i g v.<O>
       O_from_T:             <O>  = <T> - g/(g+1) (v.<T>) v
       sigma_from_T:         <sigma> = <T>/g
       ibeta_alpha_from_T:   <i beta alpha> = <T> x <p> / (g m)
@@ -335,12 +336,11 @@ def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
     """
     vals, m, g = packet.expectations, packet.mass, packet.gamma_bar
     v, p, tbar, obar = packet.velocity, vals["p"], vals["T"], vals["O"]
+    S0, S = dynamics.boost_spin(obar, v, g)
     relations = [
-        Relation("T_from_O", tbar,
-                 obar + g**2 / (g + 1.0) * np.dot(v, obar) * v),
-        Relation("T4_from_O", vals["T4"], 1j * g * np.dot(v, obar)),
-        Relation("O_from_T", obar,
-                 tbar - g / (g + 1.0) * np.dot(v, tbar) * v),
+        Relation("T_from_O", tbar, S),
+        Relation("T4_from_O", vals["T4"], 1j * S0),
+        Relation("O_from_T", obar, dynamics.unboost_spin(tbar, v, g)),
         Relation("sigma_from_T", vals["sigma"], tbar / g),
         Relation("ibeta_alpha_from_T", vals["ibeta_alpha"],
                  np.cross(tbar, p) / (g * m)),
@@ -352,23 +352,37 @@ def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
 
 
 def verify_main_results(packet: MomentumWavePacket) -> dict[str, Relation]:
-    """Check <X_P> - <x> (the lhs, `expectations[kind]`) = fP(g) <T> x <p>
-    / (2 m^2 g) for every kind.  Returns the relations by name,
-    mass_center_offset_{kind} in `PRYCE_KINDS` order."""
-    m, g, vals = packet.mass, packet.gamma_bar, packet.expectations
-    cross = np.cross(vals["T"], vals["p"])
+    """Check <X_P> - <x> (the lhs, `expectations[kind]`) = fP(g) <T> x v
+    / 2m (`dynamics.position_shift`) for every kind.  Returns the relations
+    by name, mass_center_offset_{kind} in `PRYCE_KINDS` order."""
+    g, vals = packet.gamma_bar, packet.expectations
+    shift = dynamics.position_shift(vals["T"], packet.velocity, packet.mass)
     relations = [Relation(f"mass_center_offset_{kind}", vals[kind],
-                          fp * cross / (2.0 * m * m * g))
+                          fp * shift)
                  for kind, (*_, fp) in algebra.pryce_factors(g).items()]
     return {rel.name: rel for rel in relations}
 
 
+def _floor(name: str, packet: MomentumWavePacket) -> float:
+    """RESIDUAL_FLOOR, or over m^dim the rounding, in eps/2 with |p| <= gbar
+    m, of a row that holds at every node.  A table entry rounds by 2 (n1 +
+    n2 n3) + 101 of its terms' sizes: a slab's n2 n3-node dot product, n1
+    slab adds, the norm alike, ~25 roundings of b = M mono <= 4 W.  <T4> = i
+    <p>.n / m, <O> = n, reads 5 of size gbar: its own, <p>'s against |<O>| =
+    1, 3 per <O>_i against p_i.  The odd term's node terms p_i p.b[i beta
+    alpha] vanish; it rounds as p.b, sqrt(3) 102 of (gbar m)^2."""
+    g, n1, n2, n3 = packet.gamma_bar, *(ax.size for ax in packet.axes)
+    ulps = {"T4_from_O": 5.0 * (2.0 * (n1 + n2 * n3) + 101.0) * g,
+            "odd_term_null": math.sqrt(3.0) * 102.0 * g * g}
+    return max(RESIDUAL_FLOOR, 0.5 * np.finfo(float).eps * ulps.get(name, 0))
+
+
 def fg_tolerance(name: str, packet: MomentumWavePacket) -> float:
-    """Pass threshold for one relation: coeff * (max width / m)^2, floored,
-    times m^dim, the row's unit."""
+    """Pass threshold for one relation: coeff * (max width / m)^2, floored
+    (`_floor`), times m^dim, the row's unit."""
     coeff, dim = FG_RESIDUAL_COEFF[name]
     scale = float(np.max(packet.widths)) / packet.mass
-    return max(coeff * scale * scale, RESIDUAL_FLOOR) * packet.mass ** dim
+    return max(coeff * scale * scale, _floor(name, packet)) * packet.mass**dim
 
 
 def offset_ratio_residual(packet: MomentumWavePacket) -> float | None:

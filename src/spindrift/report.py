@@ -106,14 +106,11 @@ class RunReport:
     def __getitem__(self, name: str) -> CheckRow:
         return self._rows[name]
 
-    def any_fail(self) -> bool:
-        return any(r.status == FAIL for r in self)
-
     def all_pass(self) -> bool:
         return all(r.status == PASS for r in self)
 
     def exit_code(self) -> int:
-        return 1 if self.any_fail() else 0
+        return 1 if any(r.status == FAIL for r in self) else 0
 
     def format_table(self, title: str = "") -> str:
         width = max((len(r.name) for r in self), default=10)

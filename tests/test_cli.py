@@ -408,6 +408,21 @@ def test_offset_ratio_needs_a_signal(p0, graded, tmp_path):
     assert ("offset_ratio_d_e" in kv) == graded
 
 
+@pytest.mark.parametrize("p0, spin", [
+    ("1e5", ("0", "1", "1")),    # <T4> ~ 7e4: one ulp of it is 1.5e-11
+    ("2e6", ("0", "1", "1")),    # <T4> ~ 1.4e6: four ulp
+    ("1e8", ("0.3", "1", "1")),  # the odd term's operands are p^2 ~ 1e16
+    # |v| = 1 - 1.25e-13 is past dynamics.MAX_SPEED: the relations take
+    # the packet's own gbar and velocity, with no ClassicalState
+    ("2e6", ("1", "0", "0")),
+])
+def test_verify_fg_passes_at_large_gamma_bar(p0, spin, tmp_path):
+    # the roundoff rows' tolerance grows with their operands
+    assert cli.main(["verify-fg", "--p0", "0", "0", p0,
+                     "--widths", "0.01", "0.01", "0.01", "--spin", *spin,
+                     "--grid-points", "8", "--out", str(tmp_path)]) == 0
+
+
 def test_verify_fg_wide_packet_warns(tmp_path):
     out = tmp_path / "wide"
     rc = cli.main(["verify-fg", "--out", str(out),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rotation_matrix
-from spindrift import algebra, config, convergence, packets
+from spindrift import algebra, config, convergence, dynamics, packets
 from spindrift.packets import (expectation_position, make_gaussian_packet,
                                verify_fg_relations, verify_main_results)
 
@@ -340,6 +340,63 @@ class TestRelations:
         vals = pkt.expectations
         assert abs(vals["T4"].real) < 1e-14
         assert vals["T4"].imag > 0.5  # ~ gbar v . s
+
+
+# The relations' right-hand sides are the classical formulas, so breaking
+# one of them fails a row.  The packet is oblique, m = 1.7 and its spin (0,
+# 1, 1) has a component along p0: on the default packet spin is transverse,
+# so (s.v) = 0 and no boost mutant shows.
+OBLIQUE = dict(p0=(0.5, 0.1, 0.3), widths=0.017, spin_direction=(0, 1, 1),
+               m=1.7, grid_points=16)
+# p0 = 1e5 m, where gbar v.<O> is ~7e4 and one ulp of it is above
+# RESIDUAL_FLOOR
+FAST = dict(p0=(0, 0, 1e5), widths=0.01, spin_direction=(0, 1, 1),
+            grid_points=8)
+
+
+def _boost_with_gamma_over_gamma_plus_one(s, v, gamma):
+    g = np.asarray(gamma)[..., None]
+    sv = np.sum(s * v, axis=-1, keepdims=True)
+    return (g * sv)[..., 0], s + g / (g + 1.0) * sv * v
+
+
+def _boost_without_gamma_in_s0(s, v, gamma):
+    g = np.asarray(gamma)[..., None]
+    sv = np.sum(s * v, axis=-1, keepdims=True)
+    return sv[..., 0], s + g * g / (g + 1.0) * sv * v
+
+
+def _unboost_with_one_over_gamma_plus_one(S, v, gamma):
+    g = np.asarray(gamma)[..., None]
+    return S - 1.0 / (g + 1.0) * np.sum(S * v, axis=-1, keepdims=True) * v
+
+
+def _shift_over_m(S, v, m):
+    return np.cross(S, v) / m
+
+
+def _failing_rows(pkt):
+    rels = [*verify_fg_relations(pkt).values(),
+            *verify_main_results(pkt).values()]
+    return [rel.name for rel in rels
+            if not rel.residual <= packets.fg_tolerance(rel.name, pkt)]
+
+
+@pytest.mark.parametrize("formula, mutant, spec, failing", [
+    ("boost_spin", _boost_with_gamma_over_gamma_plus_one, OBLIQUE,
+     ["T_from_O"]),
+    ("unboost_spin", _unboost_with_one_over_gamma_plus_one, OBLIQUE,
+     ["O_from_T"]),
+    ("position_shift", _shift_over_m, OBLIQUE,
+     ["mass_center_offset_d", "mass_center_offset_e"]),
+    ("boost_spin", _boost_without_gamma_in_s0, FAST, ["T4_from_O"]),
+], ids=["boost_spin", "unboost_spin", "position_shift", "boost_spin_s0"])
+def test_a_broken_classical_formula_fails_its_row(formula, mutant, spec,
+                                                  failing, monkeypatch):
+    pkt = make_gaussian_packet(**spec)
+    assert _failing_rows(pkt) == []
+    monkeypatch.setattr(dynamics, formula, mutant)
+    assert _failing_rows(pkt) == failing
 
 
 class TestMainResult:

@@ -34,9 +34,9 @@ HEAVY_CROSSED_CSV_SHA256 = (
 # golden_verify_fg.cfg (m = 1.3; rows for all three Pryce kinds)
 VERIFY_FG_KV_SHA256 = {
     "default_48": (
-        "1c75095dc3a84682e35fd4b15d8e7bbaa152e41208711bcbc1c8a7e88e63ccaf"),
+        "9fbc0469c24ed23e2a1c440a1abafff41e2d942692ad59d5e2a5ea1b13bfd29b"),
     "golden": (
-        "5e0de3cc102030addc376a517149b6dd3c7d6098c5d7ec1abb42957c29ea929b"),
+        "3679bc48154f19e13dc3f348c7f0de60f7956b9df623c0802809cdfb13691361"),
 }
 
 
