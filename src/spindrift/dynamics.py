@@ -12,7 +12,8 @@ with the g factor fixed at 2.  Its exact solution in uniform fields is
 
 The mass-center layer attaches the lab-frame spin (S0, S), the position
 shift  deltaX = S x v / 2m, every kind's center  X = x + fP(gbar) deltaX
-(`mass_centers`, all kinds from one Pryce factor table) and the anomalous
+(`mass_centers`, all kinds from one Pryce factor table; the packet rows
+call it too, with x = 0, for the offsets <X_P> - <x>) and the anomalous
 velocity  V = d(deltaX)/dt  in three equivalent analytic forms (compact,
 E/B-decomposed, Thomas-precession).  The analytic forms assume the energy
 is frozen (d gbar/dt = 0); evaluating them on a state with |e E.v| above a
@@ -113,7 +114,8 @@ class ClassicalState:
 
 # The formulas below read x, v, s and gamma (never again from v) from
 # `state`: one ClassicalState, or a Trajectory's (n,) / (n, 3) columns.  The
-# spin conversions and the position shift take arrays, as a packet's are.
+# spin conversions, the position shift and the centers take arrays, as a
+# packet's are.
 
 def boost_spin(s, v, gamma) -> tuple:
     """Rest-frame polarization s -> lab 4-vector spin (S0, S) at v, gamma."""
@@ -171,12 +173,11 @@ def position_shift(S, v, m: float) -> np.ndarray:
     return np.cross(S, v) / (2.0 * m)
 
 
-def mass_centers(state, m: float) -> dict:
-    """Every kind's X = x + fP(gbar) deltaX, keyed in PRYCE_KINDS order."""
-    shift = position_shift(boost_spin(state.s, state.v, state.gamma)[1],
-                           state.v, m)
-    return {kind: state.x + fp[..., None] * shift
-            for kind, (*_, fp) in pryce_factors(state.gamma).items()}
+def mass_centers(x, shift, gamma) -> dict:
+    """Every kind's X = x + fP(gamma) shift, keyed in PRYCE_KINDS order: a
+    trajectory's centers from its deltaX, a packet's offsets from x = 0."""
+    return {kind: x + fp[..., None] * shift
+            for kind, (*_, fp) in pryce_factors(gamma).items()}
 
 
 def fprime(state, fields: FieldConfig) -> np.ndarray:
@@ -293,7 +294,7 @@ class Trajectory:
         m = self.fields.mass
         self.S0, self.S = boost_spin(self.s, self.v, self.gamma)
         self.delta_x = position_shift(self.S, self.v, m)
-        self.centers = mass_centers(self, m)
+        self.centers = mass_centers(self.x, self.delta_x, self.gamma)
         self.v_anomalous = anomalous_velocity(self, self.fields)
         self.max_ev = float(np.max(
             _constant_gamma_violation(self, self.fields)))

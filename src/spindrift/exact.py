@@ -243,7 +243,8 @@ def uniform_field_reference(state0: ClassicalState, fields: FieldConfig,
                 f"|v| reaches {MAX_SPEED!r} (gbar = {u[fast, 0, 0][0]:.6g}) "
                 f"at t = {state0.t + elapsed[block][fast][0]:.6g}")
         x[block] = state0.x + _combine(g, W[:, 1:, 0])
-        v[block], gamma[block] = vb, u[:, 0, 0]
+        # at a turning point u0 may round to just below 1; gbar >= 1
+        v[block], gamma[block] = vb, np.maximum(u[:, 0, 0], 1.0)
         s[block] = unboost_spin(u[:, 1:, 1], vb, u[:, 0, 0])
         start = (tau[-1], elapsed[block][-1], u[-1, 0, 0])
     return x, v, s, gamma

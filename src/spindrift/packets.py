@@ -30,6 +30,8 @@ from .report import Relation
 # times a safety factor of ~4, and the residual's mass dimension (hbar = c =
 # 1: p x sigma is a momentum, the odd term a momentum squared and an offset
 # a length), so that a tolerance in the row's units is that times m^dim.
+# offset_d_e reads 0.0998 there and at most 0.068 over 600 random sharp
+# packets (|p0| <= 5m, m in [0.5, 3], any spin; numpy seed 2024).
 # Relations that are pointwise identities for on-shell spinors (T4, the odd
 # term, the c-type kernel) sit at roundoff and get a floor (`_floor`).
 RESIDUAL_FLOOR = 1e-11
@@ -44,7 +46,7 @@ FG_RESIDUAL_COEFF = {
     "mass_center_offset_c": (0.0, -1),
     "mass_center_offset_d": (1.1, -1),
     "mass_center_offset_e": (0.7, -1),
-    "offset_ratio_d_e": (1.6, 0),
+    "offset_d_e": (0.4, -1),
 }
 # Packets wider than this fraction of the mass are outside the sharp-spread
 # regime; verification rows for them are downgraded to WARN.
@@ -352,14 +354,18 @@ def verify_fg_relations(packet: MomentumWavePacket) -> dict[str, Relation]:
 
 
 def verify_main_results(packet: MomentumWavePacket) -> dict[str, Relation]:
-    """Check <X_P> - <x> (the lhs, `expectations[kind]`) = fP(g) <T> x v
-    / 2m (`dynamics.position_shift`) for every kind.  Returns the relations
-    by name, mass_center_offset_{kind} in `PRYCE_KINDS` order."""
+    """Check <X_P> - <x> (the lhs, `expectations[kind]`) against
+    `dynamics.mass_centers` at x = 0, fP(g) <T> x v / 2m, for every kind;
+    then offset_d_e: <X_d> - <x> - (1 + g) (<X_e> - <x>) = 0, classically
+    (fP_d - (1 + g) fP_e) deltaX.  Returns the relations by name,
+    mass_center_offset_{kind} in `PRYCE_KINDS` order, then offset_d_e."""
     g, vals = packet.gamma_bar, packet.expectations
     shift = dynamics.position_shift(vals["T"], packet.velocity, packet.mass)
-    relations = [Relation(f"mass_center_offset_{kind}", vals[kind],
-                          fp * shift)
-                 for kind, (*_, fp) in algebra.pryce_factors(g).items()]
+    centers = dynamics.mass_centers(0.0, shift, g)
+    relations = [Relation(f"mass_center_offset_{kind}", vals[kind], center)
+                 for kind, center in centers.items()]
+    relations.append(Relation("offset_d_e", vals["d"] - (1.0 + g) * vals["e"],
+                              np.zeros(3)))
     return {rel.name: rel for rel in relations}
 
 
@@ -384,14 +390,3 @@ def fg_tolerance(name: str, packet: MomentumWavePacket) -> float:
     scale = float(np.max(packet.widths)) / packet.mass
     return max(coeff * scale * scale, _floor(name, packet)) * packet.mass**dim
 
-
-def offset_ratio_residual(packet: MomentumWavePacket) -> float | None:
-    """The offset_ratio_d_e row: |<X_d> - <x>| / |<X_e> - <x>| against
-    1 + g, as a relative residual.  None where |<X_e> - <x>| is within the
-    e row's own tolerance: there both offsets are spread effects (at rest,
-    or with spin along p0), and so is their ratio."""
-    d, e = (float(np.linalg.norm(packet.expectations[k])) for k in "de")
-    if not e > fg_tolerance("mass_center_offset_e", packet):
-        return None
-    g = packet.gamma_bar
-    return abs(d / e - (1.0 + g)) / (1.0 + g)

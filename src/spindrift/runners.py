@@ -247,8 +247,9 @@ def _low_velocity_rows(report, traj, fields, shift):
     `shift` = d(deltaX)/dt, graded where |s x E| stays above
     LOW_VELOCITY_MIN_SINE |s| |E|.
 
-    dx[k] = fP_k d(deltaX)/dt = d(X_k - x)/dt at frozen energy.  d-type:
-    matches e/(2m^2) s x E; e-type: half the d-type; c-type: exactly zero.
+    dx[k] = fP_k d(deltaX)/dt = d(X_k - x)/dt at frozen energy, from
+    `dynamics.mass_centers` at x = 0.  d-type: matches e/(2m^2) s x E;
+    e-type: half the d-type; c-type: exactly zero.
     """
     coeff = fields.charge / (2.0 * fields.mass**2)
     reference = coeff * np.cross(traj.s, fields.E)
@@ -257,8 +258,7 @@ def _low_velocity_rows(report, traj, fields, shift):
              * dynamics.norm(traj.s))
     if not np.all(ref_norm > floor):
         return
-    dx = {kind: fp[:, None] * shift
-          for kind, (*_, fp) in algebra.pryce_factors(traj.gamma).items()}
+    dx = dynamics.mass_centers(0.0, shift, traj.gamma)
     rel = dynamics.norm(dx["d"] - reference) / ref_norm
     report.add("low_velocity_table_d", float(np.max(rel)),
                LOW_VELOCITY_TABLE_TOL)
@@ -287,23 +287,16 @@ def run_verify(cfg: ScenarioConfig, outdir):
         title = f"verify-algebra: {cfg.name}"
     elif cfg.mode == "verify-fg":
         # building the packet is its one pass, which serves the FG and the
-        # mass-center rows, so they share its phase; the ratio row times
-        # its own work
+        # mass-center rows, so they share its phase
         report = RunReport()
         pkt = cfg.wave_packet()
-
-        def grade(name, residual, seconds=None):
-            report.add(name, residual, packets.fg_tolerance(name, pkt),
-                       wall_time=seconds, warn=not pkt.is_sharp)
-
         fg = packets.verify_fg_relations(pkt)
         centers = packets.verify_main_results(pkt)
         phase = report.lap()
         for rel in [*fg.values(), *centers.values()]:
-            grade(rel.name, rel.residual, phase)
-        ratio = packets.offset_ratio_residual(pkt)
-        if ratio is not None:
-            grade("offset_ratio_d_e", ratio)
+            report.add(rel.name, rel.residual,
+                       packets.fg_tolerance(rel.name, pkt), wall_time=phase,
+                       warn=not pkt.is_sharp)
         kv_lines = [f"packet.gamma_bar = {pkt.gamma_bar:.17g}",
                     f"packet.sharp = {pkt.is_sharp}"]
         kv_lines += relation_kv_lines(fg.values(), prefix="fg.")

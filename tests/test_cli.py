@@ -347,7 +347,7 @@ def test_verify_fg_flags(tmp_path):
     assert rc == 0
     text = (out / "verify_fg_report.txt").read_text()
     for row in ("mass_center_offset_c", "mass_center_offset_d",
-                "mass_center_offset_e", "offset_ratio_d_e"):
+                "mass_center_offset_e", "offset_d_e"):
         assert row in text
 
 
@@ -391,21 +391,33 @@ def test_grid_radius_flag_is_a_usage_error(tmp_path, capsys):
     assert "unrecognized arguments: --grid-radius 6" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("p0, graded", [
-    (["0", "0", "0"], False),      # at rest: <T> x <p> = 0
-    (["0.6", "0", "0"], False),    # p0 along the default spin x
-    (["0", "0", "0.6"], True),     # transverse: |<X_e> - <x>| ~ 0.12
-    # |<X_e> - <x>| ~ 2.5e-10: above RESIDUAL_FLOOR, inside the e row's
-    # tolerance, 7e-5, so the offsets are no signal
-    (["0", "0", "1e-9"], False),
-])
-def test_offset_ratio_needs_a_signal(p0, graded, tmp_path):
-    out = tmp_path / "ratio"
-    assert cli.main(["verify-fg", "--out", str(out), "--grid-points", "16",
-                     "--p0", *p0]) == 0
+@pytest.mark.parametrize("flags", [
+    ["--p0", "0", "0", "0"],       # at rest: <T> x <p> = 0
+    ["--p0", "0.6", "0", "0"],     # p0 along the default spin x
+    ["--p0", "0", "0", "0.6"],     # transverse: |<X_e> - <x>| ~ 0.12
+    ["--p0", "0", "0", "1e-9"],    # |<X_e> - <x>| ~ 2.5e-10
+    # spin along p0 with anisotropic widths: <T> x <p> and both offsets
+    # are spread effects, |<X_d> / <X_e>| ~ 0.63 (1 + g)
+    ["--p0", "0.99951208", "0", "0.03123475", "--spin", "1", "0", "0.03125",
+     "--widths", "0.03125", "0.03125", "0.046875"],
+    # spin 2.6 degrees from p0 on a sharp packet, widths/m ~ 0.05: the
+    # offsets are still mostly spread effects, |<X_d>| / |<X_e>| misses
+    # 1 + g by 5.4e-3 relative on any rule
+    ["--mass", "2.6082327622038757",
+     "--p0", "0.4502471595052805", "-0.1014353042786702",
+     "-0.45116255347015843",
+     "--widths", "0.12917323758912752", "0.12396645735298115",
+     "0.05455184134667425",
+     "--spin", "0.2370304846109237", "-0.046194381859048894",
+     "-0.2579532578892074"],
+], ids=["at_rest", "p0_along_spin", "transverse", "p0_1e-9",
+        "spin_along_p0", "sharp_spin_near_p0"])
+def test_offset_d_e_is_graded_and_passes(flags, tmp_path):
+    # the row is linear in the offsets, so it needs no signal to divide by
+    out = tmp_path / "d_e"
+    assert cli.main(["verify-fg", "--out", str(out), *flags]) == 0
     kv = (out / "verify_fg_report.kv").read_text()
-    assert ("check.offset_ratio_d_e.status = pass" in kv) == graded
-    assert ("offset_ratio_d_e" in kv) == graded
+    assert "check.offset_d_e.status = pass" in kv
 
 
 @pytest.mark.parametrize("p0, spin", [

@@ -352,6 +352,9 @@ OBLIQUE = dict(p0=(0.5, 0.1, 0.3), widths=0.017, spin_direction=(0, 1, 1),
 # RESIDUAL_FLOOR
 FAST = dict(p0=(0, 0, 1e5), widths=0.01, spin_direction=(0, 1, 1),
             grid_points=8)
+# the reference packet the coefficients are calibrated on, 0.6m zhat
+REFERENCE = dict(p0=(0, 0, 0.6), widths=0.01, spin_direction=(1, 0, 0),
+                 grid_points=16)
 
 
 def _boost_with_gamma_over_gamma_plus_one(s, v, gamma):
@@ -375,6 +378,29 @@ def _shift_over_m(S, v, m):
     return np.cross(S, v) / m
 
 
+# Pryce factor tables with d's or e's entry broken; `mass_centers` reads the
+# table through `dynamics.pryce_factors`, the packet pass through
+# `algebra.pryce_factors`, so each mutant breaks one side
+_pryce_factors = algebra.pryce_factors
+
+
+def _factors_with_d_and_e_swapped(gamma):
+    table = _pryce_factors(gamma)
+    return {**table, "d": table["e"], "e": table["d"]}
+
+
+def _factors_with_e_f2_zero(gamma):
+    table = _pryce_factors(gamma)
+    f1, _, f3, _ = table["e"]
+    return {**table, "e": (f1, 0.0 * f1, f3, f1)}
+
+
+def _factors_with_e_f1_over_gamma(gamma):
+    table = _pryce_factors(gamma)
+    f1, f2, f3, _ = table["e"]
+    return {**table, "e": (f1 / gamma, f2, f3, f1 / gamma - f2)}
+
+
 def _failing_rows(pkt):
     rels = [*verify_fg_relations(pkt).values(),
             *verify_main_results(pkt).values()]
@@ -382,21 +408,39 @@ def _failing_rows(pkt):
             if not rel.residual <= packets.fg_tolerance(rel.name, pkt)]
 
 
-@pytest.mark.parametrize("formula, mutant, spec, failing", [
-    ("boost_spin", _boost_with_gamma_over_gamma_plus_one, OBLIQUE,
+_CENTERS = ["mass_center_offset_d", "mass_center_offset_e"]
+_PASS_MUTANTS = [(_factors_with_d_and_e_swapped, [*_CENTERS, "offset_d_e"]),
+                 (_factors_with_e_f2_zero,
+                  ["mass_center_offset_e", "offset_d_e"]),
+                 (_factors_with_e_f1_over_gamma,
+                  ["mass_center_offset_e", "offset_d_e"])]
+
+
+@pytest.mark.parametrize("module, formula, mutant, spec, failing", [
+    (dynamics, "boost_spin", _boost_with_gamma_over_gamma_plus_one, OBLIQUE,
      ["T_from_O"]),
-    ("unboost_spin", _unboost_with_one_over_gamma_plus_one, OBLIQUE,
-     ["O_from_T"]),
-    ("position_shift", _shift_over_m, OBLIQUE,
-     ["mass_center_offset_d", "mass_center_offset_e"]),
-    ("boost_spin", _boost_without_gamma_in_s0, FAST, ["T4_from_O"]),
-], ids=["boost_spin", "unboost_spin", "position_shift", "boost_spin_s0"])
-def test_a_broken_classical_formula_fails_its_row(formula, mutant, spec,
-                                                  failing, monkeypatch):
-    pkt = make_gaussian_packet(**spec)
-    assert _failing_rows(pkt) == []
-    monkeypatch.setattr(dynamics, formula, mutant)
-    assert _failing_rows(pkt) == failing
+    (dynamics, "unboost_spin", _unboost_with_one_over_gamma_plus_one,
+     OBLIQUE, ["O_from_T"]),
+    (dynamics, "position_shift", _shift_over_m, OBLIQUE, _CENTERS),
+    (dynamics, "boost_spin", _boost_without_gamma_in_s0, FAST, ["T4_from_O"]),
+    # the classical side of the center rows, `dynamics.mass_centers`
+    (dynamics, "pryce_factors", _factors_with_d_and_e_swapped, OBLIQUE,
+     _CENTERS),
+    # the packet pass's factors: offset_d_e, which reads no deltaX, fails
+    *[(algebra, "pryce_factors", mutant, spec, failing)
+      for mutant, failing in _PASS_MUTANTS for spec in (REFERENCE, OBLIQUE)],
+], ids=["boost_spin", "unboost_spin", "position_shift", "boost_spin_s0",
+        "mass_centers_d_e_swapped",
+        *[f"pass_{name}-{packet}" for name in ("d_e_swapped", "e_f2_zero",
+                                               "e_f1_over_gamma")
+          for packet in ("reference", "oblique")]])
+def test_a_broken_classical_formula_fails_its_row(module, formula, mutant,
+                                                  spec, failing,
+                                                  monkeypatch):
+    assert _failing_rows(make_gaussian_packet(**spec)) == []
+    monkeypatch.setattr(module, formula, mutant)
+    # built after the patch, so a broken packet pass shows in its sums
+    assert _failing_rows(make_gaussian_packet(**spec)) == failing
 
 
 class TestMainResult:
@@ -414,8 +458,9 @@ class TestMainResult:
 
     def test_relations_are_keyed_in_kind_order(self, fast_packet):
         rels = verify_main_results(fast_packet)
-        assert list(rels) == [f"mass_center_offset_{kind}"
-                              for kind in algebra.PRYCE_KINDS]
+        assert list(rels) == [*(f"mass_center_offset_{kind}"
+                                for kind in algebra.PRYCE_KINDS),
+                              "offset_d_e"]
         for kind in algebra.PRYCE_KINDS:
             lhs = rels[f"mass_center_offset_{kind}"].lhs
             assert lhs is fast_packet.expectations[kind]
@@ -561,17 +606,10 @@ AGREEMENT_GRID = 24
 
 
 def _rows(pkt):
-    """verify-fg's rows as (name, residual, lhs, rhs); the offset ratio's
-    sides are |d| / |e| and 1 + g, graded where `runners.run_verify`
-    grades it."""
+    """verify-fg's rows as (name, residual, lhs, rhs)."""
     rels = [*verify_fg_relations(pkt).values(),
             *verify_main_results(pkt).values()]
-    rows = [(rel.name, rel.residual, rel.lhs, rel.rhs) for rel in rels]
-    ratio = packets.offset_ratio_residual(pkt)
-    if ratio is not None:
-        d, e = (np.linalg.norm(pkt.expectations[k]) for k in "de")
-        rows.append(("offset_ratio_d_e", ratio, d / e, 1.0 + pkt.gamma_bar))
-    return rows
+    return [(rel.name, rel.residual, rel.lhs, rel.rhs) for rel in rels]
 
 
 @st.composite
@@ -608,17 +646,12 @@ def test_settled_gauss_hermite_rows_hold_and_match_the_grid(spec):
     # Each side of a relation row is built from expectations that the
     # grid's truncation moves by at most TRUNCATION of the largest side,
     # and its sequential sums over AGREEMENT_GRID^3 points by that many
-    # ulp; a residual, a difference of two sides, moves by twice that.  The
-    # ratio d / e moves by its relative errors, those of |d| and |e|, and
-    # g = E(<p>) / m by at most the move of <p> over m, twice in the row.
-    scale = max(np.max(np.abs(side)) for name, _, lhs, rhs in grid_rows
-                if name != "offset_ratio_d_e" for side in (lhs, rhs))
+    # ulp; a residual, a difference of two sides, moves by twice that.
+    scale = max(np.max(np.abs(side)) for _, _, lhs, rhs in grid_rows
+                for side in (lhs, rhs))
     move = (TRUNCATION + AGREEMENT_GRID**3 * np.finfo(float).eps) * scale
-    d, e = (np.linalg.norm(grid.expectations[k]) for k in "de")
-    for (name, residual, *_), (_, want, lhs, _) in zip(rows, grid_rows):
-        bound = (2.0 * move if name != "offset_ratio_d_e"
-                 else lhs * (move / d + move / e) + 2.0 * move / m)
-        assert abs(residual - want) <= bound, name
+    for (name, residual, *_), (_, want, *_) in zip(rows, grid_rows):
+        assert abs(residual - want) <= 2.0 * move, name
 
 
 def test_tolerances_follow_each_rows_mass_dimension():
@@ -645,24 +678,6 @@ def test_tolerances_follow_each_rows_mass_dimension():
             name, unit)
         for m in (0.01, 100.0):
             assert abs(graded[m][name] - ratio) <= bound, (m, name)
-
-
-@pytest.mark.parametrize("rule", RULES)
-def test_offset_ratio_is_not_graded_with_spin_along_p0(rule):
-    # With spin along p0, <T> x <p> is a spread effect of anisotropic
-    # widths, and so are both offsets: their ratio, 0.63 (1 + g) here, need
-    # not be 1 + g.  |<X_e> - <x>|, 2.2e-6, sits inside the e row's
-    # tolerance, 1.5e-3, which the ratio's guard reads, though far above
-    # RESIDUAL_FLOOR
-    direction = np.array([1.0, 0.0, 0.03125])
-    p0 = direction / np.linalg.norm(direction)
-    pkt = _packet(rule, p0, (0.03125, 0.03125, 0.046875), direction,
-                  grid_points=32)
-    e = np.linalg.norm(pkt.expectations["e"])
-    assert packets.RESIDUAL_FLOOR < e
-    assert e <= packets.fg_tolerance("mass_center_offset_e", pkt)
-    assert packets.offset_ratio_residual(pkt) is None
-    assert [row[0] for row in _rows(pkt)][-1] == "mass_center_offset_e"
 
 
 def _dense_expectations(pkt):
